@@ -13,8 +13,8 @@ from .allocator import (
     model_digital_distortion,
     system_distortion,
 )
-from .analog import AnalogFrame, Ieo, decode_analog, encode_analog, extend_ieo
-from .channel import ChannelBudget, ChannelState, multiplex, transmit
+from .analog import analog_decode, analog_encode
+from .channel import ChannelBudget, ChannelState, transmit
 from .codec import (
     SemanticFeature,
     TaskModel,
@@ -30,7 +30,6 @@ from .codec import (
 )
 from .digital import (
     CodeSpec,
-    ParityFrame,
     QuantizerSpec,
     crc16,
     demodulate,

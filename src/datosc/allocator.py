@@ -200,68 +200,44 @@ def _per_dim_power(power: float, uses: int) -> float:
     return power / uses / 2.0
 
 
+def _node_errors(
+    plan: AllocationPlan, snr_db: float, ctx: AllocatorContext
+) -> tuple[np.ndarray, np.ndarray]:
+    """Modelled analog error per fade node and coefficient, over all n indices.
+
+    Returns (weights, errors (nodes, n)): the 64-point rule over |h|^2 ~
+    Exp(1) for Rayleigh, a single node |h|^2 = 1 of weight 1 for AWGN.
+    Coefficients the analog branch does not carry sit at their prior variance.
+    """
+    if ctx.channel == "awgn":
+        nodes, weights = np.ones(1), np.ones(1)
+    else:
+        nodes, weights = FADE_NODES, FADE_WEIGHTS
+    kept = ctx.kept_indices(plan.k)
+    priors = ctx.prior_vars[kept]
+    gains = analog_gains(priors, _per_dim_power(plan.power_analog, plan.n_analog))
+    nv_dim = 10.0 ** (-snr_db / 10.0) / 2.0
+    errors = np.empty((len(nodes), ctx.n))
+    errors[:] = ctx.prior_vars
+    errors[:, kept] = mmse_error_vars(gains, priors, nodes[:, None], nv_dim)
+    return weights, errors
+
+
 def model_analog_distortion(
     plan: AllocationPlan, snr_db: float, ctx: AllocatorContext
 ) -> float:
-    """Expected feature MSE of the analog branch (mean posterior variance).
-
-    Rayleigh averages the closed-form error variance over |h|^2 ~ Exp(1)
-    with the fixed 64-point rule; AWGN evaluates it at |h|^2 = 1.
-    """
-    priors = ctx.kept_priors(plan.k)
-    per_dim = _per_dim_power(plan.power_analog, plan.n_analog)
-    gains = analog_gains(priors, per_dim)
-    nv_dim = 10.0 ** (-snr_db / 10.0) / 2.0
-    if ctx.channel == "awgn":
-        return float(np.mean(mmse_error_vars(gains, priors, 1.0, nv_dim)))
-    err = mmse_error_vars(
-        gains[None, :], priors[None, :], FADE_NODES[:, None], nv_dim
-    )
-    return float(np.mean(FADE_WEIGHTS @ err))
-
-
-def _coefficient_analog_errors(
-    plan: AllocationPlan, snr_db: float, ctx: AllocatorContext
-) -> np.ndarray:
-    """Modelled per-coefficient analog error over all n indices (discarded
-    coefficients sit at their prior variance)."""
-    priors = ctx.kept_priors(plan.k)
-    per_dim = _per_dim_power(plan.power_analog, plan.n_analog)
-    gains = analog_gains(priors, per_dim)
-    nv_dim = 10.0 ** (-snr_db / 10.0) / 2.0
-    if ctx.channel == "awgn":
-        kept_err = mmse_error_vars(gains, priors, 1.0, nv_dim)
-    else:
-        err = mmse_error_vars(
-            gains[None, :], priors[None, :], FADE_NODES[:, None], nv_dim
-        )
-        kept_err = FADE_WEIGHTS @ err
-    full = ctx.prior_vars.astype(np.float64).copy()
-    full[ctx.kept_indices(plan.k)] = kept_err
-    return full
+    """Expected feature MSE of the analog branch (mean posterior variance
+    of the kept coefficients, averaged over the fade rule)."""
+    weights, errors = _node_errors(plan, snr_db, ctx)
+    return float(np.mean((weights @ errors)[ctx.kept_indices(plan.k)]))
 
 
 def model_fallback_distortion(
     plan: AllocationPlan, snr_db: float, ctx: AllocatorContext
 ) -> float:
     """Expected data MSE when the digital branch contributes nothing."""
-    return float(np.mean(_coefficient_analog_errors(plan, snr_db, ctx)))
-
-
-def _per_fade_coefficient_errors(
-    plan: AllocationPlan, snr_db: float, ctx: AllocatorContext
-) -> np.ndarray:
-    """Per-quadrature-node, per-coefficient analog error over all n indices."""
-    priors = ctx.kept_priors(plan.k)
-    per_dim = _per_dim_power(plan.power_analog, plan.n_analog)
-    gains = analog_gains(priors, per_dim)
-    nv_dim = 10.0 ** (-snr_db / 10.0) / 2.0
-    kept_err = mmse_error_vars(
-        gains[None, :], priors[None, :], FADE_NODES[:, None], nv_dim
-    )
-    full = np.broadcast_to(ctx.prior_vars, (len(FADE_NODES), ctx.n)).copy()
-    full[:, ctx.kept_indices(plan.k)] = kept_err
-    return full
+    weights, errors = _node_errors(plan, snr_db, ctx)
+    return float(np.mean(weights @ errors))
 
 
 def model_digital_distortion(
@@ -282,11 +258,11 @@ def model_digital_distortion(
     cell_mse = quant.deltas**2 / 12.0
     eff_snr = snr_db + 10.0 * np.log10(plan.power_digital / plan.n_digital)
     p_f = fer.lookup(plan.pattern, plan.quant_bits, eff_snr)
+    weights, fade_err = _node_errors(plan, snr_db, ctx)                # (nodes, n)
     if ctx.channel == "awgn":
-        analog_err = _coefficient_analog_errors(plan, snr_db, ctx)
+        analog_err = weights @ fade_err
         refined = float(np.mean(np.minimum(cell_mse, analog_err)))
         return (1.0 - p_f) * refined + p_f * float(np.mean(analog_err))
-    fade_err = _per_fade_coefficient_errors(plan, snr_db, ctx)        # (64, n)
     refined = np.mean(np.minimum(cell_mse, fade_err), axis=1)         # (64,)
     fallback = np.mean(fade_err, axis=1)
     fail = FADE_NODES < -np.log1p(-min(p_f, 1.0 - 1e-12))             # deepest fades

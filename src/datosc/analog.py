@@ -10,31 +10,9 @@ expected frame power over the source ensemble meets the budget exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channel import ChannelState
-from .codec import SemanticFeature, synthesize_full
-from .errors import AllocationError, ParameterError
-
-
-@dataclass(frozen=True)
-class AnalogFrame:
-    symbols: np.ndarray     # (N_a,) complex, I/Q-packed scaled coefficients
-    gains: np.ndarray       # (k,) per-coefficient scaling g_i > 0
-    indices: np.ndarray     # (k,) positions in the full coefficient vector
-    prior_vars: np.ndarray  # (k,) priors the gains were built from
-    n_full: int             # full coefficient dimension n
-    n_uses: int
-
-
-@dataclass(frozen=True)
-class Ieo:
-    """Intermediate estimates: MMSE coefficient values and posterior variances."""
-
-    est: np.ndarray
-    err_var: np.ndarray
+from .errors import ParameterError
 
 
 def analog_gains(prior_vars: np.ndarray, per_use_power: float) -> np.ndarray:
@@ -67,26 +45,6 @@ def unpack_iq(symbols: np.ndarray, k: int) -> np.ndarray:
     return flat[..., :k]
 
 
-def encode_analog(
-    feature: SemanticFeature, per_use_power: float, n_uses: int | None = None
-) -> AnalogFrame:
-    """Scale and I/Q-pack the feature; n_uses defaults to ceil(k/2)."""
-    k = feature.k
-    if n_uses is None:
-        n_uses = -(-k // 2)
-    if k > 2 * n_uses:
-        raise AllocationError(f"{k} coefficients exceed {n_uses} complex uses")
-    gains = analog_gains(feature.prior_vars, per_use_power)
-    return AnalogFrame(
-        symbols=pack_iq(gains * feature.coeffs),
-        gains=gains,
-        indices=feature.indices,
-        prior_vars=feature.prior_vars,
-        n_full=feature.n,
-        n_uses=n_uses,
-    )
-
-
 def mmse_estimate(
     observations: np.ndarray,
     gains: np.ndarray,
@@ -117,34 +75,29 @@ def mmse_error_vars(
     return prior_vars * noise_var_dim / (g2 * np.asarray(h_sq) * prior_vars + noise_var_dim)
 
 
-def decode_analog(
-    received: np.ndarray, state: ChannelState, frame: AnalogFrame
-) -> tuple[Ieo, np.ndarray]:
-    """MMSE-decode one analog frame.
+def analog_encode(
+    values: np.ndarray, prior_vars: np.ndarray, per_use_power: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scale (..., k) coefficients by their gains and I/Q-pack them.
 
-    Returns the intermediate estimates (per-coefficient value and posterior
-    variance) and the ultimate block estimate, the inverse transform with
-    zeros at indices the analog branch did not carry.
+    Returns the (..., ceil(k/2)) channel symbols and the (k,) gains.
     """
-    k = len(frame.gains)
-    h_sq = abs(state.h) ** 2
-    matched = np.conj(state.h) * np.asarray(received, dtype=np.complex128)
-    obs = unpack_iq(matched, k)
-    est, err_var = mmse_estimate(
-        obs, frame.gains, frame.prior_vars, h_sq, state.noise_var / 2.0
-    )
-    full = np.zeros(frame.n_full)
-    full[frame.indices] = est
-    ueo = synthesize_full(full)
-    return Ieo(est=est, err_var=err_var), ueo
+    gains = analog_gains(prior_vars, per_use_power)
+    return pack_iq(gains * values), gains
 
 
-def extend_ieo(ieo: Ieo, indices: np.ndarray, full_prior_vars: np.ndarray) -> Ieo:
-    """Spread an IEO over all n coefficients; indices the analog branch never
-    carried fall back to the prior (estimate 0, error variance = prior)."""
-    n = len(full_prior_vars)
-    est = np.zeros(n)
-    err = np.asarray(full_prior_vars, dtype=np.float64).copy()
-    est[indices] = ieo.est
-    err[indices] = ieo.err_var
-    return Ieo(est=est, err_var=err)
+def analog_decode(
+    received: np.ndarray,
+    h,
+    gains: np.ndarray,
+    prior_vars: np.ndarray,
+    noise_var: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Matched-filter and MMSE-decode (..., uses) received symbols.
+
+    h is the known channel gain: a scalar, or one gain per frame shaped to
+    broadcast against received (e.g. (T, 1)). noise_var is per complex use.
+    Returns the per-coefficient estimates and posterior error variances.
+    """
+    obs = unpack_iq(np.conj(h) * received, len(gains))
+    return mmse_estimate(obs, gains, prior_vars, abs(h) ** 2, noise_var / 2.0)

@@ -1,4 +1,4 @@
-"""AWGN / quasi-static Rayleigh channel and the orthogonal multiplexer.
+"""AWGN / quasi-static Rayleigh channel and the channel-use/power budget.
 
 Conventions: snr_db is the average received SNR per complex channel use
 under unit average transmit power and E[|h|^2] = 1, so noise_var =
@@ -97,36 +97,9 @@ class ChannelBudget:
 def transmit(symbols: np.ndarray, state: ChannelState) -> np.ndarray:
     """y = h*x + w with w circularly-symmetric, variance noise_var per use."""
     x = np.asarray(symbols, dtype=np.complex128)
-    if x.size and not np.all(np.isfinite(x.view(np.float64))):
+    if not np.all(np.isfinite(x)):
         raise ParameterError("transmit requires finite symbols")
     sigma = np.sqrt(state.noise_var / 2.0)
     noise = state.rng.standard_normal(2 * x.size) * sigma
     w = noise[0::2] + 1j * noise[1::2]
     return state.h * x + w.reshape(x.shape)
-
-
-def multiplex(
-    analog_syms: np.ndarray,
-    digital_syms: np.ndarray,
-    budget: ChannelBudget,
-    state: ChannelState,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Send both branches over orthogonal partitions of the same block.
-
-    Branch encoders already scale their symbols to the per-use budget
-    (power_analog/n_analog and power_digital/n_digital); this stage enforces
-    the partition sizes and gives each partition the block's h with an
-    independent noise draw.
-    """
-    budget.validate()
-    a = np.asarray(analog_syms, dtype=np.complex128)
-    d = np.asarray(digital_syms, dtype=np.complex128)
-    if a.size > budget.n_analog:
-        raise AllocationError(
-            f"analog stream needs {a.size} uses, budget allows {budget.n_analog}"
-        )
-    if d.size > budget.n_digital:
-        raise AllocationError(
-            f"digital stream needs {d.size} uses, budget allows {budget.n_digital}"
-        )
-    return transmit(a, state), transmit(d, state)

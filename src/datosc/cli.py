@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -14,6 +13,7 @@ from .harness import (
     ExperimentConfig,
     calibrate_fer,
     config_from_file,
+    config_from_values,
     detect_effects,
     parse_config_text,
     run_sweep,
@@ -50,17 +50,7 @@ def _experiment_config(args) -> ExperimentConfig:
     }
     if args.config:
         return config_from_file(args.config, overrides)
-    from .harness import _CONFIG_CASTS, _KEY_TO_FIELD  # same casting as files
-
-    fields = {}
-    for key, val in overrides.items():
-        if val is None:
-            continue
-        cast = _CONFIG_CASTS[key]
-        fields[_KEY_TO_FIELD.get(key, key)] = cast(val) if isinstance(val, str) else val
-    cfg = ExperimentConfig(**fields)
-    cfg.validate()
-    return cfg
+    return config_from_values(overrides)
 
 
 def _session_values(args) -> dict:

@@ -257,31 +257,20 @@ class CodeSpec:
         return parity_length(info_len, self.pattern)
 
 
-@dataclass(frozen=True)
-class ParityFrame:
-    """What the DSC encoder hands to the modulator: parity bits only."""
+def dsc_encode(info_bits: np.ndarray, code: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Append CRC and tail, run the RSC, and puncture its parity.
 
-    parity_bits: np.ndarray
-    pattern: str
-    info_len: int
-    modulation: str = "qpsk"
-
-
-def dsc_encode(info_bits: np.ndarray, code: CodeSpec, modulation: str = "qpsk") -> ParityFrame:
-    """Append CRC and tail, run the RSC, puncture, and drop the systematic bits."""
+    Returns (systematic, parity): the info + CRC + tail bits, and the
+    parity_len(info_len) surviving parity bits. A parity-only link sends the
+    parity alone; a plain digital link sends both.
+    """
     info = np.atleast_2d(np.asarray(info_bits, dtype=np.uint8))
     stream = np.concatenate([info, crc16(info)], axis=1)
-    _, parity = rsc_encode(stream)
-    keep = puncture_keep_indices(parity.shape[1], code.pattern)
-    punctured = parity[:, keep]
+    systematic, parity = rsc_encode(stream)
+    punctured = parity[:, puncture_keep_indices(parity.shape[1], code.pattern)]
     if np.ndim(info_bits) == 1:
-        punctured = punctured[0]
-    return ParityFrame(
-        parity_bits=punctured,
-        pattern=code.pattern,
-        info_len=info.shape[1],
-        modulation=modulation,
-    )
+        return systematic[0], punctured[0]
+    return systematic, punctured
 
 
 # ---------------------------------------------------------------------------
@@ -453,19 +442,23 @@ def dsc_decode(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Soft-input Viterbi with receiver-side systematic evidence.
 
-    side_llrs cover the info positions only; CRC and tail positions enter the
-    trellis with zero prior. Returns (info_bits, crc_ok); on a CRC mismatch
-    the bits are still the best path's decision, and the caller decides the
-    fallback.
+    side_llrs cover either the info positions only or every encoded position
+    (info, CRC and tail); positions they do not cover enter the trellis with
+    zero prior. The parity count tells the two layouts apart: theirs differ
+    by about fraction * (CRC_BITS + TAIL_BITS), at least 5 bits. Returns
+    (info_bits, crc_ok); on a CRC mismatch the bits are still the best
+    path's decision, and the caller decides the fallback.
     """
     side = np.atleast_2d(np.asarray(side_llrs, dtype=np.float64))
-    batch, info_len = side.shape
+    parity = np.atleast_2d(np.asarray(parity_llrs, dtype=np.float64))
+    batch, width = side.shape
+    info_len = width - CRC_BITS - TAIL_BITS
+    if info_len < 0 or parity.shape[1] != code.parity_len(info_len):
+        info_len = width  # info positions only; the parity count is checked below
     enc_len = code.encoded_len(info_len)
-    sys_full = np.concatenate([side, np.zeros((batch, CRC_BITS + TAIL_BITS))], axis=1)
-    par_full = assemble_parity_llrs(
-        np.atleast_2d(np.asarray(parity_llrs, dtype=np.float64)), enc_len, code.pattern
-    )
-    decided = viterbi_decode(sys_full, par_full)
+    sys_full = np.zeros((batch, enc_len))
+    sys_full[:, :width] = side
+    decided = viterbi_decode(sys_full, assemble_parity_llrs(parity, enc_len, code.pattern))
     info = decided[:, :info_len]
     crc_ok = _crc_matches(info, decided[:, info_len : info_len + CRC_BITS])
     if np.ndim(side_llrs) == 1:
@@ -633,7 +626,6 @@ def turbo_encode(info_bits: np.ndarray, pattern: str) -> np.ndarray:
     parity = np.concatenate(
         [rsc16_parity(stream)[:, keep1], rsc16_parity(stream[:, perm])[:, keep2]], axis=1
     )
-    parity = np.ascontiguousarray(parity)  # column picks come out column-major
     return parity[0] if np.ndim(info_bits) == 1 else parity
 
 

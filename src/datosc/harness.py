@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -73,8 +73,6 @@ class ExperimentConfig:
     total_uses: int = 320
     total_power: float = 320.0
     p_a_fraction: float = 0.5
-    floor_threshold: float = 0.05
-    fer_table: Optional[str] = None
 
     def validate(self) -> None:
         if self.scheme not in SCHEMES:
@@ -161,9 +159,10 @@ _CONFIG_CASTS = {
     "total_uses": int,
     "total_power": float,
     "p_a_fraction": float,
-    "floor_threshold": float,
-    "fer_table": str,
-    # model-update session keys
+}
+
+# keys only the seu subcommand reads; a sweep config skips them
+_SESSION_CASTS = {
     "float_count": int,
     "int_count": int,
     "int_bits": int,
@@ -192,38 +191,55 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _CONFIG_CASTS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        try:
-            values[key] = _CONFIG_CASTS[key](val)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from None
+        values[key] = _cast(key, val, f"line {lineno}: ")
     return values
+
+
+def _cast(key: str, text: str, where: str = ""):
+    cast = _CONFIG_CASTS.get(key) or _SESSION_CASTS.get(key)
+    if cast is None:
+        raise ConfigError(f"{where}unknown key {key!r}")
+    try:
+        return cast(text)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{where}bad value for {key}: {exc}") from None
+
+
+def config_from_values(values: dict) -> ExperimentConfig:
+    """Validated ExperimentConfig from config-file keys (or field names).
+
+    String values are cast as a config file's would be; None values and the
+    session-only keys are skipped.
+    """
+    fields = {}
+    for key, val in values.items():
+        if val is None or key in _SESSION_CASTS:
+            continue
+        if isinstance(val, str) and key in _CONFIG_CASTS:
+            val = _cast(key, val)
+        fields[_KEY_TO_FIELD.get(key, key)] = val
+    try:
+        cfg = ExperimentConfig(**fields)
+    except TypeError as exc:
+        raise ConfigError(str(exc)) from None
+    cfg.validate()
+    return cfg
 
 
 def config_from_file(path, overrides: Optional[dict] = None) -> ExperimentConfig:
     with open(path, encoding="utf-8") as fh:
         values = parse_config_text(fh.read())
-    if overrides:
-        values.update({k: v for k, v in overrides.items() if v is not None})
-    fields = {}
-    for key, val in values.items():
-        if key in ("float_count", "int_count", "int_bits", "flip_prob",
-                   "float_noise_std", "p_hat"):
-            continue  # session-only keys, consumed by the seu subcommand
-        fields[_KEY_TO_FIELD.get(key, key)] = val
-    cfg = ExperimentConfig(**fields)
-    cfg.validate()
-    return cfg
+    values.update({k: v for k, v in (overrides or {}).items() if v is not None})
+    return config_from_values(values)
 
 
 # ---------------------------------------------------------------------------
 # link setup shared by all schemes
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class LinkSetup:
     prior_vars: np.ndarray
     task: Optional[codec.TaskModel]
@@ -247,7 +263,7 @@ class LinkSetup:
         return float(np.sqrt(self.power_digital / self.n_digital))
 
 
-def _derive_seed(*parts) -> int:
+def derive_seed(*parts) -> int:
     return int(np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(1)[0])
 
 
@@ -317,19 +333,32 @@ def build_link(config: ExperimentConfig) -> LinkSetup:
 # batched per-trial pipelines
 # ---------------------------------------------------------------------------
 
-def _draw_trials(
+@dataclass(frozen=True)
+class TrialDraws:
+    """Per-trial randomness of a chunk: source blocks and their labels (-1
+    when label-free), channel gains, and noise on both partitions."""
+
+    samples: np.ndarray   # (T, n)
+    labels: np.ndarray    # (T,)
+    h: np.ndarray         # (T,) complex
+    w_a: np.ndarray       # (T, n_analog) complex
+    w_d: np.ndarray       # (T, n_digital) complex
+    noise_var: float      # per complex use
+
+
+def draw_trials(
     config: ExperimentConfig,
     setup: LinkSetup,
     snr_db: float,
     point_index: int,
     t0: int,
     t1: int,
-):
-    """Per-trial source blocks, channel gains, and noise, drawn in the same
-    order a sequential run would use."""
+) -> TrialDraws:
+    """Draws for trials [t0, t1) of one sweep point, in the same order a
+    sequential run would use."""
     count = t1 - t0
-    src_seed = _derive_seed(config.seed, point_index, 0)
-    ch_seed = _derive_seed(config.seed, point_index, 1)
+    src_seed = derive_seed(config.seed, point_index, 0)
+    ch_seed = derive_seed(config.seed, point_index, 1)
     spec = replace(config.source_spec(), seed=src_seed)
 
     samples = np.empty((count, config.n))
@@ -355,19 +384,22 @@ def _draw_trials(
         if setup.n_digital:
             nd = state.rng.standard_normal(2 * setup.n_digital) * sigma
             w_d[i] = nd[0::2] + 1j * nd[1::2]
-    return samples, labels, h, w_a, w_d, noise_var
+    return TrialDraws(samples, labels, h, w_a, w_d, noise_var)
 
 
-def _analog_stage(setup, full, h, w_a, noise_var):
-    """Vectorized analog transmit + MMSE decode over a trial batch."""
+def analog_stage(
+    setup: LinkSetup, full: np.ndarray, draws: TrialDraws
+) -> tuple[np.ndarray, np.ndarray]:
+    """Send the kept coefficients of (T, n) blocks over the analog partition.
+
+    Returns MMSE estimates and error variances over all n indices; indices
+    the analog branch does not carry keep estimate 0 and their prior variance.
+    """
     priors = setup.prior_vars[setup.kept]
-    gains = ana.analog_gains(priors, setup.analog_per_dim)
-    tx = full[:, setup.kept]
-    x_a = ana.pack_iq(gains * tx)
-    y_a = h[:, None] * x_a + w_a[:, : x_a.shape[1]]
-    obs = ana.unpack_iq(np.conj(h)[:, None] * y_a, len(setup.kept))
-    h_sq = (np.abs(h) ** 2)[:, None]
-    est, err_var = ana.mmse_estimate(obs, gains, priors, h_sq, noise_var / 2.0)
+    x_a, gains = ana.analog_encode(full[:, setup.kept], priors, setup.analog_per_dim)
+    h = draws.h[:, None]
+    y_a = h * x_a + draws.w_a[:, : x_a.shape[1]]
+    est, err_var = ana.analog_decode(y_a, h, gains, priors, draws.noise_var)
     est_full = np.zeros_like(full)
     est_full[:, setup.kept] = est
     err_full = np.broadcast_to(setup.prior_vars, full.shape).copy()
@@ -375,16 +407,46 @@ def _analog_stage(setup, full, h, w_a, noise_var):
     return est_full, err_full
 
 
-def _metrics(setup, config, full, samples, labels, coeff_hat, crc_fail):
+def digital_stage(
+    config: ExperimentConfig,
+    setup: LinkSetup,
+    full: np.ndarray,
+    draws: TrialDraws,
+    side: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quantize (T, n) blocks, send them over the digital partition, decode.
+
+    side holds the receiver's systematic LLRs of the info bits; then only
+    the parity is sent. Without it the systematic bits are sent as well.
+    Returns the decoded quantizer cells and the CRC flags.
+    """
+    systematic, parity = dig.dsc_encode(dig.quantize(full, setup.quant), setup.code)
+    wire = parity if side is not None else np.concatenate([systematic, parity], axis=1)
+    x_d = dig.modulate(wire, config.modulation, setup.digital_amplitude)
+    h = draws.h[:, None]
+    y_d = h * x_d + draws.w_d[:, : x_d.shape[1]]
+    state = ChannelState(
+        snr_db=0.0, noise_var=draws.noise_var, h=1.0 + 0.0j, seed=0, rng=None
+    )
+    llrs = dig.demodulate(
+        y_d, state, config.modulation, setup.digital_amplitude, n_bits=wire.shape[1], h=h
+    )
+    if side is None:
+        side, llrs = llrs[:, : systematic.shape[1]], llrs[:, systematic.shape[1] :]
+    decoded, crc_ok = dig.dsc_decode(side, llrs, setup.code)
+    return dig.bits_to_cells(decoded, setup.quant.bits), crc_ok
+
+
+def _metrics(setup, full, draws, coeff_hat, crc_fail):
     x_hat = codec.synthesize_full(coeff_hat)
     diff_f = coeff_hat[:, setup.kept] - full[:, setup.kept]
     feature_mse = np.mean(diff_f * diff_f, axis=1)
-    diff_d = x_hat - samples
+    diff_d = x_hat - draws.samples
     data_mse = np.mean(diff_d * diff_d, axis=1)
-    if setup.task is not None and np.all(labels >= 0):
-        task_ok = (codec.classify(coeff_hat, setup.task) == labels).astype(np.float64)
+    if setup.task is not None and np.all(draws.labels >= 0):
+        task_ok = (codec.classify(coeff_hat, setup.task) == draws.labels).astype(np.float64)
     else:
-        task_ok = np.full(len(samples), np.nan)
+        task_ok = np.full(len(full), np.nan)
     return feature_mse, data_mse, task_ok, crc_fail
 
 
@@ -396,102 +458,56 @@ def run_chunk(
     t0: int,
     t1: int,
 ):
-    """Per-trial metric arrays for trials [t0, t1) of one sweep point."""
-    samples, labels, h, w_a, w_d, noise_var = _draw_trials(
-        config, setup, snr_db, point_index, t0, t1
-    )
-    count = t1 - t0
-    full = codec.analyze(samples)
-    state = ChannelState(
-        snr_db=snr_db, noise_var=noise_var, h=1.0 + 0.0j, seed=0, rng=None
-    )
-
+    """Per-trial (feature_mse, data_mse, task_ok, crc_fail) arrays for
+    trials [t0, t1) of one sweep point."""
+    draws = draw_trials(config, setup, snr_db, point_index, t0, t1)
+    full = codec.analyze(draws.samples)
     if config.scheme == "analog":
-        est_full, _ = _analog_stage(setup, full, h, w_a, noise_var)
-        return _metrics(
-            setup, config, full, samples, labels, est_full, np.zeros(count, dtype=bool)
-        )
-
-    n_info = config.n * config.quant_bits
+        est_full, _ = analog_stage(setup, full, draws)
+        return _metrics(setup, full, draws, est_full, np.zeros(t1 - t0, dtype=bool))
     if config.scheme == "digital":
-        cells = dig.quantize_cells(full, setup.quant)
-        info = dig.cells_to_bits(cells, config.quant_bits)
-        stream = np.concatenate([info, dig.crc16(info)], axis=1)
-        sys_bits, parity = dig.rsc_encode(stream)
-        keep = dig.puncture_keep_indices(sys_bits.shape[1], config.pattern)
-        wire = np.concatenate([sys_bits, parity[:, keep]], axis=1)
-        x_d = dig.modulate(wire, config.modulation, setup.digital_amplitude)
-        y_d = h[:, None] * x_d + w_d[:, : x_d.shape[1]]
-        llrs = dig.demodulate(
-            y_d,
-            state,
-            config.modulation,
-            setup.digital_amplitude,
-            n_bits=wire.shape[1],
-            h=h[:, None],
-        )
-        enc_len = sys_bits.shape[1]
-        par_full = dig.assemble_parity_llrs(
-            llrs[:, enc_len:], enc_len, config.pattern
-        )
-        decided = dig.viterbi_decode(llrs[:, :enc_len], par_full)
-        info_rx = decided[:, :n_info]
-        crc_ok = np.all(
-            dig.crc16(info_rx) == decided[:, n_info : n_info + dig.CRC_BITS], axis=1
-        )
-        coeff_hat = dig.dequantize_cells(
-            dig.bits_to_cells(info_rx, config.quant_bits), setup.quant
-        )
+        cells, crc_ok = digital_stage(config, setup, full, draws)
+        coeff_hat = dig.dequantize_cells(cells, setup.quant)
         coeff_hat[~crc_ok] = 0.0  # decode failure emits the zero block
-        return _metrics(setup, config, full, samples, labels, coeff_hat, ~crc_ok)
-
-    # full hybrid pipeline
-    est_full, err_full = _analog_stage(setup, full, h, w_a, noise_var)
-    cells_tx = dig.quantize_cells(full, setup.quant)
-    info = dig.cells_to_bits(cells_tx, config.quant_bits)
-    frame = dig.dsc_encode(info, setup.code, config.modulation)
-    x_d = dig.modulate(frame.parity_bits, config.modulation, setup.digital_amplitude)
-    y_d = h[:, None] * x_d + w_d[:, : x_d.shape[1]]
-    parity_llrs = dig.demodulate(
-        y_d,
-        state,
-        config.modulation,
-        setup.digital_amplitude,
-        n_bits=frame.parity_bits.shape[1],
-        h=h[:, None],
-    )
+        return _metrics(setup, full, draws, coeff_hat, ~crc_ok)
+    est_full, err_full = analog_stage(setup, full, draws)
     side = dig.side_info_llrs(est_full, err_full, setup.quant)
-    decoded, crc_ok = dig.dsc_decode(side, parity_llrs, setup.code)
-    decoded_cells = dig.bits_to_cells(decoded, config.quant_bits)
+    cells, crc_ok = digital_stage(config, setup, full, draws, side)
     observed = np.zeros(config.n, dtype=bool)
     observed[setup.kept] = True
-    refined = dig.refine(est_full, decoded_cells, setup.quant, crc_ok, observed)
-    return _metrics(setup, config, full, samples, labels, refined, ~crc_ok)
+    refined = dig.refine(est_full, cells, setup.quant, crc_ok, observed)
+    return _metrics(setup, full, draws, refined, ~crc_ok)
 
 
-def _chunk_bounds(trials: int, workers: int) -> list[tuple[int, int]]:
-    edges = np.linspace(0, trials, workers + 1).astype(int)
+# Trials per run_chunk call at most, so a point's working set stays bounded
+# (Viterbi decisions alone take 4 bytes per trellis state and step).
+MAX_CHUNK_TRIALS = 4096
+
+
+def chunk_bounds(trials: int, workers: int) -> list[tuple[int, int]]:
+    """Near-equal [t0, t1) chunks: one per worker, more when a chunk would
+    exceed MAX_CHUNK_TRIALS."""
+    chunks = max(workers, -(-trials // MAX_CHUNK_TRIALS))
+    edges = np.linspace(0, trials, chunks + 1).astype(int)
     return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
 
 def run_point(
-    config: ExperimentConfig, snr_db: float, point_index: Optional[int] = None
-) -> SweepRow:
-    """One sweep point: per-trial pipeline runs and Monte-Carlo aggregation."""
-    setup = build_link(config)
-    return _run_point_with_setup(config, setup, snr_db, point_index)
-
-
-def _run_point_with_setup(
     config: ExperimentConfig,
-    setup: LinkSetup,
     snr_db: float,
     point_index: Optional[int] = None,
+    setup: Optional[LinkSetup] = None,
 ) -> SweepRow:
+    """One sweep point: per-trial pipeline runs and Monte-Carlo aggregation.
+
+    setup defaults to build_link(config).
+    """
+    if setup is None:
+        setup = build_link(config)
     if point_index is None:
         grid = list(config.snr_grid)
         point_index = grid.index(snr_db) if snr_db in grid else 0
-    bounds = _chunk_bounds(config.trials, config.workers)
+    bounds = chunk_bounds(config.trials, config.workers)
     if config.workers == 1 or len(bounds) == 1:
         parts = [
             run_chunk(config, setup, snr_db, point_index, a, b) for a, b in bounds
@@ -576,7 +592,7 @@ def run_sweep(config: ExperimentConfig, verbose: bool = False) -> list[SweepRow]
     setup = build_link(config)
     rows = []
     for idx, snr in enumerate(config.snr_grid):
-        row = _run_point_with_setup(config, setup, snr, idx)
+        row = run_point(config, snr, idx, setup)
         rows.append(row)
         if verbose:
             print(
@@ -685,18 +701,19 @@ def calibrate_fer(
                     channel=channel,
                     snr_grid=(snr,),
                     trials=trials,
-                    seed=_derive_seed(seed, cell_index),
+                    seed=derive_seed(seed, cell_index),
                     pattern=pattern,
                     quant_bits=bits,
                     total_uses=10**6,  # calibration has no use constraint
                     total_power=1.0,
                 )
                 setup = build_link(cfg)
-                # equal per-use power of 1.0 on both partitions
-                setup.power_analog = float(setup.n_analog)
-                setup.power_digital = float(setup.n_digital)
-                parts = run_chunk(cfg, setup, snr, 0, 0, trials)
-                p_f = float(np.mean(parts[3]))
+                equal = replace(
+                    setup,
+                    power_analog=float(setup.n_analog),
+                    power_digital=float(setup.n_digital),
+                )
+                p_f = run_point(cfg, snr, 0, equal).fer
                 table.add(pattern, bits, snr, p_f, trials, seed)
                 if verbose:
                     print(f"pattern {pattern} B={bits} snr {snr:5.1f}: p_f {p_f:.4f}")

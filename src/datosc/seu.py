@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analog import analog_gains, mmse_estimate, pack_iq, unpack_iq
+from .analog import analog_decode, analog_encode
 from .channel import ChannelState, transmit
 from .digital import (
     TURBO_MAX_ITERATIONS,
@@ -111,12 +111,9 @@ def seu_send_floats(
     estimates and their posterior error variances."""
     values = np.asarray(floats, dtype=np.float64)
     prior = np.broadcast_to(np.asarray(prior_vars, dtype=np.float64), values.shape)
-    gains = analog_gains(prior, per_use_power)
-    received = transmit(pack_iq(gains * values), state)
-    obs = unpack_iq(np.conj(state.h) * received, values.size)
-    return mmse_estimate(
-        obs, gains, prior, abs(state.h) ** 2, state.noise_var / 2.0
-    )
+    symbols, gains = analog_encode(values, prior, per_use_power)
+    received = transmit(symbols, state)
+    return analog_decode(received, state.h, gains, prior, state.noise_var)
 
 
 def _frame_slices(total_bits: int) -> list[slice]:

@@ -41,7 +41,7 @@ from datosc.digital import (
 )
 from datosc.harness import ExperimentConfig, detect_effects, run_point, run_sweep
 from datosc.seu import DriftSpec, ModelParams, drift, seu_update_ints
-from datosc.sources import SourceSpec, gen_block
+from datosc.sources import SourceSpec
 
 
 def _report(criterion: str, ok: bool, detail: str) -> bool:
@@ -112,15 +112,13 @@ def test_criterion_2_saturation_effect(default_sweep):
     rel = abs(m18 - m20) / m20
     cfg = ExperimentConfig(scheme="analog", trials=500, snr_grid=(60.0,))
     row60 = run_point(cfg, 60.0)
-    src_seed = H._derive_seed(cfg.seed, 0, 0)
-    spec = replace(cfg.source_spec(), seed=src_seed)
+    setup = H.build_link(cfg)
+    samples = H.draw_trials(cfg, setup, 60.0, 0, 0, 500).samples
     prior = calibrate_prior_vars(cfg.source_spec())
-    kept = selection_indices(64, cfg.k, prior, H.build_link(cfg).task)
+    kept = selection_indices(64, cfg.k, prior, setup.task)
     mask = np.ones(64, dtype=bool)
     mask[kept] = False
-    floor = np.mean(
-        [np.sum(analyze(gen_block(spec, t).samples)[mask] ** 2) / 64 for t in range(500)]
-    )
+    floor = np.mean(np.sum(analyze(samples)[:, mask] ** 2, axis=1) / 64)
     floor_rel = abs(row60.data_mse - floor) / floor
     ok = rel < 0.05 and floor_rel < 0.05
     _report(

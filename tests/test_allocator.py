@@ -124,7 +124,13 @@ def test_pf_one_reduces_to_fallback(ctx):
 def test_pf_zero_is_refined_floor_and_b8_approaches_it(ctx):
     plan = _plan(ctx)
     got = model_digital_distortion(plan, 12.0, ctx, _stub_table(0.0))
-    fade_err = alloc._per_fade_coefficient_errors(plan, 12.0, ctx)
+    # analog error per fade node and coefficient, from the closed form
+    priors = ctx.kept_priors(plan.k)
+    gains = analog_gains(priors, plan.power_analog / plan.n_analog / 2.0)
+    fade_err = np.tile(ctx.prior_vars, (len(FADE_NODES), 1))
+    fade_err[:, ctx.kept_indices(plan.k)] = mmse_error_vars(
+        gains, priors, FADE_NODES[:, None], 10 ** (-12.0 / 10) / 2
+    )
     quant = __import__("datosc.digital", fromlist=["QuantizerSpec"]).QuantizerSpec
     deltas = quant.from_prior_vars(ctx.prior_vars, 4).deltas
     want = float(

@@ -1,30 +1,25 @@
 import numpy as np
 import pytest
 
+import datosc.harness as H
 from datosc.analog import (
+    analog_decode,
+    analog_encode,
     analog_gains,
-    decode_analog,
-    encode_analog,
-    extend_ieo,
     mmse_error_vars,
     pack_iq,
     unpack_iq,
 )
 from datosc.channel import ChannelState, transmit
-from datosc.codec import SemanticFeature, analyze, data_distortion, select_task_related
-from datosc.errors import AllocationError
+from datosc.codec import analyze, data_distortion, select_task_related, synthesize_full
 from datosc.sources import SourceSpec, gen_class_mixture
 
 
-def _feature(coeffs, prior_vars, n=None):
-    k = len(coeffs)
-    return SemanticFeature(
-        coeffs=np.asarray(coeffs, dtype=float),
-        indices=np.arange(k),
-        prior_vars=np.asarray(prior_vars, dtype=float),
-        task_weights=np.zeros(k),
-        n=n or k,
-    )
+def _send(coeffs, prior, per_use, state):
+    """Encode, transmit and decode one frame; returns (symbols, gains, est, err)."""
+    symbols, gains = analog_encode(coeffs, prior, per_use)
+    est, err = analog_decode(transmit(symbols, state), state.h, gains, prior, state.noise_var)
+    return symbols, gains, est, err
 
 
 def test_equal_priors_give_equal_gains():
@@ -42,13 +37,11 @@ def test_expected_frame_power_meets_budget():
     rng = np.random.default_rng(8)
     prior = rng.uniform(0.2, 5.0, size=16)
     per_use = 1.3
-    total = 0.0
     frames = 10_000
-    for _ in range(frames):
-        coeffs = rng.standard_normal(16) * np.sqrt(prior)
-        frame = encode_analog(_feature(coeffs, prior), per_use)
-        total += np.sum(np.abs(frame.symbols) ** 2)
-    ratio = total / frames / (per_use * 16)
+    coeffs = rng.standard_normal((frames, 16)) * np.sqrt(prior)
+    symbols, _ = analog_encode(coeffs, prior, per_use)
+    assert symbols.shape == (frames, 8)
+    ratio = np.sum(np.abs(symbols) ** 2) / frames / (per_use * 16)
     assert 0.99 <= ratio <= 1.01
 
 
@@ -58,16 +51,13 @@ def test_exact_power_normalization_identity():
     assert abs(np.sum(g * g * prior) - 2.0 * 4) < 1e-9
 
 
-def test_uses_overflow_rejected():
-    with pytest.raises(AllocationError):
-        encode_analog(_feature(np.zeros(10), np.ones(10)), 1.0, n_uses=4)
-
-
 def test_odd_k_pads_one_zero():
-    frame = encode_analog(_feature(np.ones(5), np.ones(5)), 1.0)
-    assert frame.n_uses == 3
-    assert frame.symbols.shape == (3,)
-    assert frame.symbols[-1].imag == 0.0
+    symbols, _ = analog_encode(np.ones(5), np.ones(5), 1.0)
+    assert symbols.shape == (3,)
+    assert symbols[-1].imag == 0.0
+    batch, _ = analog_encode(np.ones((4, 5)), np.ones(5), 1.0)
+    assert batch.shape == (4, 3)
+    assert np.all(batch[:, -1].imag == 0.0)
 
 
 def test_pack_unpack_round_trip(rng):
@@ -78,11 +68,10 @@ def test_pack_unpack_round_trip(rng):
 def test_noiseless_decode_recovers_exactly(rng):
     prior = rng.uniform(0.5, 3.0, 12)
     coeffs = rng.standard_normal(12) * np.sqrt(prior)
-    frame = encode_analog(_feature(coeffs, prior), 1.0)
     state = ChannelState.awgn(300.0, seed=2)
-    ieo, ueo = decode_analog(transmit(frame.symbols, state), state, frame)
-    assert np.max(np.abs(ieo.est - coeffs)) < 1e-9
-    assert np.max(ieo.err_var) < 1e-12
+    _, _, est, err = _send(coeffs, prior, 1.0, state)
+    assert np.max(np.abs(est - coeffs)) < 1e-9
+    assert np.max(err) < 1e-12
 
 
 def test_scalar_closed_form_half():
@@ -131,17 +120,15 @@ def test_linearity_in_amplitude_and_power(rng):
     coeffs = rng.standard_normal(8) * np.sqrt(prior)
     a = 3.0
     state1 = ChannelState.awgn(12.0, seed=77, block_index=1)
-    frame1 = encode_analog(_feature(coeffs, prior), 1.0)
-    ieo1, _ = decode_analog(transmit(frame1.symbols, state1), state1, frame1)
+    sym1, gains1, est1, err1 = _send(coeffs, prior, 1.0, state1)
 
     # same seed: identical unit normals, so the noise scales by a exactly
     state2 = ChannelState.awgn(12.0 - 20 * np.log10(a), seed=77, block_index=1)
-    frame2 = encode_analog(_feature(a * coeffs, a * a * prior), a * a * 1.0)
-    assert np.allclose(frame2.gains, frame1.gains, rtol=1e-12)
-    assert np.allclose(frame2.symbols, a * frame1.symbols, rtol=1e-12)
-    ieo2, _ = decode_analog(transmit(frame2.symbols, state2), state2, frame2)
-    assert np.allclose(ieo2.est, a * ieo1.est, rtol=1e-9)
-    assert np.allclose(ieo2.err_var, a * a * ieo1.err_var, rtol=1e-9)
+    sym2, gains2, est2, err2 = _send(a * coeffs, a * a * prior, a * a * 1.0, state2)
+    assert np.allclose(gains2, gains1, rtol=1e-12)
+    assert np.allclose(sym2, a * sym1, rtol=1e-12)
+    assert np.allclose(est2, a * est1, rtol=1e-9)
+    assert np.allclose(err2, a * a * err1, rtol=1e-9)
 
 
 def test_saturation_floor_at_high_snr(mixture_priors):
@@ -152,26 +139,35 @@ def test_saturation_floor_at_high_snr(mixture_priors):
         block = gen_class_mixture(spec, t)
         full = analyze(block.samples)
         feat = select_task_related(full, 32, mixture_priors)
-        frame = encode_analog(feat, 2.0)
         state = ChannelState.awgn(60.0, seed=state_seed, block_index=t)
-        _, ueo = decode_analog(transmit(frame.symbols, state), state, frame)
-        mses.append(data_distortion(block.samples, ueo))
+        _, _, est, _ = _send(feat.coeffs, feat.prior_vars, 2.0, state)
+        est_full = np.zeros(64)
+        est_full[feat.indices] = est
+        mses.append(data_distortion(block.samples, synthesize_full(est_full)))
         mask = np.ones(64, dtype=bool)
         mask[feat.indices] = False
         floors.append(np.sum(full[mask] ** 2) / 64)
     assert abs(np.mean(mses) / np.mean(floors) - 1.0) < 0.01
 
 
-def test_extend_ieo_uses_prior_for_discarded(rng):
-    prior_full = rng.uniform(0.5, 2.0, 10)
-    kept = np.array([1, 4, 7])
-    from datosc.analog import Ieo
+def test_analog_stage_uses_prior_for_discarded():
+    """The sweep's analog stage spreads its estimates over all n indices:
+    kept ones carry the decoded values, the rest estimate 0 with their prior
+    variance."""
+    cfg = H.ExperimentConfig(scheme="analog", trials=100, k=12, snr_grid=(10.0,))
+    setup = H.build_link(cfg)
+    draws = H.draw_trials(cfg, setup, 10.0, 0, 0, 5)
+    full = analyze(draws.samples)
+    est_full, err_full = H.analog_stage(setup, full, draws)
 
-    ieo = Ieo(est=np.array([1.0, 2.0, 3.0]), err_var=np.array([0.1, 0.2, 0.3]))
-    ext = extend_ieo(ieo, kept, prior_full)
-    assert np.array_equal(ext.est[kept], ieo.est)
-    assert np.array_equal(ext.err_var[kept], ieo.err_var)
-    mask = np.ones(10, dtype=bool)
-    mask[kept] = False
-    assert np.all(ext.est[mask] == 0.0)
-    assert np.array_equal(ext.err_var[mask], prior_full[mask])
+    priors = setup.prior_vars[setup.kept]
+    symbols, gains = analog_encode(full[:, setup.kept], priors, setup.analog_per_dim)
+    h = draws.h[:, None]
+    received = h * symbols + draws.w_a[:, : symbols.shape[1]]
+    est, err = analog_decode(received, h, gains, priors, draws.noise_var)
+    assert np.array_equal(est_full[:, setup.kept], est)
+    assert np.array_equal(err_full[:, setup.kept], err)
+    mask = np.ones(cfg.n, dtype=bool)
+    mask[setup.kept] = False
+    assert np.all(est_full[:, mask] == 0.0)
+    assert np.array_equal(err_full[:, mask], np.broadcast_to(setup.prior_vars[mask], (5, mask.sum())))

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from datosc.channel import ChannelBudget, ChannelState, multiplex, transmit
+import datosc.harness as H
+from datosc.channel import ChannelBudget, ChannelState, transmit
+from datosc.codec import analyze
+from datosc.digital import quantize_cells, side_info_llrs
 from datosc.errors import AllocationError, ParameterError
 
 
@@ -47,40 +50,43 @@ def test_block_streams_are_deterministic():
     assert c.h != a.h
 
 
+def _draws(scheme, channel, snr_db, trials):
+    cfg = H.ExperimentConfig(scheme=scheme, channel=channel, snr_grid=(snr_db,))
+    setup = H.build_link(cfg)
+    return cfg, setup, H.draw_trials(cfg, setup, snr_db, 0, 0, trials)
+
+
 def test_partition_noise_independent():
-    budget = ChannelBudget(200, 100, 100, 2.0, 1.0, 1.0)
-    wa, wd = [], []
-    for t in range(1000):
-        state = ChannelState.awgn(0.0, seed=17, block_index=t)
-        ya, yd = multiplex(
-            np.zeros(100, dtype=complex), np.zeros(100, dtype=complex), budget, state
-        )
-        wa.append(ya)
-        wd.append(yd)
-    wa = np.concatenate(wa)
-    wd = np.concatenate(wd)
+    _, setup, draws = _draws("da", "awgn", 0.0, 6250)
+    assert draws.w_a.shape == (6250, setup.n_analog) == (6250, 16)
+    assert draws.w_d.shape == (6250, setup.n_digital)
+    wa = draws.w_a.reshape(-1)
+    wd = draws.w_d[:, :16].reshape(-1)
     corr = np.corrcoef(wa.real, wd.real)[0, 1]
     assert abs(corr) < 0.01
     assert wa.size == 10**5
 
 
-def test_multiplex_shares_h_across_partitions():
-    budget = ChannelBudget(64, 32, 32, 2.0, 1.0, 1.0)
-    state = ChannelState.rayleigh(300.0, seed=23, block_index=0)
-    ya, yd = multiplex(
-        np.ones(32, dtype=complex), np.ones(32, dtype=complex), budget, state
-    )
-    assert np.allclose(ya, state.h, atol=1e-12)
-    assert np.allclose(yd, state.h, atol=1e-12)
+def test_trial_draws_share_h_across_partitions():
+    """Noiseless Rayleigh trials recover both partitions exactly, which
+    needs each trial's two partitions to see the same gain."""
+    cfg, setup, draws = _draws("da", "rayleigh", 300.0, 200)
+    assert len(np.unique(np.abs(draws.h))) == 200  # one fade per trial
+    full = analyze(draws.samples)
+    est, err = H.analog_stage(setup, full, draws)
+    assert np.max(np.abs(est[:, setup.kept] - full[:, setup.kept])) < 1e-9
+    side = side_info_llrs(est, err, setup.quant)
+    cells, crc_ok = H.digital_stage(cfg, setup, full, draws, side)
+    assert np.all(crc_ok)
+    assert np.array_equal(cells, quantize_cells(full, setup.quant))
 
 
 def test_pure_analog_pass_through():
-    budget = ChannelBudget(64, 32, 0, 1.0, 1.0, 0.0)
-    state = ChannelState.awgn(300.0, seed=5)
-    x = np.arange(10, dtype=complex)
-    ya, yd = multiplex(x, np.zeros(0, dtype=complex), budget, state)
-    assert np.max(np.abs(ya - x)) < 1e-12
-    assert yd.size == 0
+    _, setup, draws = _draws("analog", "awgn", 300.0, 10)
+    assert draws.w_d.shape == (10, 0)
+    full = analyze(draws.samples)
+    est, _ = H.analog_stage(setup, full, draws)
+    assert np.max(np.abs(est[:, setup.kept] - full[:, setup.kept])) < 1e-9
 
 
 def test_equal_budgets_give_unit_power_ratio():
@@ -99,15 +105,6 @@ def test_equal_budgets_give_unit_power_ratio():
     assert abs(pa / pd - 1.0) < 0.01
 
 
-def test_multiplex_budget_violations():
-    budget = ChannelBudget(64, 32, 32, 2.0, 1.0, 1.0)
-    state = ChannelState.awgn(10.0, seed=4)
-    with pytest.raises(AllocationError):
-        multiplex(np.zeros(33, dtype=complex), np.zeros(0, dtype=complex), budget, state)
-    with pytest.raises(AllocationError):
-        multiplex(np.zeros(0, dtype=complex), np.zeros(40, dtype=complex), budget, state)
-
-
 def test_budget_invariants():
     with pytest.raises(AllocationError):
         ChannelBudget(64, 40, 30, 1.0, 0.5, 0.5).validate()
@@ -121,3 +118,13 @@ def test_non_finite_symbols_rejected():
     state = ChannelState.awgn(10.0, seed=6)
     with pytest.raises(ParameterError):
         transmit(np.array([np.inf + 0j]), state)
+
+
+def test_column_major_symbols_transmit_like_row_major():
+    """Parity columns picked by fancy indexing come out column-major."""
+    x = np.asfortranarray(np.exp(1j * np.arange(12.0)).reshape(3, 4))
+    assert not x.flags.c_contiguous
+    y = transmit(x, ChannelState.awgn(10.0, seed=8))
+    assert np.array_equal(y, transmit(np.ascontiguousarray(x), ChannelState.awgn(10.0, seed=8)))
+    with pytest.raises(ParameterError):
+        transmit(np.asfortranarray(np.full((2, 2), np.nan + 0j)), ChannelState.awgn(10.0, seed=8))

@@ -175,11 +175,11 @@ def test_all_zero_info_frame_parity_prefix():
     # CRC of zero info is nonzero (init 0xFFFF), so only the parity bits at
     # info positions are guaranteed zero.
     info_len = 50
-    frame = dsc_encode(np.zeros(info_len, dtype=np.uint8), CodeSpec("R12"))
+    _, parity = dsc_encode(np.zeros(info_len, dtype=np.uint8), CodeSpec("R12"))
     keep = puncture_keep_indices(info_len + CRC_BITS + TAIL_BITS, "R12")
     info_positions = keep < info_len
-    assert not np.any(frame.parity_bits[info_positions])
-    assert np.any(frame.parity_bits)  # CRC region is not all-zero
+    assert not np.any(parity[info_positions])
+    assert np.any(parity)  # CRC region is not all-zero
 
 
 def test_encoder_matches_naive_trellis_oracle(rng):
@@ -214,13 +214,14 @@ def test_puncture_counts_and_order(pattern, enc_len):
 def test_dsc_encode_matches_oracle_pipeline(rng):
     info = rng.integers(0, 2, 30).astype(np.uint8)
     code = CodeSpec("R23")
-    frame = dsc_encode(info, code)
+    systematic, parity = dsc_encode(info, code)
     stream = np.concatenate([info, crc16(info)])
-    _, o_par, _ = _rsc_oracle(stream)
+    o_sys, o_par, _ = _rsc_oracle(stream)
     keep = puncture_keep_indices(len(stream) + TAIL_BITS, "R23")
-    assert np.array_equal(frame.parity_bits, o_par[keep])
-    assert frame.parity_bits.size == code.parity_len(30)
-    assert frame.info_len == 30
+    assert np.array_equal(systematic, o_sys)
+    assert systematic.size == code.encoded_len(30)
+    assert np.array_equal(parity, o_par[keep])
+    assert parity.size == code.parity_len(30)
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +349,13 @@ def test_noiseless_decode_with_strong_side(rng):
     for pattern in ("R12", "R23", "R34"):
         info = rng.integers(0, 2, 120).astype(np.uint8)
         code = CodeSpec(pattern)
-        frame = dsc_encode(info, code)
+        systematic, parity = dsc_encode(info, code)
         side = llr_clip((1.0 - 2.0 * info) * LLR_CLIP)
-        par = (1.0 - 2.0 * frame.parity_bits) * LLR_CLIP
+        par = (1.0 - 2.0 * parity) * LLR_CLIP
         bits, ok = dsc_decode(side, par, code)
+        assert ok and np.array_equal(bits, info)
+        # systematic evidence on every encoded position decodes the same
+        bits, ok = dsc_decode((1.0 - 2.0 * systematic) * LLR_CLIP, par, code)
         assert ok and np.array_equal(bits, info)
 
 
@@ -383,9 +387,9 @@ def test_viterbi_equals_brute_force_ml(k):
 def test_batch_decode_matches_single(rng):
     code = CodeSpec("R23")
     infos = rng.integers(0, 2, (8, 40)).astype(np.uint8)
-    frames = dsc_encode(infos, code)
+    _, parity = dsc_encode(infos, code)
     sides = llr_clip((1.0 - 2.0 * infos) * 3.0 + rng.normal(0, 1, infos.shape))
-    pars = (1.0 - 2.0 * frames.parity_bits) * 2.5 + rng.normal(0, 1, frames.parity_bits.shape)
+    pars = (1.0 - 2.0 * parity) * 2.5 + rng.normal(0, 1, parity.shape)
     batch_bits, batch_ok = dsc_decode(sides, pars, code)
     for i in range(8):
         bits, ok = dsc_decode(sides[i], pars[i], code)
@@ -398,10 +402,10 @@ def test_round_trip_wire_contract(rng):
     only bits on the wire are exactly the punctured parity."""
     code = CodeSpec("R34")
     infos = rng.integers(0, 2, (1000, 64)).astype(np.uint8)
-    frames = dsc_encode(infos, code)
-    assert frames.parity_bits.shape == (1000, code.parity_len(64))
+    _, parity = dsc_encode(infos, code)
+    assert parity.shape == (1000, code.parity_len(64))
     sides = llr_clip((1.0 - 2.0 * infos) * LLR_CLIP)
-    pars = (1.0 - 2.0 * frames.parity_bits) * LLR_CLIP
+    pars = (1.0 - 2.0 * parity) * LLR_CLIP
     bits, ok = dsc_decode(sides, pars, code)
     assert np.all(ok)
     assert np.array_equal(bits, infos)
@@ -416,10 +420,10 @@ def test_side_flip_correction_rate():
     ok_count = 0
     for t in range(n_trials):
         info = rng.integers(0, 2, n_bits).astype(np.uint8)
-        frame = dsc_encode(info, code, "bpsk")
+        _, parity = dsc_encode(info, code)
         state = ChannelState.awgn(6.0, seed=1717, block_index=t)
-        y = transmit(modulate(frame.parity_bits, "bpsk", 1.0), state)
-        par = demodulate(y, state, "bpsk", 1.0, n_bits=frame.parity_bits.size)
+        y = transmit(modulate(parity, "bpsk", 1.0), state)
+        par = demodulate(y, state, "bpsk", 1.0, n_bits=parity.size)
         flips = rng.random(n_bits) < 0.02
         side = (1.0 - 2.0 * (info ^ flips.astype(np.uint8))) * mag
         bits, ok = dsc_decode(llr_clip(side), par, code)
@@ -436,15 +440,13 @@ def test_decode_success_monotone_in_snr():
     mag = np.log(0.95 / 0.05)
     for i, snr in enumerate(grid):
         infos = rng.integers(0, 2, (trials, n_bits)).astype(np.uint8)
-        frames = dsc_encode(infos, code, "bpsk")
+        _, parity = dsc_encode(infos, code)
         oks = 0
         llr_rows = []
         for t in range(trials):
             state = ChannelState.awgn(float(snr), seed=2000 + i, block_index=t)
-            y = transmit(modulate(frames.parity_bits[t], "bpsk", 1.0), state)
-            llr_rows.append(
-                demodulate(y, state, "bpsk", 1.0, n_bits=frames.parity_bits.shape[1])
-            )
+            y = transmit(modulate(parity[t], "bpsk", 1.0), state)
+            llr_rows.append(demodulate(y, state, "bpsk", 1.0, n_bits=parity.shape[1]))
         flips = rng.random((trials, n_bits)) < 0.05
         sides = llr_clip((1.0 - 2.0 * (infos ^ flips.astype(np.uint8))) * mag)
         bits, ok = dsc_decode(sides, np.stack(llr_rows), code)
@@ -460,6 +462,17 @@ def test_decode_success_monotone_in_snr():
 def test_assemble_rejects_wrong_parity_count():
     with pytest.raises(ParameterError):
         assemble_parity_llrs(np.zeros(10), 118, "R34")
+
+
+def test_dsc_decode_rejects_parity_count_of_neither_layout():
+    code = CodeSpec("R34")
+    # 100 info LLRs need 39 parity LLRs; 100 encoded-position LLRs need 33
+    for count in (33, 39):
+        dsc_decode(np.zeros(100), np.zeros(count), code)
+    with pytest.raises(ParameterError):
+        dsc_decode(np.zeros(100), np.zeros(36), code)
+    with pytest.raises(ParameterError):
+        dsc_decode(np.zeros(10), np.zeros(3), code)  # shorter than CRC + tail
 
 
 # ---------------------------------------------------------------------------
@@ -622,33 +635,17 @@ def test_refine_never_hurts_when_truth_in_cell(rng):
 def test_refine_dominance_monte_carlo(mixture_priors):
     """Refined estimates beat both the raw analog estimates and plain
     dequantization in aggregate on the hybrid pipeline at 16 dB."""
-    from dataclasses import replace
-
-    from datosc.harness import ExperimentConfig, build_link, run_chunk
+    import datosc.digital as dig
     import datosc.harness as H
     from datosc import codec
-    import datosc.digital as dig
 
-    cfg = ExperimentConfig(trials=10_000, scheme="da", snr_grid=(16.0,))
-    setup = build_link(cfg)
-    samples, labels, h, w_a, w_d, noise_var = H._draw_trials(
-        cfg, setup, 16.0, 0, 0, cfg.trials
-    )
-    full = codec.analyze(samples)
-    est_full, err_full = H._analog_stage(setup, full, h, w_a, noise_var)
-    cells_tx = dig.quantize_cells(full, setup.quant)
-    info = dig.cells_to_bits(cells_tx, cfg.quant_bits)
-    frame = dig.dsc_encode(info, setup.code, cfg.modulation)
-    x_d = dig.modulate(frame.parity_bits, cfg.modulation, setup.digital_amplitude)
-    y_d = h[:, None] * x_d + w_d[:, : x_d.shape[1]]
-    state = ChannelState(16.0, noise_var, 1.0 + 0j, 0, None)
-    par = dig.demodulate(
-        y_d, state, cfg.modulation, setup.digital_amplitude,
-        n_bits=frame.parity_bits.shape[1], h=h[:, None],
-    )
+    cfg = H.ExperimentConfig(trials=10_000, scheme="da", snr_grid=(16.0,))
+    setup = H.build_link(cfg)
+    draws = H.draw_trials(cfg, setup, 16.0, 0, 0, cfg.trials)
+    full = codec.analyze(draws.samples)
+    est_full, err_full = H.analog_stage(setup, full, draws)
     side = dig.side_info_llrs(est_full, err_full, setup.quant)
-    decoded, crc_ok = dig.dsc_decode(side, par, setup.code)
-    dec_cells = dig.bits_to_cells(decoded, cfg.quant_bits)
+    dec_cells, crc_ok = H.digital_stage(cfg, setup, full, draws, side)
 
     observed = np.zeros(64, dtype=bool)
     observed[setup.kept] = True

@@ -10,7 +10,9 @@ from datosc.codec import analyze, selection_indices
 from datosc.errors import ConfigError, ParameterError
 from datosc.harness import (
     ExperimentConfig,
+    calibrate_fer,
     config_from_file,
+    config_from_values,
     detect_effects,
     parse_config_text,
     parse_snr_spec,
@@ -19,7 +21,6 @@ from datosc.harness import (
     run_sweep,
     rows_to_csv,
 )
-from datosc.sources import SourceSpec, gen_block
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_detect.json")
 
@@ -75,6 +76,41 @@ def test_config_file_with_overrides(tmp_path):
     assert cfg.seed == 5
 
 
+def test_removed_keys_are_unknown(tmp_path):
+    for line in ("floor_threshold=0.05", "fer_table=fer.csv"):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config_text(line)
+        path = tmp_path / "old.cfg"
+        path.write_text(f"scheme=da\n{line}\n")
+        with pytest.raises(ConfigError, match="unknown key"):
+            config_from_file(path)
+
+
+def test_session_keys_do_not_reach_the_sweep_config():
+    cfg = config_from_values({"trials": "300", "p_hat": 0.2, "int_bits": "8"})
+    assert cfg == ExperimentConfig(trials=300)
+
+
+def test_cli_flags_and_config_file_give_the_same_config(tmp_path, monkeypatch):
+    from datosc import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "run_sweep", lambda cfg, verbose: seen.append(cfg) or [])
+    path = tmp_path / "exp.cfg"
+    path.write_text(
+        "scheme=analog\nsnr=0:8:4\ntrials=300\nlambda=0.25\nseed=5\nout=a.csv\n"
+    )
+    flags = ["--scheme", "analog", "--snr", "0:8:4", "--trials", "300",
+             "--lambda", "0.25", "--seed", "5", "--out", "a.csv"]
+    cli.main(["sweep", "--config", str(path)])
+    cli.main(["sweep"] + flags)
+    (tmp_path / "empty.cfg").write_text("")
+    cli.main(["sweep", "--config", str(tmp_path / "empty.cfg")] + flags)  # flags over a file
+    assert seen[0] == seen[1] == seen[2]
+    assert seen[0].snr_grid == (0.0, 4.0, 8.0)
+    assert seen[0].lam == 0.25 and seen[0].trials == 300
+
+
 def test_validation_rules():
     with pytest.raises(ParameterError, match="trials"):
         ExperimentConfig(trials=99).validate()
@@ -105,18 +141,15 @@ def test_noiseless_hybrid_hits_quantizer_floor():
 def test_analog_saturates_at_discarded_energy():
     cfg = ExperimentConfig(trials=500, snr_grid=(60.0,), scheme="analog")
     row = run_point(cfg, 60.0)
-    src_seed = H._derive_seed(cfg.seed, 0, 0)
-    spec = replace(cfg.source_spec(), seed=src_seed)
     from datosc.codec import calibrate_prior_vars
 
+    setup = H.build_link(cfg)
+    samples = H.draw_trials(cfg, setup, 60.0, 0, 0, cfg.trials).samples
     prior = calibrate_prior_vars(cfg.source_spec())
-    kept = selection_indices(64, cfg.k, prior, H.build_link(cfg).task)
+    kept = selection_indices(64, cfg.k, prior, setup.task)
     mask = np.ones(64, dtype=bool)
     mask[kept] = False
-    floors = []
-    for t in range(cfg.trials):
-        coeffs = analyze(gen_block(spec, t).samples)
-        floors.append(np.sum(coeffs[mask] ** 2) / 64)
+    floors = np.sum(analyze(samples)[:, mask] ** 2, axis=1) / 64
     assert abs(row.data_mse / np.mean(floors) - 1.0) < 0.01
 
 
@@ -161,6 +194,28 @@ def test_single_point_sweep_equals_run_point(tmp_path):
     rows = run_sweep(cfg)
     point = run_point(cfg, 10.0, point_index=0)
     assert rows[0] == point
+
+
+def test_chunk_bounds_cap_trials_per_chunk():
+    bounds = H.chunk_bounds(10**6, 1)
+    sizes = [b - a for a, b in bounds]
+    assert len(bounds) == -(-(10**6) // H.MAX_CHUNK_TRIALS)
+    assert bounds[0][0] == 0 and bounds[-1][1] == 10**6
+    assert all(a1 == b0 for (_, b0), (a1, _) in zip(bounds, bounds[1:]))
+    assert max(sizes) <= H.MAX_CHUNK_TRIALS and max(sizes) - min(sizes) <= 1
+    for workers in (1, 2, 3):  # default points keep one chunk per worker
+        assert len(H.chunk_bounds(2000, workers)) == workers
+
+
+def test_chunked_serial_point_writes_the_same_bytes(tmp_path, monkeypatch):
+    base = ExperimentConfig(trials=120, snr_grid=(4.0, 12.0), scheme="da")
+    whole = replace(base, out=str(tmp_path / "whole.csv"))
+    run_sweep(whole)
+    monkeypatch.setattr(H, "MAX_CHUNK_TRIALS", 40)
+    assert H.chunk_bounds(120, 1) == [(0, 40), (40, 80), (80, 120)]
+    chunked = replace(base, out=str(tmp_path / "chunked.csv"))
+    run_sweep(chunked)
+    assert open(whole.out, "rb").read() == open(chunked.out, "rb").read()
 
 
 def test_csv_bytes_identical_across_worker_counts(tmp_path):
@@ -239,3 +294,28 @@ def test_detector_golden_report(tmp_path):
     with open(GOLDEN) as fh:
         golden = json.load(fh)
     assert report == golden
+
+
+# ---------------------------------------------------------------------------
+# FER calibration
+# ---------------------------------------------------------------------------
+
+def test_calibrate_fer_matches_a_sweep_point_at_equal_powers():
+    kwargs = dict(channel="rayleigh", patterns=("R12",), bits_grid=(2,),
+                  snr_grid=(10.0,), trials=100, seed=77)
+    table = calibrate_fer(**kwargs)
+    again = calibrate_fer(**kwargs)
+    _, p_f, trials = table.raw("R12", 2)
+    assert trials == 100 and len(p_f) == 1
+    assert 0.0 <= p_f[0] <= 1.0
+    assert np.array_equal(p_f, again.raw("R12", 2)[1])
+
+    # the first cell's sweep point, with per-use power 1.0 on both partitions
+    cfg = ExperimentConfig(scheme="da", channel="rayleigh", snr_grid=(10.0,), trials=100,
+                           seed=H.derive_seed(77, 0), pattern="R12", quant_bits=2,
+                           total_uses=10**6)
+    n_a, n_d = H.build_link(cfg).n_analog, H.build_link(cfg).n_digital
+    cfg = replace(cfg, total_power=float(n_a + n_d), p_a_fraction=n_a / (n_a + n_d))
+    setup = H.build_link(cfg)
+    assert (setup.power_analog, setup.power_digital) == (n_a, n_d)
+    assert run_point(cfg, 10.0, 0).fer == p_f[0]
