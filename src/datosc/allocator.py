@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import chain, groupby
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -120,6 +121,7 @@ class FerTable:
         )
         cell["snr"].append(float(snr_db))
         cell["p"].append(float(p_f))
+        cell.pop("env", None)  # _prepared rebuilds grid and env with the new point
 
     def _prepared(self, key):
         cell = self._cells[key]
@@ -292,49 +294,79 @@ def digital_uses(n: int, quant_bits: int, pattern: str, modulation: str) -> int:
     return -(-parity // bits_per_symbol(modulation))
 
 
-def _digital_candidates(
-    n: int, n_analog: int, total_uses: int, modulation: str
-) -> list[tuple[int, str, int]]:
-    out = []
-    for bits in QUANT_BITS_GRID:
-        for pattern in PATTERNS:
-            n_d = digital_uses(n, bits, pattern, modulation)
-            if n_analog + n_d <= total_uses:
-                out.append((bits, pattern, n_d))
-    return out
+class _Layout(NamedTuple):
+    """One rate choice: k analog features and a (B, pattern) digital tuple."""
+
+    k: int
+    n_analog: int
+    quant_bits: int           # 0 for the digital-off layout
+    pattern: Optional[str]    # None for the digital-off layout
+    n_digital: int
 
 
-def _make_plan(k, n_analog, n_digital, p_a, p_total, bits, pattern, lam, n):
-    return AllocationPlan(
-        k=k,
-        n_analog=n_analog,
-        n_digital=n_digital,
+def _layouts(budget: ChannelBudget, ctx: AllocatorContext):
+    """Every layout whose channel uses fit the budget, in tie-break order:
+    k ascending, and per k the digital-off layout first, then (B, pattern).
+    Raises InfeasibleAllocationError when no candidate k fits."""
+    k_grid = candidate_k_grid(ctx.n)
+    if -(-min(k_grid) // 2) > budget.total_uses:
+        raise InfeasibleAllocationError(
+            f"binding constraint: total_uses={budget.total_uses} cannot carry "
+            f"any candidate k from {k_grid}"
+        )
+    for k in k_grid:
+        n_a = -(-k // 2)
+        if n_a > budget.total_uses:
+            continue
+        yield _Layout(k, n_a, 0, None, 0)
+        for bits in QUANT_BITS_GRID:
+            for pattern in PATTERNS:
+                n_d = digital_uses(ctx.n, bits, pattern, ctx.modulation)
+                if n_a + n_d <= budget.total_uses:
+                    yield _Layout(k, n_a, bits, pattern, n_d)
+
+
+def _scored(layout, p_a, p_total, snr_db, lam, ctx, fer):
+    """(cost, key, plan) of a layout at analog power p_a.
+
+    The digital-off layout puts all power on the analog branch. Keys order
+    ties lexicographically on (k, B, pattern, P_a); digital-off sorts as B=0.
+    """
+    p_a = float(p_a if layout.n_digital else p_total)
+    plan = AllocationPlan(
+        **layout._asdict(),
         power_analog=p_a,
-        power_digital=(p_total - p_a) if n_digital else 0.0,
-        quant_bits=bits,
-        pattern=pattern,
+        power_digital=p_total - p_a,
         lam=lam,
-        n=n,
+        n=ctx.n,
     )
+    pat_idx = -1 if layout.pattern is None else PATTERNS.index(layout.pattern)
+    key = (layout.k, layout.quant_bits, pat_idx, p_a)
+    return system_distortion(plan, snr_db, ctx, fer), key, plan
 
 
-def _golden_min(fn, lo: float, hi: float, iters: int = GOLDEN_ITERS):
-    """Deterministic golden-section minimizer; returns (x, fn(x))."""
+def _refined(layout, p_total, snr_db, lam, ctx, fer):
+    """Best scored entry over the layout's power split, by deterministic
+    golden-section search on [POWER_SHARE_LO, POWER_SHARE_HI] * p_total.
+    The digital-off layout has a single split."""
+    args = (p_total, snr_db, lam, ctx, fer)
+    if not layout.n_digital:
+        return _scored(layout, p_total, *args)
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = POWER_SHARE_LO * p_total, POWER_SHARE_HI * p_total
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc <= fd:
+    fc, fd = _scored(layout, c, *args), _scored(layout, d, *args)
+    for _ in range(GOLDEN_ITERS):
+        if fc[0] <= fd[0]:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = fn(c)
+            fc = _scored(layout, c, *args)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = fn(d)
-    return (c, fc) if fc <= fd else (d, fd)
+            fd = _scored(layout, d, *args)
+    return fc if fc[0] <= fd[0] else fd
 
 
 def choose_analog_floor_k(
@@ -342,23 +374,18 @@ def choose_analog_floor_k(
 ) -> tuple[int, int]:
     """Smallest candidate k whose analog-only feature MSE meets the floor."""
     best = None
-    for k in candidate_k_grid(ctx.n):
-        n_a = -(-k // 2)
-        if n_a > budget.total_uses:
+    for layout in _layouts(budget, ctx):
+        if layout.n_digital:
             continue
-        probe = _make_plan(
-            k, n_a, 0, budget.power_total, budget.power_total, 0, None, lam, ctx.n
+        probe = AllocationPlan(
+            **layout._asdict(), power_analog=budget.power_total, power_digital=0.0,
+            lam=lam, n=ctx.n,
         )
         mse = model_analog_distortion(probe, snr_db, ctx)
         if best is None or mse < best[1]:
-            best = (k, mse)
+            best = (layout.k, mse)
         if mse <= ctx.floor_threshold:
-            return k, n_a
-    if best is None:
-        raise InfeasibleAllocationError(
-            f"binding constraint: total_uses={budget.total_uses} cannot carry "
-            f"any candidate k from {candidate_k_grid(ctx.n)}"
-        )
+            return layout.k, layout.n_analog
     raise InfeasibleAllocationError(
         f"binding constraint: analog feature-MSE floor {ctx.floor_threshold} "
         f"unreachable at {snr_db} dB (best candidate k={best[0]} reaches {best[1]:.4g})"
@@ -378,78 +405,29 @@ def allocate_greedy(
     that reserves the analog rate the task needs before any digital
     spending, and larger k stay admissible. Step 2, per admissible k, picks
     the (B, pattern) tuple (or digital-off) minimizing the modelled system
-    distortion at a use-proportional power split; step 3 refines the winning
-    tuple's power split by golden-section search. Returns the best plan
-    found, so the search stays a strict subset of allocate_exhaustive.
+    distortion over a coarse power scan; step 3 refines the winning tuple's
+    power split by golden-section search. Returns the best plan found, so
+    the search stays a strict subset of allocate_exhaustive.
     """
     p_total = budget.power_total
+    args = (p_total, snr_db, lam, ctx, fer)
     k_floor, _ = choose_analog_floor_k(budget, snr_db, ctx, lam)
-
-    best = None  # (cost, key, plan)
-    for k in candidate_k_grid(ctx.n):
+    # rank tuples by their best cost over a coarse power scan (a single
+    # use-proportional split mis-ranks tuples whose optimum sits at an
+    # extreme split)
+    coarse = np.linspace(0.2, 0.8, 5) * p_total
+    entries = []
+    for k, group in groupby(_layouts(budget, ctx), key=lambda layout: layout.k):
         if k < k_floor:
             continue
-        n_a = -(-k // 2)
-        if n_a > budget.total_uses:
-            continue
-        candidates: list[tuple[int, Optional[str], int]] = [(0, None, 0)]
-        candidates += _digital_candidates(ctx.n, n_a, budget.total_uses, ctx.modulation)
-
-        def provisional(bits, pattern, n_d):
-            if n_d == 0:
-                return _make_plan(k, n_a, 0, p_total, p_total, 0, None, lam, ctx.n)
-            p_a = p_total * n_a / (n_a + n_d)
-            return _make_plan(k, n_a, n_d, p_a, p_total, bits, pattern, lam, ctx.n)
-
-        # rank tuples by their best cost over a coarse power scan (a single
-        # use-proportional split mis-ranks tuples whose optimum sits at an
-        # extreme split)
-        coarse = np.linspace(0.2, 0.8, 5) * p_total
-
-        def tuple_score(bits, pattern, n_d):
-            if n_d == 0:
-                return system_distortion(provisional(0, None, 0), snr_db, ctx, fer)
-            return min(
-                system_distortion(
-                    _make_plan(k, n_a, n_d, p_a, p_total, bits, pattern, lam, ctx.n),
-                    snr_db,
-                    ctx,
-                    fer,
-                )
-                for p_a in coarse
-            )
-
-        scored = [
-            (tuple_score(b, pat, n_d), i)
-            for i, (b, pat, n_d) in enumerate(candidates)
-        ]
-        _, best_i = min(scored)
-        bits, pattern, n_d = candidates[best_i]
-
-        if n_d == 0:
-            plan = provisional(0, None, 0)
-            cost = system_distortion(plan, snr_db, ctx, fer)
-            key = (k, 0, -1, p_total)
-        else:
-
-            def cost_at(p_a: float) -> float:
-                return system_distortion(
-                    _make_plan(k, n_a, n_d, p_a, p_total, bits, pattern, lam, ctx.n),
-                    snr_db,
-                    ctx,
-                    fer,
-                )
-
-            p_a_best, cost = _golden_min(
-                cost_at, POWER_SHARE_LO * p_total, POWER_SHARE_HI * p_total
-            )
-            plan = _make_plan(
-                k, n_a, n_d, p_a_best, p_total, bits, pattern, lam, ctx.n
-            )
-            key = (k, bits, PATTERNS.index(pattern), float(p_a_best))
-        if best is None or (cost, key) < (best[0], best[1]):
-            best = (cost, key, plan)
-    return best[2]
+        layouts = list(group)
+        costs = []
+        for layout in layouts:
+            powers = coarse if layout.n_digital else (p_total,)
+            costs.append(min(_scored(layout, p_a, *args)[0] for p_a in powers))
+        pick = layouts[costs.index(min(costs))]
+        entries.append(_refined(pick, *args))
+    return min(entries, key=lambda entry: entry[:2])[2]
 
 
 def allocate_exhaustive(
@@ -467,61 +445,13 @@ def allocate_exhaustive(
     (k, B, pattern, P_a); digital-off sorts as B=0.
     """
     p_total = budget.power_total
+    args = (p_total, snr_db, lam, ctx, fer)
     power_grid = np.linspace(
         POWER_SHARE_LO * p_total, POWER_SHARE_HI * p_total, POWER_GRID_POINTS
     )
-    best = None  # (cost, key, plan)
-    for k in candidate_k_grid(ctx.n):
-        n_a = -(-k // 2)
-        if n_a > budget.total_uses:
-            continue
-        tuples = [(0, None, 0)]
-        tuples += _digital_candidates(ctx.n, n_a, budget.total_uses, ctx.modulation)
-        for bits, pattern, n_d in tuples:
-            pat_idx = -1 if pattern is None else PATTERNS.index(pattern)
-            if n_d == 0:
-                plan = _make_plan(k, n_a, 0, p_total, p_total, 0, None, lam, ctx.n)
-                cost = system_distortion(plan, snr_db, ctx, fer)
-                entries = [(cost, (k, bits, pat_idx, p_total), plan)]
-            else:
-
-                def cost_at(p_a):
-                    return system_distortion(
-                        _make_plan(k, n_a, n_d, p_a, p_total, bits, pattern, lam, ctx.n),
-                        snr_db,
-                        ctx,
-                        fer,
-                    )
-
-                entries = []
-                for p_a in power_grid:
-                    entries.append(
-                        (
-                            cost_at(p_a),
-                            (k, bits, pat_idx, float(p_a)),
-                            _make_plan(
-                                k, n_a, n_d, float(p_a), p_total, bits, pattern, lam, ctx.n
-                            ),
-                        )
-                    )
-                p_ref, c_ref = _golden_min(
-                    cost_at, POWER_SHARE_LO * p_total, POWER_SHARE_HI * p_total
-                )
-                entries.append(
-                    (
-                        c_ref,
-                        (k, bits, pat_idx, float(p_ref)),
-                        _make_plan(
-                            k, n_a, n_d, float(p_ref), p_total, bits, pattern, lam, ctx.n
-                        ),
-                    )
-                )
-            for cost, key, plan in entries:
-                if best is None or (cost, key) < (best[0], best[1]):
-                    best = (cost, key, plan)
-    if best is None:
-        raise InfeasibleAllocationError(
-            f"binding constraint: total_uses={budget.total_uses} cannot carry "
-            f"any candidate k from {candidate_k_grid(ctx.n)}"
-        )
-    return best[2]
+    entries = chain.from_iterable(
+        [_refined(layout, *args)]
+        + [_scored(layout, p_a, *args) for p_a in power_grid if layout.n_digital]
+        for layout in _layouts(budget, ctx)
+    )
+    return min(entries, key=lambda entry: entry[:2])[2]

@@ -34,9 +34,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out")
     parser.add_argument("--trials", type=int)
-    parser.add_argument("--scheme", choices=("analog", "digital", "da"))
-    parser.add_argument("--lambda", dest="lam", type=float)
-    parser.add_argument("--snr", help="grid as a:b:step, a comma list, or one value")
 
 
 def _experiment_config(args) -> ExperimentConfig:
@@ -91,8 +88,7 @@ def cmd_seu(args) -> int:
     int_bits = values.get("int_bits", 4)
     pattern = values.get("pattern", "R23")
     channel = values.get("channel", "awgn")
-    snr_grid = values.get("snr", (10.0,))
-    snr_db = float(snr_grid[0])
+    snr_db = args.snr if args.snr is not None else float(values.get("snr", (10.0,))[0])
     spec = DriftSpec(
         float_noise_std=values.get("float_noise_std", 0.1),
         bit_flip_prob=values.get("flip_prob", 0.01),
@@ -163,6 +159,9 @@ def main(argv=None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="run a Monte-Carlo SNR sweep")
     _add_common(p_sweep)
+    p_sweep.add_argument("--scheme", choices=("analog", "digital", "da"))
+    p_sweep.add_argument("--lambda", dest="lam", type=float)
+    p_sweep.add_argument("--snr", help="grid as a:b:step, a comma list, or one value")
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_cal = sub.add_parser("calibrate-fer", help="rebuild the decode-failure table")
@@ -171,6 +170,7 @@ def main(argv=None) -> int:
 
     p_seu = sub.add_parser("seu", help="run model-update sessions")
     _add_common(p_seu)
+    p_seu.add_argument("--snr", type=float, help="session SNR in dB")
     p_seu.set_defaults(fn=cmd_seu)
 
     p_det = sub.add_parser("detect", help="report cliff/saturation/graceful effects")

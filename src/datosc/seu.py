@@ -133,17 +133,15 @@ def seu_update_ints(
     pattern: str,
     state: ChannelState,
     p_hat: float,
-    per_use_power: float = 1.0,
-    modulation: str = "bpsk",
 ) -> SeuSessionResult:
     """Correct the outdated integer parameters from parity bits alone.
 
     The sender turbo-encodes the updated bits and transmits only the
-    punctured parity, parity_length(frame bits, pattern) per frame; the
-    receiver forms systematic LLRs from its outdated copy,
-    (1 - 2*old_bit) * log((1-p_hat)/p_hat), and decodes all equal-length
-    frames of the session in one batch. Frames whose CRC never verifies keep
-    the outdated values.
+    punctured parity, parity_length(frame bits, pattern) per frame, as
+    unit-power BPSK; the receiver forms systematic LLRs from its outdated
+    copy, (1 - 2*old_bit) * log((1-p_hat)/p_hat), and decodes all
+    equal-length frames of the session in one batch. Frames whose CRC never
+    verifies keep the outdated values.
     """
     if not 0.0 < p_hat < 0.5:
         raise ParameterError("assumed drift rate must lie in (0, 0.5)")
@@ -152,7 +150,6 @@ def seu_update_ints(
     if up_bits.size != old_bits.size:
         raise ParameterError("updated/outdated parameter counts differ")
     side_mag = float(np.log((1.0 - p_hat) / p_hat))
-    amplitude = float(np.sqrt(per_use_power))
 
     total = up_bits.size
     full_end = total - total % MAX_FRAME_INFO_BITS
@@ -167,10 +164,8 @@ def seu_update_ints(
         up = up_bits[start:stop].reshape(-1, width)
         old = old_bits[start:stop].reshape(-1, width)
         parity = turbo_encode(up, pattern)
-        received = transmit(modulate(parity, modulation, amplitude), state)
-        parity_llrs = demodulate(
-            received, state, modulation, amplitude, n_bits=parity.shape[1]
-        )
+        received = transmit(modulate(parity, "bpsk"), state)
+        parity_llrs = demodulate(received, state, "bpsk", n_bits=parity.shape[1])
         side = llr_clip((1.0 - 2.0 * old.astype(np.float64)) * side_mag)
         decoded, ok = turbo_decode(side, parity_llrs, pattern)
         corrected[start:stop] = np.where(ok[:, None], decoded, old).reshape(-1)

@@ -14,15 +14,9 @@ from scipy.special import erfc
 from scipy.stats import norm
 
 import datosc.harness as H
-from datosc.allocator import (
-    AllocatorContext,
-    allocate_exhaustive,
-    allocate_greedy,
-    default_fer_table,
-    system_distortion,
-)
+from datosc.allocator import system_distortion
 from datosc.analog import analog_gains, mmse_error_vars
-from datosc.channel import ChannelBudget, ChannelState, transmit
+from datosc.channel import ChannelState, transmit
 from datosc.codec import analyze, calibrate_prior_vars, selection_indices
 from datosc.digital import (
     CRC_BITS,
@@ -41,7 +35,6 @@ from datosc.digital import (
 )
 from datosc.harness import ExperimentConfig, detect_effects, run_point, run_sweep
 from datosc.seu import DriftSpec, ModelParams, drift, seu_update_ints
-from datosc.sources import SourceSpec
 
 
 def _report(criterion: str, ok: bool, detail: str) -> bool:
@@ -207,29 +200,13 @@ def test_criterion_6_mmse_correctness():
     assert ok
 
 
-def test_criterion_7_allocator_quality():
-    spec = SourceSpec(kind="class_mixture", n=64, class_count=4, seed=2024)
-    ctx = AllocatorContext(
-        n=64,
-        prior_vars=calibrate_prior_vars(spec),
-        task=__import__("datosc.codec", fromlist=["x"]).build_task_model(64, 4),
-    )
-    fer = default_fer_table()
-    rng = np.random.default_rng(0x20CA5E)
+def test_criterion_7_allocator_quality(alloc_ctx, fer_table, pinned_plans):
     worst_ratio, oracle_wins, mono = 1.0, True, True
-    for _ in range(20):
-        snr = float(rng.choice([10, 12, 14, 16, 18]))
-        lam = float(rng.uniform(0.15, 0.85))
-        total = int(rng.choice([256, 320, 384]))
-        budget = ChannelBudget(total, 0, 0, float(total), 0.0, 0.0)
-        g = allocate_greedy(budget, snr, lam, ctx, fer)
-        e = allocate_exhaustive(budget, snr, lam, ctx, fer)
-        cg = system_distortion(g, snr, ctx, fer)
-        ce = system_distortion(e, snr, ctx, fer)
+    for snr, lam, total, g, e, lo, hi in pinned_plans:
+        cg = system_distortion(g, snr, alloc_ctx, fer_table)
+        ce = system_distortion(e, snr, alloc_ctx, fer_table)
         worst_ratio = max(worst_ratio, cg / ce)
         oracle_wins &= ce <= cg + 1e-12
-        lo = allocate_exhaustive(budget, snr, 0.1, ctx, fer)
-        hi = allocate_exhaustive(budget, snr, 0.9, ctx, fer)
         mono &= hi.power_analog >= lo.power_analog - 1e-9
     ok = worst_ratio <= 1.05 and oracle_wins and mono
     _report(

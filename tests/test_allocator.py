@@ -11,7 +11,6 @@ from datosc.allocator import (
     FerTable,
     allocate_exhaustive,
     allocate_greedy,
-    default_fer_table,
     model_analog_distortion,
     model_digital_distortion,
     model_fallback_distortion,
@@ -26,13 +25,13 @@ from datosc.sources import SourceSpec
 
 
 @pytest.fixture(scope="module")
-def ctx(mixture_priors, task4):
-    return AllocatorContext(n=64, prior_vars=mixture_priors, task=task4)
+def ctx(alloc_ctx):
+    return alloc_ctx
 
 
 @pytest.fixture(scope="module")
-def fer():
-    return default_fer_table()
+def fer(fer_table):
+    return fer_table
 
 
 def _plan(ctx, k=32, bits=4, pattern="R12", p_a=0.5, total=320.0, lam=0.5):
@@ -241,6 +240,18 @@ def test_fer_raw_values_non_increasing_within_ci(fer):
             assert p[i + 1] - p[i] <= 2.58 * (se[i] + se[i + 1])
 
 
+def test_fer_add_after_lookup_refreshes_envelope():
+    table = FerTable()
+    for snr, p in ((0.0, 0.5), (10.0, 0.1)):
+        table.add("R12", 4, snr, p, trials=10**6, seed=0)
+    assert table.lookup("R12", 4, 20.0) == pytest.approx(0.1)  # clamped edge
+    table.add("R12", 4, 20.0, 0.01, trials=10**6, seed=0)
+    assert table.lookup("R12", 4, 20.0) == pytest.approx(0.01)
+    grid, p, _ = table.raw("R12", 4)
+    assert list(grid) == [0.0, 10.0, 20.0]
+    assert list(p) == [0.5, 0.1, 0.01]
+
+
 def test_fer_lookup_unknown_cell(fer):
     with pytest.raises(ParameterError):
         fer.lookup("R12", 7, 10.0)
@@ -250,33 +261,8 @@ def test_fer_lookup_unknown_cell(fer):
 # searches
 # ---------------------------------------------------------------------------
 
-def _pinned_cases(count=20, seed=0x20CA5E):
-    """Frozen random (snr, lambda, budget) suite; snr starts at 10 dB because
-    at (8 dB, 256 uses) the lambda=0.9 oracle trades analog watts for a
-    smaller, hotter feature set and the power-share comparison inverts."""
-    rng = np.random.default_rng(seed)
-    cases = []
-    for _ in range(count):
-        snr = float(rng.choice([10, 12, 14, 16, 18]))
-        lam = float(rng.uniform(0.15, 0.85))
-        total = int(rng.choice([256, 320, 384]))
-        cases.append((snr, lam, total))
-    return cases
-
-
-@pytest.fixture(scope="module")
-def pinned_plans(ctx, fer):
-    out = []
-    for snr, lam, total in _pinned_cases():
-        budget = ChannelBudget(total, 0, 0, float(total), 0.0, 0.0)
-        g = allocate_greedy(budget, snr, lam, ctx, fer)
-        e = allocate_exhaustive(budget, snr, lam, ctx, fer)
-        out.append((snr, lam, total, g, e))
-    return out
-
-
 def test_greedy_within_5pct_of_exhaustive(ctx, fer, pinned_plans):
-    for snr, lam, total, g, e in pinned_plans:
+    for snr, lam, total, g, e, _, _ in pinned_plans:
         cg = system_distortion(g, snr, ctx, fer)
         ce = system_distortion(e, snr, ctx, fer)
         assert ce <= cg + 1e-12          # oracle never loses to greedy
@@ -284,7 +270,7 @@ def test_greedy_within_5pct_of_exhaustive(ctx, fer, pinned_plans):
 
 
 def test_returned_plans_satisfy_budget(pinned_plans):
-    for snr, lam, total, g, e in pinned_plans:
+    for snr, lam, total, g, e, _, _ in pinned_plans:
         for plan in (g, e):
             plan.budget(total, float(total)).validate()
             assert 0.0 < plan.lam < 1.0
@@ -295,11 +281,8 @@ def test_returned_plans_satisfy_budget(pinned_plans):
                 assert plan.digital_code_rate is None
 
 
-def test_lambda_monotone_analog_power_share(ctx, fer):
-    for snr, lam, total in _pinned_cases():
-        budget = ChannelBudget(total, 0, 0, float(total), 0.0, 0.0)
-        lo = allocate_exhaustive(budget, snr, 0.1, ctx, fer)
-        hi = allocate_exhaustive(budget, snr, 0.9, ctx, fer)
+def test_lambda_monotone_analog_power_share(pinned_plans):
+    for snr, lam, total, _, _, lo, hi in pinned_plans:
         assert hi.power_analog >= lo.power_analog - 1e-9
 
 
@@ -331,10 +314,16 @@ def test_oracle_engages_digital_when_analog_is_rate_limited(ctx, fer, monkeypatc
     )
 
 
-def test_infeasible_budget_raises(ctx, fer):
+@pytest.mark.parametrize(
+    "search", [allocate_greedy, allocate_exhaustive], ids=["greedy", "exhaustive"]
+)
+def test_infeasible_budget_raises(ctx, fer, search):
     tiny = ChannelBudget(2, 0, 0, 2.0, 0.0, 0.0)
-    with pytest.raises(InfeasibleAllocationError, match="binding constraint"):
-        allocate_greedy(tiny, 10.0, 0.5, ctx, fer)
+    with pytest.raises(
+        InfeasibleAllocationError,
+        match="binding constraint: total_uses=2 cannot carry any candidate k",
+    ):
+        search(tiny, 10.0, 0.5, ctx, fer)
 
 
 def test_unreachable_floor_names_constraint(ctx, fer):

@@ -111,6 +111,28 @@ def test_cli_flags_and_config_file_give_the_same_config(tmp_path, monkeypatch):
     assert seen[0].lam == 0.25 and seen[0].trials == 300
 
 
+def test_seu_reads_snr_flag(capsys):
+    from datosc import cli
+
+    mse = {}
+    for snr in ("300", "-10"):
+        cli.main(["seu", "--snr", snr, "--trials", "1", "--seed", "3"])
+        line = capsys.readouterr().out.splitlines()[0]
+        mse[snr] = float(line.split("float_mse ")[1].split(",")[0])
+    assert mse["300"] < 1e-6 < mse["-10"]
+
+
+@pytest.mark.parametrize(
+    "flags", [["--scheme", "da"], ["--snr", "10"], ["--lambda", "0.5"]]
+)
+def test_calibrate_fer_rejects_flags_it_does_not_read(flags, tmp_path, monkeypatch):
+    from datosc import cli
+
+    monkeypatch.setattr(cli, "calibrate_fer", lambda **kw: pytest.fail("it ran"))
+    with pytest.raises(SystemExit):
+        cli.main(["calibrate-fer", "--out", str(tmp_path / "fer.csv")] + flags)
+
+
 def test_validation_rules():
     with pytest.raises(ParameterError, match="trials"):
         ExperimentConfig(trials=99).validate()
