@@ -16,17 +16,11 @@ from .allocator import (
 from .analog import analog_decode, analog_encode
 from .channel import ChannelBudget, ChannelState, transmit
 from .codec import (
-    SemanticFeature,
     TaskModel,
     analyze,
     build_task_model,
     calibrate_prior_vars,
-    data_distortion,
-    select_task_related,
-    semantic_distortion,
-    synthesize,
     synthesize_full,
-    task_metric,
 )
 from .digital import (
     CodeSpec,

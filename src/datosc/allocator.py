@@ -115,10 +115,17 @@ class FerTable:
         self._cells: dict[tuple[str, int], dict] = {}
 
     def add(self, pattern: str, quant_bits: int, snr_db, p_f, trials: int, seed: int):
+        """Add one calibrated point; every point of a cell shares its first
+        point's trials and seed."""
         key = (pattern, int(quant_bits))
         cell = self._cells.setdefault(
             key, {"snr": [], "p": [], "trials": trials, "seed": seed}
         )
+        if (trials, seed) != (cell["trials"], cell["seed"]):
+            raise ParameterError(
+                f"pattern={pattern}, B={quant_bits} was calibrated with trials="
+                f"{cell['trials']}, seed={cell['seed']}; got trials={trials}, seed={seed}"
+            )
         cell["snr"].append(float(snr_db))
         cell["p"].append(float(p_f))
         cell.pop("env", None)  # _prepared rebuilds grid and env with the new point
@@ -193,7 +200,14 @@ def default_fer_table(channel: str = "rayleigh") -> FerTable:
     """Calibration table shipped with the package (regenerate: calibrate-fer)."""
     from importlib.resources import files
 
-    resource = files("datosc").joinpath("data", f"fer_{channel}.csv")
+    data = files("datosc").joinpath("data")
+    resource = data.joinpath(f"fer_{channel}.csv")
+    if not resource.is_file():
+        shipped = sorted(p.name[4:-4] for p in data.iterdir() if p.name.startswith("fer_"))
+        raise ParameterError(
+            f"no FER table ships for channel {channel!r} (shipped: {', '.join(shipped)}); "
+            "build one with `datosc calibrate-fer` and load it with FerTable.load_csv"
+        )
     return FerTable.from_csv_text(resource.read_text())
 
 

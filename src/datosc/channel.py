@@ -21,11 +21,9 @@ _SEED_MASK = (1 << 64) - 1
 
 @dataclass
 class ChannelState:
-    snr_db: float
     noise_var: float
     h: complex
-    seed: int
-    rng: np.random.Generator = field(repr=False, default=None)
+    rng: np.random.Generator = field(repr=False)
 
     @classmethod
     def for_block(
@@ -40,13 +38,7 @@ class ChannelState:
             h = complex(re, im) / np.sqrt(2.0)
         else:
             raise ParameterError(f"unknown fading kind {fading!r}")
-        return cls(
-            snr_db=snr_db,
-            noise_var=10.0 ** (-snr_db / 10.0),
-            h=h,
-            seed=seed,
-            rng=rng,
-        )
+        return cls(noise_var=10.0 ** (-snr_db / 10.0), h=h, rng=rng)
 
     @classmethod
     def awgn(cls, snr_db: float, seed: int = 0, block_index: int = 0) -> "ChannelState":
@@ -85,21 +77,17 @@ class ChannelBudget:
                 f"> {self.power_total}"
             )
 
-    @property
-    def analog_per_use(self) -> float:
-        return self.power_analog / self.n_analog if self.n_analog else 0.0
-
-    @property
-    def digital_per_use(self) -> float:
-        return self.power_digital / self.n_digital if self.n_digital else 0.0
-
 
 def transmit(symbols: np.ndarray, state: ChannelState) -> np.ndarray:
     """y = h*x + w with w circularly-symmetric, variance noise_var per use."""
     x = np.asarray(symbols, dtype=np.complex128)
     if not np.all(np.isfinite(x)):
         raise ParameterError("transmit requires finite symbols")
-    sigma = np.sqrt(state.noise_var / 2.0)
-    noise = state.rng.standard_normal(2 * x.size) * sigma
-    w = noise[0::2] + 1j * noise[1::2]
-    return state.h * x + w.reshape(x.shape)
+    return state.h * x + _complex_noise(state.rng, x.size, state.noise_var).reshape(x.shape)
+
+
+def _complex_noise(rng: np.random.Generator, size: int, noise_var: float) -> np.ndarray:
+    """size circularly-symmetric samples of variance noise_var: one
+    standard_normal(2 * size) draw read as interleaved (re, im) pairs."""
+    noise = rng.standard_normal(2 * size) * np.sqrt(noise_var / 2.0)
+    return noise[0::2] + 1j * noise[1::2]

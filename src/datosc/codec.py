@@ -1,4 +1,4 @@
-"""Transform-domain semantic codec and distortion metrics.
+"""Transform-domain semantic codec and nearest-centroid task classifier.
 
 The encoder is a fixed orthonormal type-II cosine transform with top-k
 coefficient selection: selection is scored by task relevance when a task
@@ -9,7 +9,6 @@ and analog-valued features, in an exactly testable form.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -17,31 +16,13 @@ from typing import Optional
 import numpy as np
 from scipy.fft import dctn, idctn, dct, idct
 
-from .errors import FormatError, ParameterError
-from .sources import SourceBlock, SourceSpec, class_means, gen_block
+from .errors import ParameterError
+from .sources import SourceSpec, class_means, gen_block
 
 # Offline calibration passes use their own fixed seed so coefficient
 # statistics (and therefore index selection) are stable across runs.
 CALIBRATION_SEED = 0xCA11B
 CALIBRATION_BLOCKS = 10_000
-
-SIDECAR_MAGIC = b"DATM"
-SIDECAR_VERSION = 1
-
-
-@dataclass(frozen=True)
-class SemanticFeature:
-    """Selected transform coefficients plus the per-index statistics."""
-
-    coeffs: np.ndarray      # (k,) selected coefficient values
-    indices: np.ndarray     # (k,) strictly increasing positions in [0, n)
-    prior_vars: np.ndarray  # (k,) prior second moment of each kept coefficient
-    task_weights: np.ndarray  # (k,) selection scores (zeros when task-free)
-    n: int
-
-    @property
-    def k(self) -> int:
-        return len(self.indices)
 
 
 @dataclass(frozen=True)
@@ -82,15 +63,14 @@ def synthesize_full(coeffs: np.ndarray) -> np.ndarray:
     return idct(c, type=2, norm="ortho", axis=-1)
 
 
-def select_task_related(
-    full_coeffs: np.ndarray,
-    k: int,
-    prior_vars: np.ndarray,
-    task: Optional[TaskModel] = None,
-) -> SemanticFeature:
-    """Keep the k highest-scoring coefficients; ties break to the lower index."""
-    full = np.asarray(full_coeffs, dtype=np.float64)
-    n = full.shape[-1]
+def selection_indices(
+    n: int, k: int, prior_vars: np.ndarray, task: Optional[TaskModel] = None
+) -> np.ndarray:
+    """Ascending positions of the k highest-scoring coefficients out of n.
+
+    Scores are the task weights when a task model is present and the prior
+    variances otherwise; ties break to the lower index.
+    """
     if not 1 <= k <= n:
         raise ParameterError(f"k must lie in [1, {n}], got {k}")
     prior = np.asarray(prior_vars, dtype=np.float64)
@@ -99,47 +79,7 @@ def select_task_related(
     if np.any(prior <= 0):
         raise ParameterError("prior_vars must be strictly positive")
     scores = task.weights if task is not None else prior
-    indices = np.sort(np.argsort(-scores, kind="stable")[:k])
-    return SemanticFeature(
-        coeffs=full[..., indices],
-        indices=indices,
-        prior_vars=prior[indices],
-        task_weights=np.asarray(scores, dtype=np.float64)[indices],
-        n=n,
-    )
-
-
-def selection_indices(
-    n: int, k: int, prior_vars: np.ndarray, task: Optional[TaskModel] = None
-) -> np.ndarray:
-    """Index set select_task_related would keep, without needing a block."""
-    return select_task_related(np.zeros(n), k, prior_vars, task).indices
-
-
-def synthesize(feature: SemanticFeature) -> SourceBlock:
-    """Inverse transform with zeros at the discarded indices."""
-    if feature.k == 0:
-        raise ParameterError("cannot synthesize from an empty feature")
-    full = np.zeros(feature.n)
-    full[feature.indices] = feature.coeffs
-    return SourceBlock(samples=synthesize_full(full))
-
-
-def semantic_distortion(f_tx: SemanticFeature, f_rx: SemanticFeature) -> float:
-    """Mean squared coefficient error over the shared index set."""
-    if f_tx.n != f_rx.n or not np.array_equal(f_tx.indices, f_rx.indices):
-        raise ParameterError("semantic distortion needs identical index sets")
-    diff = f_tx.coeffs - f_rx.coeffs
-    return float(np.mean(diff * diff))
-
-
-def data_distortion(x, x_hat) -> float:
-    a = np.asarray(x, dtype=np.float64)
-    b = np.asarray(x_hat, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ParameterError("data distortion needs equal-shape vectors")
-    d = a - b
-    return float(np.mean(d * d))
+    return np.sort(np.argsort(-scores, kind="stable")[:k])
 
 
 def classify(estimate_coeffs: np.ndarray, task: TaskModel) -> np.ndarray:
@@ -152,20 +92,6 @@ def classify(estimate_coeffs: np.ndarray, task: TaskModel) -> np.ndarray:
         + np.sum(task.centroids * task.centroids, axis=1)[None, :]
     )
     return np.argmin(d2, axis=1)
-
-
-def task_metric(blocks, estimates, task: TaskModel) -> float:
-    """Fraction of estimates whose nearest centroid matches the block label."""
-    labels = []
-    for blk in blocks:
-        if blk.label is None:
-            raise ParameterError("task_metric needs labelled blocks")
-        labels.append(blk.label)
-    est = np.stack([np.asarray(e, dtype=np.float64) for e in estimates])
-    if est.shape[0] != len(labels):
-        raise ParameterError("blocks and estimates differ in length")
-    predicted = classify(analyze(est), task)
-    return float(np.mean(predicted == np.asarray(labels)))
 
 
 def build_task_model(n: int, class_count: int) -> TaskModel:
@@ -211,50 +137,3 @@ def prior_vars_from_blocks(blocks) -> np.ndarray:
     coeffs = analyze(stack)
     vars_ = np.mean(coeffs * coeffs, axis=0)
     return np.maximum(vars_, 1e-12)
-
-
-def save_sidecar(path, prior_vars: np.ndarray, task: Optional[TaskModel]) -> None:
-    """Persist prior variances and the optional task model.
-
-    Layout: magic "DATM", one version byte, then little-endian uint32 n and K
-    (K=0 when task-free), then float64 little-endian arrays: prior_vars (n),
-    and when K>0, weights (n) followed by centroids (K*n row-major).
-    """
-    prior = np.asarray(prior_vars, dtype="<f8")
-    n = prior.shape[0]
-    k = 0 if task is None else task.centroids.shape[0]
-    with open(path, "wb") as fh:
-        fh.write(SIDECAR_MAGIC)
-        fh.write(struct.pack("<B", SIDECAR_VERSION))
-        fh.write(struct.pack("<II", n, k))
-        fh.write(prior.tobytes())
-        if task is not None:
-            fh.write(np.asarray(task.weights, dtype="<f8").tobytes())
-            fh.write(np.asarray(task.centroids, dtype="<f8").tobytes())
-
-
-def load_sidecar(path) -> tuple[np.ndarray, Optional[TaskModel]]:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != SIDECAR_MAGIC:
-        raise FormatError("bad sidecar magic")
-    version = data[4]
-    if version != SIDECAR_VERSION:
-        raise FormatError(f"unsupported sidecar version {version}")
-    n, k = struct.unpack_from("<II", data, 5)
-    offset = 13
-    expect = 8 * (n + (k > 0) * (n + k * n))
-    if len(data) - offset != expect:
-        raise FormatError("sidecar payload length mismatch")
-    prior = np.frombuffer(data, dtype="<f8", count=n, offset=offset).copy()
-    offset += 8 * n
-    if k == 0:
-        return prior, None
-    weights = np.frombuffer(data, dtype="<f8", count=n, offset=offset).copy()
-    offset += 8 * n
-    centroids = (
-        np.frombuffer(data, dtype="<f8", count=k * n, offset=offset)
-        .reshape(k, n)
-        .copy()
-    )
-    return prior, TaskModel(centroids=centroids, weights=weights)

@@ -13,9 +13,9 @@ Model updates use a stronger code with the same parity budget: a turbo code
 of two 16-state (1, 35/23) constituents, decoded by iterated max-log-MAP
 until the CRC verifies (see turbo_encode / turbo_decode).
 
-All hot-path functions accept a leading batch axis so Monte-Carlo sweeps
-can decode thousands of frames per call; single-frame calls use the same
-entry points.
+The coding and decoding functions take a (T, L) batch of frames and
+return batched results; a single (L,) frame is a batch of one and comes
+back as (1, ...).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import ndtr
 
-from .channel import ChannelState
 from .errors import ParameterError
 
 LLR_CLIP = 30.0
@@ -149,7 +148,7 @@ def cell_bounds(cells: np.ndarray, spec: QuantizerSpec) -> tuple[np.ndarray, np.
 def crc16(bits: np.ndarray) -> np.ndarray:
     """CRC-16-CCITT over a bit array; returns 16 bits, MSB first.
 
-    A leading batch axis is carried through ((T, L) -> (T, 16)). The register
+    Maps (T, L) bits to (T, 16); an (L,) input is a batch of one. The register
     update is affine over GF(2), so the CRC is the XOR of a fixed 16-bit term
     per set bit with the CRC of the all-zero message (see _crc_terms).
     """
@@ -157,8 +156,7 @@ def crc16(bits: np.ndarray) -> np.ndarray:
     terms, zero_crc = _crc_terms(b.shape[1])
     reg = np.bitwise_xor.reduce(np.where(b, terms, np.uint16(0)), axis=1) ^ zero_crc
     shifts = np.arange(15, -1, -1)
-    out = ((reg[:, None] >> shifts) & 1).astype(np.uint8)
-    return out[0] if np.ndim(bits) == 1 else out
+    return ((reg[:, None] >> shifts) & 1).astype(np.uint8)
 
 
 @functools.lru_cache(maxsize=64)
@@ -202,8 +200,6 @@ def rsc_encode(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sys_out[:, t] = u
         par_out[:, t] = 0 ^ d2
         d2, d1 = d1, np.zeros_like(d1)
-    if np.ndim(bits) == 1:
-        return sys_out[0], par_out[0]
     return sys_out, par_out
 
 
@@ -267,10 +263,7 @@ def dsc_encode(info_bits: np.ndarray, code: CodeSpec) -> tuple[np.ndarray, np.nd
     info = np.atleast_2d(np.asarray(info_bits, dtype=np.uint8))
     stream = np.concatenate([info, crc16(info)], axis=1)
     systematic, parity = rsc_encode(stream)
-    punctured = parity[:, puncture_keep_indices(parity.shape[1], code.pattern)]
-    if np.ndim(info_bits) == 1:
-        return systematic[0], punctured[0]
-    return systematic, punctured
+    return systematic, parity[:, puncture_keep_indices(parity.shape[1], code.pattern)]
 
 
 # ---------------------------------------------------------------------------
@@ -309,25 +302,24 @@ def symbol_count(n_bits: int, scheme: str) -> int:
 
 def demodulate(
     received: np.ndarray,
-    state: ChannelState,
+    h,
+    noise_var: float,
     scheme: str,
     amplitude: float = 1.0,
     n_bits: int | None = None,
-    h=None,
 ) -> np.ndarray:
     """Per-bit LLRs after matched filtering with the known channel gain.
 
     BPSK: 4 * a * Re(conj(h) y) / noise_var; QPSK applies the same per real
-    dimension with amplitude a / sqrt(2). h defaults to state.h; a batch of
-    gains (one per frame row) may be supplied for vectorized sweeps.
+    dimension with amplitude a / sqrt(2). h is one gain or a column of
+    gains, one per frame row.
     """
     y = np.asarray(received, dtype=np.complex128)
-    hh = state.h if h is None else h
-    matched = np.conj(hh) * y
+    matched = np.conj(h) * y
     if scheme == "bpsk":
-        llrs = 4.0 * amplitude * matched.real / state.noise_var
+        llrs = 4.0 * amplitude * matched.real / noise_var
     elif scheme == "qpsk":
-        scale = 4.0 * (amplitude / np.sqrt(2.0)) / state.noise_var
+        scale = 4.0 * (amplitude / np.sqrt(2.0)) / noise_var
         llrs = np.empty(y.shape[:-1] + (2 * y.shape[-1],))
         llrs[..., 0::2] = scale * matched.real
         llrs[..., 1::2] = scale * matched.imag
@@ -384,7 +376,7 @@ def viterbi_decode(sys_llrs: np.ndarray, parity_llrs: np.ndarray, n_tail: int = 
     sys_llrs and parity_llrs cover every trellis step (punctured parity
     positions carry 0). The path starts and ends in state 0; the last n_tail
     steps only admit the termination input. Returns the decided input bits,
-    tail included. Accepts (L,) or batched (T, L) arrays.
+    tail included, as (T, L).
     """
     sys_l = np.atleast_2d(np.asarray(sys_llrs, dtype=np.float64))
     par_l = np.atleast_2d(np.asarray(parity_llrs, dtype=np.float64))
@@ -419,7 +411,7 @@ def viterbi_decode(sys_llrs: np.ndarray, parity_llrs: np.ndarray, n_tail: int = 
         choice = decisions[t][rows, state]
         bits[:, t] = _IN_U[state, choice]
         state = _IN_STATE[state, choice]
-    return bits[0] if np.ndim(sys_llrs) == 1 else bits
+    return bits
 
 
 def assemble_parity_llrs(parity_llrs: np.ndarray, encoded_len: int, pattern: str) -> np.ndarray:
@@ -460,10 +452,7 @@ def dsc_decode(
     sys_full[:, :width] = side
     decided = viterbi_decode(sys_full, assemble_parity_llrs(parity, enc_len, code.pattern))
     info = decided[:, :info_len]
-    crc_ok = _crc_matches(info, decided[:, info_len : info_len + CRC_BITS])
-    if np.ndim(side_llrs) == 1:
-        return info[0], bool(crc_ok[0])
-    return info, crc_ok
+    return info, _crc_matches(info, decided[:, info_len : info_len + CRC_BITS])
 
 
 def _crc_matches(info: np.ndarray, crc_bits: np.ndarray) -> np.ndarray:
@@ -623,10 +612,9 @@ def turbo_encode(info_bits: np.ndarray, pattern: str) -> np.ndarray:
     stream = np.concatenate([info, crc16(info)], axis=1)
     keep1, keep2 = turbo_keep_indices(info.shape[1], pattern)
     perm = turbo_interleaver(stream.shape[1])
-    parity = np.concatenate(
+    return np.concatenate(
         [rsc16_parity(stream)[:, keep1], rsc16_parity(stream[:, perm])[:, keep2]], axis=1
     )
-    return parity[0] if np.ndim(info_bits) == 1 else parity
 
 
 def turbo_decode(
@@ -679,10 +667,7 @@ def turbo_decode(
         active = active[~passed]
         if not active.size:
             break
-    info = decided[:, :info_len]
-    if np.ndim(side_llrs) == 1:
-        return info[0], bool(crc_ok[0])
-    return info, crc_ok
+    return decided[:, :info_len], crc_ok
 
 
 # ---------------------------------------------------------------------------
@@ -693,11 +678,12 @@ def refine(
     est: np.ndarray,
     decoded_cells: np.ndarray,
     spec: QuantizerSpec,
-    crc_ok,
+    crc_ok: np.ndarray,
     observed: np.ndarray | None = None,
 ) -> np.ndarray:
     """Fuse analog estimates with the decoded quantizer cells.
 
+    est and decoded_cells are (T, n) and crc_ok holds one flag per frame.
     With a verified frame, every coefficient the analog branch actually
     observed is clamped into the value range its decoded cell pins down (end
     cells are open-ended); coefficients with no analog observation take the
@@ -713,7 +699,4 @@ def refine(
     if observed is not None:
         mids = dequantize_cells(decoded_cells, spec)
         fused = np.where(observed, fused, mids)
-    ok = np.asarray(crc_ok)
-    if ok.ndim == 0:
-        return fused if bool(ok) else e.copy()
-    return np.where(ok[:, None], fused, e)
+    return np.where(np.asarray(crc_ok)[:, None], fused, e)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -20,26 +20,9 @@ from . import analog as ana
 from . import codec
 from . import digital as dig
 from .allocator import FerTable
-from .channel import ChannelBudget, ChannelState
+from .channel import ChannelBudget, ChannelState, _complex_noise
 from .errors import ConfigError, ParameterError
 from .sources import SourceSpec, gen_block, load_pgm
-
-SWEEP_HEADER = [
-    "scheme",
-    "snr_db",
-    "trials",
-    "feature_mse",
-    "feature_mse_se",
-    "data_mse",
-    "data_mse_se",
-    "system_distortion",
-    "fer",
-    "task_accuracy",
-    "n_analog",
-    "n_digital",
-    "p_a_fraction",
-    "seed",
-]
 
 SCHEMES = ("analog", "digital", "da")
 CHANNELS = ("awgn", "rayleigh")
@@ -117,6 +100,10 @@ class SweepRow:
     n_digital: int
     p_a_fraction: float
     seed: int
+
+
+# CSV columns follow SweepRow's field order, so reordering fields changes the format
+SWEEP_HEADER = [f.name for f in fields(SweepRow)]
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +354,6 @@ def draw_trials(
     w_a = np.zeros((count, setup.n_analog), dtype=np.complex128)
     w_d = np.zeros((count, setup.n_digital), dtype=np.complex128)
     noise_var = 10.0 ** (-snr_db / 10.0)
-    sigma = np.sqrt(noise_var / 2.0)
 
     for i, t in enumerate(range(t0, t1)):
         if setup.image_blocks is not None:
@@ -379,11 +365,9 @@ def draw_trials(
         state = ChannelState.for_block(snr_db, config.channel, ch_seed, t)
         h[i] = state.h
         if setup.n_analog:
-            na = state.rng.standard_normal(2 * setup.n_analog) * sigma
-            w_a[i] = na[0::2] + 1j * na[1::2]
+            w_a[i] = _complex_noise(state.rng, setup.n_analog, noise_var)
         if setup.n_digital:
-            nd = state.rng.standard_normal(2 * setup.n_digital) * sigma
-            w_d[i] = nd[0::2] + 1j * nd[1::2]
+            w_d[i] = _complex_noise(state.rng, setup.n_digital, noise_var)
     return TrialDraws(samples, labels, h, w_a, w_d, noise_var)
 
 
@@ -425,11 +409,8 @@ def digital_stage(
     x_d = dig.modulate(wire, config.modulation, setup.digital_amplitude)
     h = draws.h[:, None]
     y_d = h * x_d + draws.w_d[:, : x_d.shape[1]]
-    state = ChannelState(
-        snr_db=0.0, noise_var=draws.noise_var, h=1.0 + 0.0j, seed=0, rng=None
-    )
     llrs = dig.demodulate(
-        y_d, state, config.modulation, setup.digital_amplitude, n_bits=wire.shape[1], h=h
+        y_d, h, draws.noise_var, config.modulation, setup.digital_amplitude, wire.shape[1]
     )
     if side is None:
         side, llrs = llrs[:, : systematic.shape[1]], llrs[:, systematic.shape[1] :]
@@ -562,28 +543,7 @@ def rows_to_csv(rows: list[SweepRow], path) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(SWEEP_HEADER) + "\n")
         for r in rows:
-            fh.write(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        r.scheme,
-                        r.snr_db,
-                        r.trials,
-                        r.feature_mse,
-                        r.feature_mse_se,
-                        r.data_mse,
-                        r.data_mse_se,
-                        r.system_distortion,
-                        r.fer,
-                        r.task_accuracy,
-                        r.n_analog,
-                        r.n_digital,
-                        r.p_a_fraction,
-                        r.seed,
-                    )
-                )
-                + "\n"
-            )
+            fh.write(",".join(_fmt(v) for v in astuple(r)) + "\n")
 
 
 def run_sweep(config: ExperimentConfig, verbose: bool = False) -> list[SweepRow]:

@@ -165,7 +165,9 @@ def seu_update_ints(
         old = old_bits[start:stop].reshape(-1, width)
         parity = turbo_encode(up, pattern)
         received = transmit(modulate(parity, "bpsk"), state)
-        parity_llrs = demodulate(received, state, "bpsk", n_bits=parity.shape[1])
+        parity_llrs = demodulate(
+            received, state.h, state.noise_var, "bpsk", n_bits=parity.shape[1]
+        )
         side = llr_clip((1.0 - 2.0 * old.astype(np.float64)) * side_mag)
         decoded, ok = turbo_decode(side, parity_llrs, pattern)
         corrected[start:stop] = np.where(ok[:, None], decoded, old).reshape(-1)

@@ -252,6 +252,25 @@ def test_fer_add_after_lookup_refreshes_envelope():
     assert list(p) == [0.5, 0.1, 0.01]
 
 
+def test_fer_add_rejects_mixed_trials_or_seed():
+    table = FerTable()
+    table.add("R12", 4, 0.0, 0.0, trials=10, seed=0)
+    # a 10^6-trial point would otherwise be looked up at the 10-trial floor
+    with pytest.raises(ParameterError, match="trials=10, seed=0"):
+        table.add("R12", 4, 10.0, 0.0, trials=10**6, seed=0)
+    with pytest.raises(ParameterError):
+        table.add("R12", 4, 10.0, 0.0, trials=10, seed=1)
+    table.add("R12", 4, 10.0, 0.0, trials=10, seed=0)
+    table.add("R12", 5, 10.0, 0.0, trials=10**6, seed=1)  # another cell
+    assert table.raw("R12", 4)[2] == 10
+
+
+def test_default_fer_table_names_shipped_channels():
+    assert alloc.default_fer_table("rayleigh").keys()
+    with pytest.raises(ParameterError, match=r"'awgn'.*shipped: rayleigh.*calibrate-fer"):
+        alloc.default_fer_table("awgn")
+
+
 def test_fer_lookup_unknown_cell(fer):
     with pytest.raises(ParameterError):
         fer.lookup("R12", 7, 10.0)

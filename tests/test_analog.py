@@ -11,7 +11,7 @@ from datosc.analog import (
     unpack_iq,
 )
 from datosc.channel import ChannelState, transmit
-from datosc.codec import analyze, data_distortion, select_task_related, synthesize_full
+from datosc.codec import analyze, selection_indices, synthesize_full
 from datosc.sources import SourceSpec, gen_class_mixture
 
 
@@ -134,18 +134,18 @@ def test_linearity_in_amplitude_and_power(rng):
 def test_saturation_floor_at_high_snr(mixture_priors):
     spec = SourceSpec(kind="class_mixture", n=64, class_count=4, seed=44)
     state_seed = 91
+    kept = selection_indices(64, 32, mixture_priors)
     mses, floors = [], []
     for t in range(300):
         block = gen_class_mixture(spec, t)
         full = analyze(block.samples)
-        feat = select_task_related(full, 32, mixture_priors)
         state = ChannelState.awgn(60.0, seed=state_seed, block_index=t)
-        _, _, est, _ = _send(feat.coeffs, feat.prior_vars, 2.0, state)
+        _, _, est, _ = _send(full[kept], mixture_priors[kept], 2.0, state)
         est_full = np.zeros(64)
-        est_full[feat.indices] = est
-        mses.append(data_distortion(block.samples, synthesize_full(est_full)))
+        est_full[kept] = est
+        mses.append(np.mean((block.samples - synthesize_full(est_full)) ** 2))
         mask = np.ones(64, dtype=bool)
-        mask[feat.indices] = False
+        mask[kept] = False
         floors.append(np.sum(full[mask] ** 2) / 64)
     assert abs(np.mean(mses) / np.mean(floors) - 1.0) < 0.01
 

@@ -89,22 +89,6 @@ def test_pure_analog_pass_through():
     assert np.max(np.abs(est[:, setup.kept] - full[:, setup.kept])) < 1e-9
 
 
-def test_equal_budgets_give_unit_power_ratio():
-    budget = ChannelBudget(64, 32, 32, 2.0, 1.0, 1.0)
-    pa = pd = 0.0
-    rng = np.random.default_rng(31)
-    for t in range(10_000):
-        xa = np.sqrt(budget.analog_per_use / 2) * (
-            rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        )
-        xd = np.sqrt(budget.digital_per_use / 2) * (
-            rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        )
-        pa += np.mean(np.abs(xa) ** 2)
-        pd += np.mean(np.abs(xd) ** 2)
-    assert abs(pa / pd - 1.0) < 0.01
-
-
 def test_budget_invariants():
     with pytest.raises(AllocationError):
         ChannelBudget(64, 40, 30, 1.0, 0.5, 0.5).validate()

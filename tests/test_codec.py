@@ -1,22 +1,19 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from datosc import codec
 from datosc.codec import (
-    SemanticFeature,
     analyze,
     build_task_model,
     calibrate_prior_vars,
-    data_distortion,
-    load_sidecar,
-    save_sidecar,
-    select_task_related,
-    semantic_distortion,
-    synthesize,
+    classify,
+    selection_indices,
     synthesize_full,
-    task_metric,
 )
-from datosc.errors import FormatError, ParameterError
+from datosc.errors import ParameterError
+from datosc.harness import _metrics
 from datosc.sources import SourceSpec, gen_class_mixture
 
 
@@ -44,16 +41,18 @@ def test_parseval_on_generated_blocks(mixture_spec):
 
 
 def test_select_keeps_everything_at_k_equal_n(mixture_priors):
-    feat = select_task_related(np.arange(64.0), 64, mixture_priors)
-    assert np.array_equal(feat.indices, np.arange(64))
-    assert np.array_equal(feat.coeffs, np.arange(64.0))
+    assert np.array_equal(selection_indices(64, 64, mixture_priors), np.arange(64))
 
 
 def test_select_k_out_of_range(mixture_priors):
     with pytest.raises(ParameterError):
-        select_task_related(np.zeros(64), 0, mixture_priors)
+        selection_indices(64, 0, mixture_priors)
     with pytest.raises(ParameterError):
-        select_task_related(np.zeros(64), 65, mixture_priors)
+        selection_indices(64, 65, mixture_priors)
+    with pytest.raises(ParameterError):
+        selection_indices(32, 8, mixture_priors)  # prior shape is not (n,)
+    with pytest.raises(ParameterError):
+        selection_indices(64, 8, np.zeros(64))  # priors must be positive
 
 
 def _ar1_blocks_vectorized(n, rho, count, seed):
@@ -71,7 +70,7 @@ def _ar1_blocks_vectorized(n, rho, count, seed):
 def test_selection_matches_empirical_variance_oracle():
     spec = SourceSpec(kind="gauss_markov", n=64, rho=0.9, seed=4)
     prior = calibrate_prior_vars(spec)
-    picked = select_task_related(np.zeros(64), 8, prior).indices
+    picked = selection_indices(64, 8, prior)
     oracle_var = np.var(analyze(_ar1_blocks_vectorized(64, 0.9, 100_000, 42)), axis=0)
     oracle_top = np.sort(np.argsort(-oracle_var)[:8])
     assert np.array_equal(picked, oracle_top)
@@ -79,8 +78,7 @@ def test_selection_matches_empirical_variance_oracle():
 
 def test_selection_tie_breaks_to_lower_index():
     prior = np.ones(16)
-    feat = select_task_related(np.zeros(16), 5, prior)
-    assert np.array_equal(feat.indices, np.arange(5))
+    assert np.array_equal(selection_indices(16, 5, prior), np.arange(5))
 
 
 def test_selection_matches_sorting_oracle(rng):
@@ -89,40 +87,38 @@ def test_selection_matches_sorting_oracle(rng):
         order = sorted(range(32), key=lambda i: (-scores[i], i))
         expected = np.sort(order[:10])
         task = codec.TaskModel(centroids=np.zeros((2, 32)), weights=scores)
-        got = select_task_related(np.zeros(32), 10, np.ones(32), task).indices
+        got = selection_indices(32, 10, np.ones(32), task)
         assert np.array_equal(got, expected)
 
 
 def test_top1_always_inside_topk(mixture_priors, task4):
     best = int(np.argmax(task4.weights))
     for k in range(3, 65, 7):
-        feat = select_task_related(np.zeros(64), k, mixture_priors, task4)
-        assert best in feat.indices
+        assert best in selection_indices(64, k, mixture_priors, task4)
+
+
+def _kept_only(full, kept):
+    """Coefficient vector with zeros at every index outside kept."""
+    out = np.zeros_like(full)
+    out[kept] = full[kept]
+    return out
 
 
 def test_synthesize_exact_at_full_rate(rng, mixture_priors):
     x = rng.standard_normal(64)
-    feat = select_task_related(analyze(x), 64, mixture_priors)
-    assert np.max(np.abs(synthesize(feat).samples - x)) < 1e-9
+    kept = selection_indices(64, 64, mixture_priors)
+    assert np.max(np.abs(synthesize_full(_kept_only(analyze(x), kept)) - x)) < 1e-9
 
 
 def test_synthesize_discarded_energy_identity(rng, mixture_priors):
     x = rng.standard_normal(64)
     full = analyze(x)
-    feat = select_task_related(full, 20, mixture_priors)
+    kept = selection_indices(64, 20, mixture_priors)
     mask = np.ones(64, dtype=bool)
-    mask[feat.indices] = False
+    mask[kept] = False
     expected = np.sum(full[mask] ** 2) / 64
-    assert abs(data_distortion(x, synthesize(feat).samples) - expected) < 1e-12
-
-
-def test_synthesize_empty_feature_rejected():
-    empty = SemanticFeature(
-        coeffs=np.zeros(0), indices=np.zeros(0, dtype=int),
-        prior_vars=np.zeros(0), task_weights=np.zeros(0), n=64,
-    )
-    with pytest.raises(ParameterError):
-        synthesize(empty)
+    got = np.mean((x - synthesize_full(_kept_only(full, kept))) ** 2)
+    assert abs(got - expected) < 1e-12
 
 
 def test_distortion_monotone_in_k(rng, mixture_priors):
@@ -130,39 +126,55 @@ def test_distortion_monotone_in_k(rng, mixture_priors):
     full = analyze(x)
     prev = np.inf
     for k in range(1, 65):
-        feat = select_task_related(full, k, mixture_priors)
-        d = data_distortion(x, synthesize(feat).samples)
+        kept = selection_indices(64, k, mixture_priors)
+        d = np.mean((x - synthesize_full(_kept_only(full, kept))) ** 2)
         assert d <= prev + 1e-12
         prev = d
 
 
+def _link_metrics(kept, full, coeff_hat):
+    """(feature_mse, data_mse) the sweep reports for a batch of blocks whose
+    coefficients are full and whose receiver estimates are coeff_hat."""
+    full, coeff_hat = np.atleast_2d(full), np.atleast_2d(coeff_hat)
+    setup = SimpleNamespace(kept=kept, task=None)
+    draws = SimpleNamespace(samples=synthesize_full(full))
+    feature, data, _, _ = _metrics(setup, full, draws, coeff_hat, None)
+    return feature, data
+
+
 def test_semantic_distortion_cases(mixture_priors):
-    f = select_task_related(np.arange(64.0), 16, mixture_priors)
-    assert semantic_distortion(f, f) == 0.0
-    bumped = SemanticFeature(
-        coeffs=f.coeffs + np.eye(16)[3] * 0.5,
-        indices=f.indices, prior_vars=f.prior_vars,
-        task_weights=f.task_weights, n=f.n,
-    )
-    assert abs(semantic_distortion(f, bumped) - 0.25 / 16) < 1e-12
-    other = select_task_related(np.arange(64.0), 15, mixture_priors)
-    with pytest.raises(ParameterError):
-        semantic_distortion(f, other)
+    full = np.arange(64.0)
+    kept = selection_indices(64, 16, mixture_priors)
+    feature, _ = _link_metrics(kept, full, full)
+    assert feature[0] == 0.0
+    bumped = full.copy()
+    bumped[kept[3]] += 0.5
+    bumped[np.setdiff1d(np.arange(64), kept)] += 9.0  # outside the kept set
+    feature, _ = _link_metrics(kept, full, bumped)
+    assert abs(feature[0] - 0.25 / 16) < 1e-12
 
 
 def test_data_distortion_cases(rng):
-    x = rng.standard_normal(64)
-    assert data_distortion(x, x) == 0.0
-    assert abs(data_distortion(x, -x) - 4.0 * np.sum(x * x) / 64) < 1e-12
-    y = rng.standard_normal(64)
+    c = rng.standard_normal(64)
+    x = synthesize_full(c)
+    kept = np.arange(64)
+    assert _link_metrics(kept, c, c)[1][0] == 0.0
+    assert abs(_link_metrics(kept, c, -c)[1][0] - 4.0 * np.sum(x * x) / 64) < 1e-12
+    c2 = rng.standard_normal(64)
+    y = synthesize_full(c2)
     naive = sum((a - b) ** 2 for a, b in zip(x, y)) / 64
-    assert abs(data_distortion(x, y) - naive) <= 1e-12
+    assert abs(_link_metrics(kept, c, c2)[1][0] - naive) <= 1e-12
+
+
+def _task_accuracy(blocks, estimates, task):
+    predicted = classify(analyze(np.stack(estimates)), task)
+    return float(np.mean(predicted == np.array([b.label for b in blocks])))
 
 
 def test_task_metric_perfect_and_oracle(mixture_spec, task4):
     blocks = [gen_class_mixture(mixture_spec, t) for t in range(200)]
     estimates = [b.samples for b in blocks]
-    acc = task_metric(blocks, estimates, task4)
+    acc = _task_accuracy(blocks, estimates, task4)
     # brute-force per-block argmin in coefficient space
     hits = 0
     for b in blocks:
@@ -177,26 +189,7 @@ def test_task_metric_symmetric_tie_breaks_low(mixture_spec):
     spec = SourceSpec(kind="class_mixture", n=64, class_count=2, seed=5)
     blocks = [gen_class_mixture(spec, t) for t in range(400)]
     zeros = [np.zeros(64) for _ in blocks]
-    acc = task_metric(blocks, zeros, task2)
+    acc = _task_accuracy(blocks, zeros, task2)
     label0 = np.mean([b.label == 0 for b in blocks])
     assert acc == pytest.approx(label0)  # every tie resolves to class 0
     assert 0.4 <= acc <= 0.6
-
-
-def test_sidecar_round_trip(tmp_path, mixture_priors, task4):
-    path = tmp_path / "model.datm"
-    save_sidecar(path, mixture_priors, task4)
-    prior2, task2 = load_sidecar(path)
-    assert np.array_equal(prior2, mixture_priors)
-    assert np.array_equal(task2.centroids, task4.centroids)
-    assert np.array_equal(task2.weights, task4.weights)
-    save_sidecar(path, mixture_priors, None)
-    prior3, task3 = load_sidecar(path)
-    assert task3 is None and np.array_equal(prior3, mixture_priors)
-
-
-def test_sidecar_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.datm"
-    path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(FormatError):
-        load_sidecar(path)

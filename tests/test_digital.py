@@ -107,15 +107,16 @@ def test_cell_bounds_open_ends():
 
 def test_crc_ccitt_reference_vector():
     bits = np.unpackbits(np.frombuffer(b"123456789", dtype=np.uint8))
-    value = int("".join(map(str, crc16(bits))), 2)
+    value = int("".join(map(str, crc16(bits)[0])), 2)
     assert value == 0x29B1
 
 
 def test_crc_batch_matches_single(rng):
     frames = rng.integers(0, 2, (20, 77)).astype(np.uint8)
     batch = crc16(frames)
-    for row, expect in zip(frames, batch):
-        assert np.array_equal(crc16(row), expect)
+    for i in range(len(frames)):
+        assert np.array_equal(crc16(frames[i : i + 1]), batch[i : i + 1])
+        assert crc16(frames[i]).shape == (1, CRC_BITS)  # a frame is a batch of one
 
 
 def _crc16_oracle(bits):
@@ -175,7 +176,7 @@ def test_all_zero_info_frame_parity_prefix():
     # CRC of zero info is nonzero (init 0xFFFF), so only the parity bits at
     # info positions are guaranteed zero.
     info_len = 50
-    _, parity = dsc_encode(np.zeros(info_len, dtype=np.uint8), CodeSpec("R12"))
+    _, (parity,) = dsc_encode(np.zeros((1, info_len), dtype=np.uint8), CodeSpec("R12"))
     keep = puncture_keep_indices(info_len + CRC_BITS + TAIL_BITS, "R12")
     info_positions = keep < info_len
     assert not np.any(parity[info_positions])
@@ -185,7 +186,7 @@ def test_all_zero_info_frame_parity_prefix():
 def test_encoder_matches_naive_trellis_oracle(rng):
     for _ in range(20):
         bits = rng.integers(0, 2, 24).astype(np.uint8)
-        sys_bits, parity = rsc_encode(bits)
+        (sys_bits,), (parity,) = rsc_encode(bits[None])
         o_sys, o_par, end_state = _rsc_oracle(bits)
         assert np.array_equal(sys_bits, o_sys)
         assert np.array_equal(parity, o_par)
@@ -214,8 +215,8 @@ def test_puncture_counts_and_order(pattern, enc_len):
 def test_dsc_encode_matches_oracle_pipeline(rng):
     info = rng.integers(0, 2, 30).astype(np.uint8)
     code = CodeSpec("R23")
-    systematic, parity = dsc_encode(info, code)
-    stream = np.concatenate([info, crc16(info)])
+    (systematic,), (parity,) = dsc_encode(info[None], code)
+    stream = np.concatenate([info, crc16(info[None])[0]])
     o_sys, o_par, _ = _rsc_oracle(stream)
     keep = puncture_keep_indices(len(stream) + TAIL_BITS, "R23")
     assert np.array_equal(systematic, o_sys)
@@ -232,7 +233,7 @@ def test_bpsk_noiseless_sign_recovery(rng):
     bits = rng.integers(0, 2, 500).astype(np.uint8)
     state = ChannelState.awgn(300.0, seed=8)
     y = transmit(modulate(bits, "bpsk", 1.0), state)
-    llrs = demodulate(y, state, "bpsk", 1.0)
+    llrs = demodulate(y, state.h, state.noise_var, "bpsk", 1.0)
     assert np.array_equal((llrs < 0).astype(np.uint8), bits)
 
 
@@ -240,7 +241,7 @@ def test_qpsk_noiseless_round_trip(rng):
     bits = rng.integers(0, 2, 501).astype(np.uint8)  # odd length forces a pad
     state = ChannelState.awgn(300.0, seed=9)
     y = transmit(modulate(bits, "qpsk", 2.0), state)
-    llrs = demodulate(y, state, "qpsk", 2.0, n_bits=501)
+    llrs = demodulate(y, state.h, state.noise_var, "qpsk", 2.0, n_bits=501)
     assert llrs.shape == (501,)
     assert np.array_equal((llrs < 0).astype(np.uint8), bits)
 
@@ -251,7 +252,7 @@ def test_bpsk_ber_matches_q_function():
     bits = rng.integers(0, 2, n).astype(np.uint8)
     state = ChannelState.awgn(0.0, seed=11)
     y = transmit(modulate(bits, "bpsk", 1.0), state)
-    hard = (demodulate(y, state, "bpsk", 1.0) < 0).astype(np.uint8)
+    hard = (demodulate(y, state.h, state.noise_var, "bpsk", 1.0) < 0).astype(np.uint8)
     ber = np.mean(hard != bits)
     q = 0.5 * erfc(np.sqrt(2.0 * 1.0) / np.sqrt(2.0))  # Q(sqrt(2*SNR))
     assert q == pytest.approx(0.0786, abs=2e-4)
@@ -265,12 +266,12 @@ def test_qpsk_equals_bpsk_at_equal_ebn0():
     # one bit per use at amplitude 1 vs two bits per use at power 2: same Eb/N0
     s1 = ChannelState.awgn(0.0, seed=13)
     y1 = transmit(modulate(bits, "bpsk", 1.0), s1)
-    ber1 = np.mean((demodulate(y1, s1, "bpsk", 1.0) < 0).astype(np.uint8) != bits)
+    llr1 = demodulate(y1, s1.h, s1.noise_var, "bpsk", 1.0)
+    ber1 = np.mean((llr1 < 0).astype(np.uint8) != bits)
     s2 = ChannelState.awgn(0.0, seed=14)
     y2 = transmit(modulate(bits, "qpsk", np.sqrt(2.0)), s2)
-    ber2 = np.mean(
-        (demodulate(y2, s2, "qpsk", np.sqrt(2.0), n_bits=n) < 0).astype(np.uint8) != bits
-    )
+    llr2 = demodulate(y2, s2.h, s2.noise_var, "qpsk", np.sqrt(2.0), n_bits=n)
+    ber2 = np.mean((llr2 < 0).astype(np.uint8) != bits)
     assert abs(ber1 / ber2 - 1.0) < 0.05
 
 
@@ -278,7 +279,7 @@ def test_llrs_scale_with_channel_gain():
     state = ChannelState.rayleigh(10.0, seed=15, block_index=2)
     bits = np.array([0, 1, 0, 1], dtype=np.uint8)
     y = state.h * modulate(bits, "bpsk", 1.0)
-    llrs = demodulate(y, state, "bpsk", 1.0)
+    llrs = demodulate(y, state.h, state.noise_var, "bpsk", 1.0)
     expected = llr_clip(4.0 * np.abs(state.h) ** 2 * (1 - 2 * bits.astype(float)) / state.noise_var)
     assert np.allclose(llrs, expected)
 
@@ -349,14 +350,14 @@ def test_noiseless_decode_with_strong_side(rng):
     for pattern in ("R12", "R23", "R34"):
         info = rng.integers(0, 2, 120).astype(np.uint8)
         code = CodeSpec(pattern)
-        systematic, parity = dsc_encode(info, code)
+        systematic, parity = dsc_encode(info, code)  # a batch of one
         side = llr_clip((1.0 - 2.0 * info) * LLR_CLIP)
         par = (1.0 - 2.0 * parity) * LLR_CLIP
         bits, ok = dsc_decode(side, par, code)
-        assert ok and np.array_equal(bits, info)
+        assert ok.shape == (1,) and ok[0] and np.array_equal(bits, info[None])
         # systematic evidence on every encoded position decodes the same
         bits, ok = dsc_decode((1.0 - 2.0 * systematic) * LLR_CLIP, par, code)
-        assert ok and np.array_equal(bits, info)
+        assert ok[0] and np.array_equal(bits, info[None])
 
 
 def _ml_oracle(sys_llrs, par_llrs_full, k):
@@ -379,7 +380,7 @@ def test_viterbi_equals_brute_force_ml(k):
         par_llrs[rng.random(length) < 0.4] = 0.0
         decided = viterbi_decode(sys_llrs, par_llrs)
         best = _ml_oracle(sys_llrs, par_llrs, k)
-        if not np.array_equal(decided[:k], best):
+        if not np.array_equal(decided[0, :k], best):
             mismatches += 1
     assert mismatches == 0
 
@@ -392,9 +393,9 @@ def test_batch_decode_matches_single(rng):
     pars = (1.0 - 2.0 * parity) * 2.5 + rng.normal(0, 1, parity.shape)
     batch_bits, batch_ok = dsc_decode(sides, pars, code)
     for i in range(8):
-        bits, ok = dsc_decode(sides[i], pars[i], code)
-        assert np.array_equal(bits, batch_bits[i])
-        assert ok == batch_ok[i]
+        bits, ok = dsc_decode(sides[i : i + 1], pars[i : i + 1], code)
+        assert np.array_equal(bits, batch_bits[i : i + 1])
+        assert np.array_equal(ok, batch_ok[i : i + 1])
 
 
 def test_round_trip_wire_contract(rng):
@@ -423,11 +424,11 @@ def test_side_flip_correction_rate():
         _, parity = dsc_encode(info, code)
         state = ChannelState.awgn(6.0, seed=1717, block_index=t)
         y = transmit(modulate(parity, "bpsk", 1.0), state)
-        par = demodulate(y, state, "bpsk", 1.0, n_bits=parity.size)
+        par = demodulate(y, state.h, state.noise_var, "bpsk", 1.0, n_bits=parity.size)
         flips = rng.random(n_bits) < 0.02
         side = (1.0 - 2.0 * (info ^ flips.astype(np.uint8))) * mag
         bits, ok = dsc_decode(llr_clip(side), par, code)
-        ok_count += int(ok and np.array_equal(bits, info))
+        ok_count += int(ok[0] and np.array_equal(bits[0], info))
     assert ok_count / n_trials >= 0.99
 
 
@@ -446,7 +447,9 @@ def test_decode_success_monotone_in_snr():
         for t in range(trials):
             state = ChannelState.awgn(float(snr), seed=2000 + i, block_index=t)
             y = transmit(modulate(parity[t], "bpsk", 1.0), state)
-            llr_rows.append(demodulate(y, state, "bpsk", 1.0, n_bits=parity.shape[1]))
+            llr_rows.append(
+                demodulate(y, state.h, state.noise_var, "bpsk", 1.0, n_bits=parity.shape[1])
+            )
         flips = rng.random((trials, n_bits)) < 0.05
         sides = llr_clip((1.0 - 2.0 * (infos ^ flips.astype(np.uint8))) * mag)
         bits, ok = dsc_decode(sides, np.stack(llr_rows), code)
@@ -555,9 +558,9 @@ def test_turbo_batch_matches_single(rng):
     pars = (1.0 - 2.0 * parity) * 2.0 + rng.normal(0, 1.5, parity.shape)
     batch_bits, batch_ok = turbo_decode(sides, pars, "R34")
     for i in range(6):
-        bits, ok = turbo_decode(sides[i], pars[i], "R34")
-        assert np.array_equal(bits, batch_bits[i])
-        assert ok == batch_ok[i]
+        bits, ok = turbo_decode(sides[i : i + 1], pars[i : i + 1], "R34")
+        assert np.array_equal(bits, batch_bits[i : i + 1])
+        assert np.array_equal(ok, batch_ok[i : i + 1])
 
 
 def test_turbo_rejects_wrong_parity_count():
@@ -602,21 +605,22 @@ def test_refine_fallback_is_identity(rng):
     spec = _qspec(4, 1.0, n=6)
     est = rng.standard_normal(6)
     cells = quantize_cells(rng.standard_normal(6), spec)
-    assert np.array_equal(refine(est, cells, spec, False), est)
+    out = refine(est[None], cells[None], spec, np.array([False]))
+    assert np.array_equal(out, est[None])
 
 
 def test_refine_inside_cell_unchanged(rng):
     spec = _qspec(4, 1.0, n=6)
     x = rng.uniform(-0.9, 0.9, 6)
     cells = quantize_cells(x, spec)
-    assert np.array_equal(refine(x, cells, spec, True), x)
+    assert np.array_equal(refine(x[None], cells[None], spec, np.array([True])), x[None])
 
 
 def test_refine_projects_into_decoded_cell():
     spec = _qspec(2, 1.0, n=3)
     cells = np.array([1, 1, 3])  # cell 1 = [-0.5, 0), top cell = [0.5, inf)
     est = np.array([0.3, -0.2, 0.1])
-    out = refine(est, cells, spec, True)
+    (out,) = refine(est[None], cells[None], spec, np.array([True]))
     assert out[0] == pytest.approx(0.0, abs=1e-15)  # clamped to cell top
     assert out[1] == -0.2                            # already inside
     assert out[2] == pytest.approx(0.5)              # clamped up to open end cell
@@ -628,7 +632,7 @@ def test_refine_never_hurts_when_truth_in_cell(rng):
         x = rng.uniform(-1.9, 1.9, 64)
         est = x + rng.normal(0, 0.6, 64)
         cells = quantize_cells(x, spec)
-        out = refine(est, cells, spec, True)
+        (out,) = refine(est[None], cells[None], spec, np.array([True]))
         assert np.all(np.abs(out - x) <= np.abs(est - x) + 1e-12)
 
 
