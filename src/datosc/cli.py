@@ -16,6 +16,7 @@ from .harness import (
     config_from_values,
     detect_effects,
     parse_config_text,
+    read_sweep_csv,
     run_sweep,
 )
 from .seu import (
@@ -139,7 +140,7 @@ def cmd_seu(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    report = detect_effects(args.csv)
+    report = detect_effects(read_sweep_csv(args.csv))
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -34,31 +34,26 @@ LLR_CLIP = 30.0
 CRC_POLY = 0x1021
 CRC_INIT = 0xFFFF
 CRC_BITS = 16
-TAIL_BITS = 2
+
+# Each recursive systematic convolutional (RSC) code is described once, as
+# (memory, feedback delays, forward delays): the register input is
+# a_t = u_t ^ a_{t-d} over the feedback delays d, and the parity bit
+# a_t ^ a_{t-d} over the forward delays. The encoder (_rsc_encode) and the
+# branch table both decoders read (_branches) are built from it. Uplink
+# (1, 5/7): feedback 7 = 1 + D + D^2, forward 5 = 1 + D^2. Model-update
+# constituent (1, 35/23): feedback 23 = 1 + D^3 + D^4 (primitive, period 15),
+# forward 35 = 1 + D + D^2 + D^4.
+UPLINK = (2, (1, 2), (2,))
+TURBO = (4, (3, 4), (1, 2, 4))
+TAIL_BITS = UPLINK[0]  # termination steps, one per register stage
+TURBO_TAIL_BITS = TURBO[0]
+_NEG_METRIC = -1e30  # log-metric of an unreachable state or barred branch
 
 PATTERN_FRACTIONS = {
     "R12": Fraction(1, 1),
     "R23": Fraction(1, 2),
     "R34": Fraction(1, 3),
 }
-
-# Trellis of the (1, 5/7) RSC, state = (d1 << 1) | d2. For state s and input
-# u the register input is a = u ^ d1 ^ d2, the parity bit a ^ d2, and the
-# next state (a << 1) | d1. Tables below are indexed [state, input].
-_NEXT = np.array([[0, 2], [2, 0], [3, 1], [1, 3]], dtype=np.uint8)
-_PARITY = np.array([[0, 1], [0, 1], [1, 0], [1, 0]], dtype=np.uint8)
-_TAIL_INPUT = np.array([0, 1, 1, 0], dtype=np.uint8)  # u = d1 ^ d2
-
-# Incoming transitions per next-state: (prev_state, input, parity) pairs.
-_INCOMING = {
-    0: ((0, 0, 0), (1, 1, 1)),
-    1: ((2, 1, 0), (3, 0, 1)),
-    2: ((0, 1, 1), (1, 0, 0)),
-    3: ((2, 0, 1), (3, 1, 0)),
-}
-_IN_STATE = np.array([[a[0] for a in _INCOMING[ns]] for ns in range(4)], dtype=np.int64)
-_IN_U = np.array([[a[1] for a in _INCOMING[ns]] for ns in range(4)], dtype=np.uint8)
-_IN_P = np.array([[a[2] for a in _INCOMING[ns]] for ns in range(4)], dtype=np.float64)
 
 
 def llr_clip(llrs: np.ndarray) -> np.ndarray:
@@ -155,8 +150,7 @@ def crc16(bits: np.ndarray) -> np.ndarray:
     b = np.atleast_2d(np.asarray(bits)).astype(bool)
     terms, zero_crc = _crc_terms(b.shape[1])
     reg = np.bitwise_xor.reduce(np.where(b, terms, np.uint16(0)), axis=1) ^ zero_crc
-    shifts = np.arange(15, -1, -1)
-    return ((reg[:, None] >> shifts) & 1).astype(np.uint8)
+    return cells_to_bits(reg[:, None], CRC_BITS)
 
 
 @functools.lru_cache(maxsize=64)
@@ -179,28 +173,58 @@ def _crc_terms(length: int) -> tuple[np.ndarray, np.uint16]:
 
 
 def rsc_encode(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run the RSC over the input and terminate to the zero state.
+    """Run the uplink RSC over the input and terminate to the zero state.
 
     Returns (sys_bits, parity_bits), each input length + 2 tail positions.
     """
-    b = np.atleast_2d(np.asarray(bits, dtype=np.uint8))
-    batch, length = b.shape
-    sys_out = np.empty((batch, length + TAIL_BITS), dtype=np.uint8)
-    par_out = np.empty((batch, length + TAIL_BITS), dtype=np.uint8)
-    d1 = np.zeros(batch, dtype=np.uint8)
-    d2 = np.zeros(batch, dtype=np.uint8)
-    for t in range(length):
-        u = b[:, t]
-        a = u ^ d1 ^ d2
-        sys_out[:, t] = u
-        par_out[:, t] = a ^ d2
-        d2, d1 = d1, a
-    for t in range(length, length + TAIL_BITS):
-        u = d1 ^ d2  # forces the register input to zero
-        sys_out[:, t] = u
-        par_out[:, t] = 0 ^ d2
-        d2, d1 = d1, np.zeros_like(d1)
-    return sys_out, par_out
+    return _rsc_encode(np.atleast_2d(np.asarray(bits, dtype=np.uint8)), UPLINK)
+
+
+def _rsc_encode(bits: np.ndarray, code: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(T, L) inputs through the RSC `code`, then `memory` termination steps
+    whose input equals the feedback, so that a = 0 and the register returns
+    to zero. Returns (input bits, parity bits), each (T, L + memory).
+
+    a_t depends on a_{t - min(feedback)} and older values only, so the
+    recursion fills min(feedback) steps per array operation.
+    """
+    memory, feedback, forward = code
+    length = bits.shape[1]
+    # time-major: a_t at row t + memory. `memory` zeros of start state, then
+    # L inputs, then the `memory` zero register inputs of the termination
+    a = np.zeros((length + 2 * memory, bits.shape[0]), dtype=np.uint8)
+    a[memory : length + memory] = bits.T
+    fill = min(feedback)
+    for j in range(memory, length + memory, fill):
+        stop = min(j + fill, length + memory)
+        for d in feedback:
+            a[j:stop] ^= a[j - d : stop - d]
+    return tuple(np.ascontiguousarray(_taps(a, memory, d).T) for d in (feedback, forward))
+
+
+def _taps(a: np.ndarray, memory: int, delays: tuple) -> np.ndarray:
+    """a_t ^ a_{t-d} over the delays, for every row t >= memory of register
+    values a (time first): the input bit for the feedback delays, the parity
+    bit for the forward ones."""
+    out = a[memory:].copy()
+    for d in delays:
+        out ^= a[memory - d : len(a) - d]
+    return out
+
+
+def _branches(code: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Input bit and parity bit of every branch of the RSC `code`'s trellis.
+
+    A state holds a_{t-1} in bit 0 through a_{t-memory} in bit memory - 1.
+    With half = 2^(memory-1) states per value of the oldest bit b, register
+    input a takes state half*b + r to state 2r + a, so both tables are
+    (2, half, 2) over (b, r, a), and a trellis step is a max over b.
+    """
+    memory, feedback, forward = code
+    # branch 2*(half*b + r) + a holds a_{t-d} in bit d: rows a_{t-memory}..a_t
+    branch = np.arange(4 << (memory - 1)).reshape(2, -1, 2)
+    a = (branch >> np.arange(memory, -1, -1)[:, None, None, None]) & 1
+    return _taps(a, memory, feedback)[0], _taps(a, memory, forward)[0]
 
 
 def parity_length(info_len: int, pattern: str) -> int:
@@ -355,8 +379,7 @@ def side_info_llrs(est: np.ndarray, err_var: np.ndarray, spec: QuantizerSpec) ->
     probs[..., 1:-1] = np.diff(cdf, axis=-1)
     probs[..., -1] = 1.0 - cdf[..., -1]
 
-    shifts = np.arange(spec.bits - 1, -1, -1)
-    cell_bits = ((np.arange(levels)[:, None] >> shifts) & 1).astype(bool)  # (levels, B)
+    cell_bits = cells_to_bits(np.arange(levels)[:, None], spec.bits).astype(bool)  # (levels, B)
     with np.errstate(divide="ignore"):
         p1 = probs @ cell_bits            # (..., B)
         p0 = probs @ (~cell_bits)
@@ -370,48 +393,50 @@ def side_info_llrs(est: np.ndarray, err_var: np.ndarray, spec: QuantizerSpec) ->
 # Viterbi decoding
 # ---------------------------------------------------------------------------
 
-def viterbi_decode(sys_llrs: np.ndarray, parity_llrs: np.ndarray, n_tail: int = TAIL_BITS) -> np.ndarray:
-    """Max-likelihood sequence decision on the terminated RSC trellis.
+def viterbi_decode(sys_llrs: np.ndarray, parity_llrs: np.ndarray) -> np.ndarray:
+    """Max-likelihood sequence decision on the terminated uplink RSC trellis.
 
     sys_llrs and parity_llrs cover every trellis step (punctured parity
-    positions carry 0). The path starts and ends in state 0; the last n_tail
-    steps only admit the termination input. Returns the decided input bits,
-    tail included, as (T, L).
+    positions carry 0). The path starts and ends in state 0; the last
+    TAIL_BITS steps admit register input a = 0 only. Of two equal
+    candidates the predecessor with oldest bit b = 0 survives. Returns the
+    decided input bits, tail included, as (T, L).
     """
     sys_l = np.atleast_2d(np.asarray(sys_llrs, dtype=np.float64))
     par_l = np.atleast_2d(np.asarray(parity_llrs, dtype=np.float64))
     if sys_l.shape != par_l.shape:
         raise ParameterError("systematic/parity LLR shapes differ")
     batch, length = sys_l.shape
-    if length < n_tail:
+    if length < TAIL_BITS:
         raise ParameterError("trellis shorter than its tail")
+    branch_u, branch_p = _branches(UPLINK)
+    half = branch_u.shape[1]
+    sign_u = (1.0 - 2.0 * branch_u)[..., None]  # (b, r, a, 1)
+    sign_p = (1.0 - 2.0 * branch_p)[..., None]
 
-    neg_inf = -1e18
-    pm = np.full((batch, 4), neg_inf)
-    pm[:, 0] = 0.0
-    decisions = np.empty((length, batch, 4), dtype=np.uint8)
-    sign_u = 1.0 - 2.0 * _IN_U          # (4, 2)
-    sign_p = 1.0 - 2.0 * _IN_P
+    # time-major with the batch axis last
+    pm = np.full((2 * half, batch), _NEG_METRIC)
+    pm[0] = 0.0
+    decisions = np.empty((length, 2 * half, batch), dtype=np.uint8)
+    for t, (s_llr, p_llr) in enumerate(zip(sys_l.T, par_l.T)):
+        # the systematic term is added before the parity term; the order fixes
+        # how each candidate rounds, and so which of two near-equal ones wins
+        cand = pm.reshape(2, half, 1, batch) + sign_u * s_llr
+        cand += sign_p * p_llr
+        np.greater(cand[1], cand[0], out=decisions[t].reshape(half, 2, batch))
+        pm = np.maximum(cand[0], cand[1]).reshape(2 * half, batch)
+        if t >= length - TAIL_BITS:
+            pm[1::2] = _NEG_METRIC  # termination admits register input a = 0 only
 
-    for t in range(length):
-        s_llr = sys_l[:, t][:, None, None]     # (T, 1, 1)
-        p_llr = par_l[:, t][:, None, None]
-        # candidate metric for both incoming transitions of each next state
-        cand = pm[:, _IN_STATE] + s_llr * sign_u + p_llr * sign_p  # (T, 4, 2)
-        choice = np.argmax(cand, axis=2).astype(np.uint8)
-        decisions[t] = choice
-        pm = np.take_along_axis(cand, choice[..., None].astype(np.int64), axis=2)[..., 0]
-        if t >= length - n_tail:
-            pm[:, 2:] = neg_inf  # termination admits only states reachable via a=0
-
-    bits = np.empty((batch, length), dtype=np.uint8)
+    bits = np.empty((length, batch), dtype=np.uint8)
     state = np.zeros(batch, dtype=np.int64)
-    rows = np.arange(batch)
+    cols = np.arange(batch)
     for t in range(length - 1, -1, -1):
-        choice = decisions[t][rows, state]
-        bits[:, t] = _IN_U[state, choice]
-        state = _IN_STATE[state, choice]
-    return bits
+        b = decisions[t, state, cols]
+        r = state >> 1
+        bits[t] = branch_u[b, r, state & 1]
+        state = half * b + r
+    return np.ascontiguousarray(bits.T)
 
 
 def assemble_parity_llrs(parity_llrs: np.ndarray, encoded_len: int, pattern: str) -> np.ndarray:
@@ -434,23 +459,16 @@ def dsc_decode(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Soft-input Viterbi with receiver-side systematic evidence.
 
-    side_llrs cover either the info positions only or every encoded position
-    (info, CRC and tail); positions they do not cover enter the trellis with
-    zero prior. The parity count tells the two layouts apart: theirs differ
-    by about fraction * (CRC_BITS + TAIL_BITS), at least 5 bits. Returns
-    (info_bits, crc_ok); on a CRC mismatch the bits are still the best
-    path's decision, and the caller decides the fallback.
+    side_llrs cover every encoded position (info, CRC and tail); a position
+    without evidence carries 0. Returns (info_bits, crc_ok); on a CRC
+    mismatch the bits are still the best path's decision, and the caller
+    decides the fallback.
     """
     side = np.atleast_2d(np.asarray(side_llrs, dtype=np.float64))
-    parity = np.atleast_2d(np.asarray(parity_llrs, dtype=np.float64))
-    batch, width = side.shape
-    info_len = width - CRC_BITS - TAIL_BITS
-    if info_len < 0 or parity.shape[1] != code.parity_len(info_len):
-        info_len = width  # info positions only; the parity count is checked below
-    enc_len = code.encoded_len(info_len)
-    sys_full = np.zeros((batch, enc_len))
-    sys_full[:, :width] = side
-    decided = viterbi_decode(sys_full, assemble_parity_llrs(parity, enc_len, code.pattern))
+    info_len = side.shape[1] - CRC_BITS - TAIL_BITS
+    if info_len < 0:
+        raise ParameterError("fewer systematic LLRs than CRC and tail positions")
+    decided = viterbi_decode(side, assemble_parity_llrs(parity_llrs, side.shape[1], code.pattern))
     info = decided[:, :info_len]
     return info, _crc_matches(info, decided[:, info_len : info_len + CRC_BITS])
 
@@ -463,44 +481,7 @@ def _crc_matches(info: np.ndarray, crc_bits: np.ndarray) -> np.ndarray:
 # turbo code for parity-only model updates
 # ---------------------------------------------------------------------------
 
-# Both constituents are the 16-state RSC (1, 35/23). State s holds the last
-# four register values, a_{t-1} in bit 0 through a_{t-4} in bit 3. The
-# register input is a = u ^ a_{t-3} ^ a_{t-4} (feedback 23 = 1 + D^3 + D^4,
-# primitive, period 15), the parity bit a ^ a_{t-1} ^ a_{t-2} ^ a_{t-4}
-# (35 = 1 + D + D^2 + D^4), and the next state ((s << 1) & 15) | a. With
-# s = 8*b + r the successor of (s, a) is 2*r + a, so a trellis step is a
-# max over b in a (2, 8, 2) = (b, r, a) view of the 32 branches.
-TURBO_TAIL_BITS = 4
 TURBO_MAX_ITERATIONS = 8
-
-_STATES16 = np.arange(16)
-_FEEDBACK16 = ((_STATES16 >> 2) ^ (_STATES16 >> 3)) & 1
-_FORWARD16 = (_STATES16 ^ (_STATES16 >> 1) ^ (_STATES16 >> 3)) & 1
-# Per branch (s, a), flattened as 2*s + a: the input bit and the parity bit.
-_BRANCH_U = (np.arange(2)[None, :] ^ _FEEDBACK16[:, None]).reshape(-1)
-_BRANCH_P = (np.arange(2)[None, :] ^ _FORWARD16[:, None]).reshape(-1)
-_HALF_SIGN_U = (0.5 - _BRANCH_U).astype(np.float32)
-_HALF_SIGN_P = (0.5 - _BRANCH_P).astype(np.float32)
-_BRANCHES_U0 = np.flatnonzero(_BRANCH_U == 0)
-_BRANCHES_U1 = np.flatnonzero(_BRANCH_U == 1)
-_NEG_METRIC = -1e30  # log-metric of an unreachable state or barred branch
-
-
-def rsc16_parity(bits: np.ndarray) -> np.ndarray:
-    """Parity of the 16-state RSC over (T, L) inputs, then 4 termination
-    steps (input = feedback, so a = 0) that return the register to zero.
-
-    The register input a_t depends on a_{t-3} and older values only, so the
-    recursion fills three steps per array operation.
-    """
-    batch, length = bits.shape
-    # a_t at column t + 4: four zeros of start state, then L inputs, then
-    # the four zero register inputs of the termination
-    a = np.zeros((batch, length + 8), dtype=np.uint8)
-    for j in range(4, length + 4, 3):
-        stop = min(j + 3, length + 4)
-        a[:, j:stop] = bits[:, j - 4 : stop - 4] ^ a[:, j - 3 : stop - 3] ^ a[:, j - 4 : stop - 4]
-    return a[:, 4:] ^ a[:, 3:-1] ^ a[:, 2:-2] ^ a[:, :-4]
 
 
 def max_log_map(input_llrs: np.ndarray, parity_llrs: np.ndarray) -> np.ndarray:
@@ -515,29 +496,32 @@ def max_log_map(input_llrs: np.ndarray, parity_llrs: np.ndarray) -> np.ndarray:
     """
     batch, n = input_llrs.shape
     length = n + TURBO_TAIL_BITS
+    branch_u, branch_p = _branches(TURBO)
+    half = branch_u.shape[1]
     lu = np.zeros((length, batch), dtype=np.float32)
     lu[:n] = input_llrs.T
-    # branch metrics, time-major with the batch axis last: (length, 32, T).
+    # branch metrics, time-major with the batch axis last: (length, b, r, a, T).
     # float32 halves the working set; its rounding matters only for
     # decisions that are near-ties anyway.
-    gamma = lu[:, None, :] * _HALF_SIGN_U[:, None]
-    gamma += parity_llrs.T[:, None, :].astype(np.float32) * _HALF_SIGN_P[:, None]
-    gamma[n:, 1::2] = _NEG_METRIC
-    g = gamma.reshape(length, 2, 8, 2, batch)  # (b, r, a) of branch (8b + r, a)
+    half_u = (0.5 - branch_u[..., None]).astype(np.float32)  # (b, r, a, 1)
+    half_p = (0.5 - branch_p[..., None]).astype(np.float32)
+    g = lu[:, None, None, None, :] * half_u
+    g += parity_llrs.T[:, None, None, None, :].astype(np.float32) * half_p
+    g[n:, :, :, 1] = _NEG_METRIC
 
-    # alpha[t + 1][2r + a] = max over b of alpha[t][8b + r] + g[t][b, r, a]
-    alpha = np.full((length + 1, 16, batch), _NEG_METRIC, dtype=np.float32)
+    # alpha[t + 1][2r + a] = max over b of alpha[t][half*b + r] + g[t][b, r, a]
+    alpha = np.full((length + 1, 2 * half, batch), _NEG_METRIC, dtype=np.float32)
     alpha[0, 0] = 0.0
-    a_in = alpha.reshape(length + 1, 2, 8, 1, batch)
-    a_out = alpha.reshape(length + 1, 8, 2, batch)
+    a_in = alpha.reshape(length + 1, 2, half, 1, batch)
+    a_out = alpha.reshape(length + 1, half, 2, batch)
     for a_t, g_t, a_next in zip(a_in, g, a_out[1:]):
         c = a_t + g_t
         np.maximum(c[0], c[1], out=a_next)
-    # beta[t][8b + r] = max over a of g[t][b, r, a] + beta[t + 1][2r + a]
-    beta = np.full((length + 1, 16, batch), _NEG_METRIC, dtype=np.float32)
+    # beta[t][half*b + r] = max over a of g[t][b, r, a] + beta[t + 1][2r + a]
+    beta = np.full((length + 1, 2 * half, batch), _NEG_METRIC, dtype=np.float32)
     beta[length, 0] = 0.0
-    b_in = beta.reshape(length + 1, 1, 8, 2, batch)
-    b_out = beta.reshape(length + 1, 2, 8, batch)
+    b_in = beta.reshape(length + 1, 1, half, 2, batch)
+    b_out = beta.reshape(length + 1, 2, half, batch)
     for g_t, b_next, b_t in zip(g[::-1], b_in[:0:-1], b_out[-2::-1]):
         c = g_t + b_next
         np.maximum(c[:, :, 0], c[:, :, 1], out=b_t)
@@ -545,8 +529,7 @@ def max_log_map(input_llrs: np.ndarray, parity_llrs: np.ndarray) -> np.ndarray:
     paths = g[:n]  # in place: the branch metrics are not needed again
     paths += a_in[:n]
     paths += b_in[1 : n + 1]
-    paths = paths.reshape(n, 32, batch)
-    llrs = paths[:, _BRANCHES_U0].max(axis=1) - paths[:, _BRANCHES_U1].max(axis=1)
+    llrs = paths[:, branch_u == 0].max(axis=1) - paths[:, branch_u == 1].max(axis=1)
     return llrs.T.astype(np.float64)
 
 
@@ -612,9 +595,9 @@ def turbo_encode(info_bits: np.ndarray, pattern: str) -> np.ndarray:
     stream = np.concatenate([info, crc16(info)], axis=1)
     keep1, keep2 = turbo_keep_indices(info.shape[1], pattern)
     perm = turbo_interleaver(stream.shape[1])
-    return np.concatenate(
-        [rsc16_parity(stream)[:, keep1], rsc16_parity(stream[:, perm])[:, keep2]], axis=1
-    )
+    parity1 = _rsc_encode(stream, TURBO)[1]
+    parity2 = _rsc_encode(stream[:, perm], TURBO)[1]
+    return np.concatenate([parity1[:, keep1], parity2[:, keep2]], axis=1)
 
 
 def turbo_decode(

@@ -12,7 +12,7 @@ import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -401,7 +401,8 @@ def digital_stage(
     """Quantize (T, n) blocks, send them over the digital partition, decode.
 
     side holds the receiver's systematic LLRs of the info bits; then only
-    the parity is sent. Without it the systematic bits are sent as well.
+    the parity is sent, and the CRC and tail positions enter the decoder with
+    no evidence. Without it the systematic bits are sent as well.
     Returns the decoded quantizer cells and the CRC flags.
     """
     systematic, parity = dig.dsc_encode(dig.quantize(full, setup.quant), setup.code)
@@ -413,8 +414,11 @@ def digital_stage(
         y_d, h, draws.noise_var, config.modulation, setup.digital_amplitude, wire.shape[1]
     )
     if side is None:
-        side, llrs = llrs[:, : systematic.shape[1]], llrs[:, systematic.shape[1] :]
-    decoded, crc_ok = dig.dsc_decode(side, llrs, setup.code)
+        sys_llrs, llrs = llrs[:, : systematic.shape[1]], llrs[:, systematic.shape[1] :]
+    else:
+        sys_llrs = np.zeros(systematic.shape)
+        sys_llrs[:, : side.shape[1]] = side
+    decoded, crc_ok = dig.dsc_decode(sys_llrs, llrs, setup.code)
     return dig.bits_to_cells(decoded, setup.quant.bits), crc_ok
 
 
@@ -563,43 +567,33 @@ def run_sweep(config: ExperimentConfig, verbose: bool = False) -> list[SweepRow]
     return rows
 
 
-def read_sweep_csv(path) -> list[dict]:
+def read_sweep_csv(path) -> list[SweepRow]:
+    """SweepRows of a sweep CSV, each column cast to its field's type."""
+    casts = get_type_hints(SweepRow)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != SWEEP_HEADER:
             raise ParameterError(f"unexpected sweep header in {path}")
-        out = []
-        for rec in reader:
-            row = dict(rec)
-            for key in SWEEP_HEADER:
-                if key not in ("scheme",):
-                    row[key] = float(rec[key])
-            out.append(row)
-    return out
+        return [SweepRow(**{k: casts[k](v) for k, v in rec.items()}) for rec in reader]
 
 
 # ---------------------------------------------------------------------------
 # qualitative-shape detectors
 # ---------------------------------------------------------------------------
 
-def detect_effects(rows) -> dict:
+def detect_effects(rows: list[SweepRow]) -> dict:
     """Cliff / saturation / graceful-improvement report for a sweep.
 
-    rows may be a CSV path, SweepRow objects, or dicts. A cliff pair is two
-    adjacent grid points whose data_mse jumps by CLIFF_FACTOR going down in
-    SNR; the reported cliff_snr is the upper point of the highest such pair.
-    Saturation reports the top point's data_mse when the top two points agree
-    within SATURATION_REL. graceful is true when the hybrid scheme beats the
-    analog scheme by GRACEFUL_FACTOR at the top shared grid point.
+    A cliff pair is two adjacent grid points whose data_mse jumps by
+    CLIFF_FACTOR going down in SNR; the reported cliff_snr is the upper
+    point of the highest such pair. Saturation reports the top point's
+    data_mse when the top two points agree within SATURATION_REL. graceful
+    is true when the hybrid scheme beats the analog scheme by
+    GRACEFUL_FACTOR at the top shared grid point.
     """
-    if isinstance(rows, (str, bytes)) or hasattr(rows, "__fspath__"):
-        rows = read_sweep_csv(rows)
     per_scheme: dict[str, list[tuple[float, float]]] = {}
     for r in rows:
-        scheme = r.scheme if isinstance(r, SweepRow) else r["scheme"]
-        snr = r.snr_db if isinstance(r, SweepRow) else r["snr_db"]
-        mse = r.data_mse if isinstance(r, SweepRow) else r["data_mse"]
-        per_scheme.setdefault(scheme, []).append((float(snr), float(mse)))
+        per_scheme.setdefault(r.scheme, []).append((r.snr_db, r.data_mse))
 
     report = {"schemes": {}, "graceful": False}
     for scheme, pts in per_scheme.items():

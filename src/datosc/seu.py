@@ -10,7 +10,7 @@ that frame's integers untouched.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -18,6 +18,8 @@ from .analog import analog_decode, analog_encode
 from .channel import ChannelState, transmit
 from .digital import (
     TURBO_MAX_ITERATIONS,
+    bits_to_cells,
+    cells_to_bits,
     demodulate,
     llr_clip,
     modulate,
@@ -77,27 +79,15 @@ class SeuSessionResult:
     total_int_bits: int = 0
 
 
-def ints_to_bits(ints: np.ndarray, int_bits: int) -> np.ndarray:
-    v = np.asarray(ints, dtype=np.int64)
-    shifts = np.arange(int_bits - 1, -1, -1)
-    return ((v[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
-
-
-def bits_to_ints(bits: np.ndarray, int_bits: int) -> np.ndarray:
-    b = np.asarray(bits, dtype=np.int64).reshape(-1, int_bits)
-    weights = 1 << np.arange(int_bits - 1, -1, -1)
-    return np.sum(b * weights, axis=1)
-
-
 def drift(params: ModelParams, spec: DriftSpec, seed: int) -> ModelParams:
     """Outdated copy: floats gain white noise, integer bits flip iid."""
     rng = np.random.default_rng(seed)
     floats = params.floats + spec.float_noise_std * rng.standard_normal(
         params.floats.shape
     )
-    bits = ints_to_bits(params.ints, params.int_bits)
+    bits = cells_to_bits(params.ints, params.int_bits)
     flips = rng.random(bits.shape) < spec.bit_flip_prob
-    outdated = bits_to_ints(bits ^ flips.astype(np.uint8), params.int_bits)
+    outdated = bits_to_cells(bits ^ flips.astype(np.uint8), params.int_bits)
     return ModelParams(floats=floats, ints=outdated, int_bits=params.int_bits)
 
 
@@ -145,8 +135,8 @@ def seu_update_ints(
     """
     if not 0.0 < p_hat < 0.5:
         raise ParameterError("assumed drift rate must lie in (0, 0.5)")
-    up_bits = ints_to_bits(updated, int_bits)
-    old_bits = ints_to_bits(outdated, int_bits)
+    up_bits = cells_to_bits(updated, int_bits)
+    old_bits = cells_to_bits(outdated, int_bits)
     if up_bits.size != old_bits.size:
         raise ParameterError("updated/outdated parameter counts differ")
     side_mag = float(np.log((1.0 - p_hat) / p_hat))
@@ -187,7 +177,7 @@ def seu_update_ints(
     ]
     parity_total = sum(parity_bits)
     return SeuSessionResult(
-        corrected_ints=bits_to_ints(corrected, int_bits),
+        corrected_ints=bits_to_cells(corrected, int_bits),
         crc_ok=all(crc_ok),
         overhead_ratio=parity_total / up_bits.size,
         frames=frames,
@@ -217,14 +207,8 @@ def seu_overhead_report(session: SeuSessionResult) -> OverheadReport:
     )
 
 
-SESSION_LOG_HEADER = [
-    "frame_idx",
-    "pattern",
-    "parity_bits",
-    "crc_ok",
-    "bit_errors_before",
-    "bit_errors_after",
-]
+# log columns follow FrameRecord's field order, so reordering fields changes the format
+SESSION_LOG_HEADER = [f.name for f in fields(FrameRecord)]
 
 
 def write_session_log(path, frames: list[FrameRecord], append: bool = False) -> None:
@@ -234,13 +218,4 @@ def write_session_log(path, frames: list[FrameRecord], append: bool = False) -> 
         if not append:
             writer.writerow(SESSION_LOG_HEADER)
         for f in frames:
-            writer.writerow(
-                [
-                    f.frame_idx,
-                    f.pattern,
-                    f.parity_bits,
-                    int(f.crc_ok),
-                    f.bit_errors_before,
-                    f.bit_errors_after,
-                ]
-            )
+            writer.writerow(astuple(replace(f, crc_ok=int(f.crc_ok))))

@@ -11,6 +11,8 @@ from datosc.digital import (
     CRC_BITS,
     LLR_CLIP,
     TAIL_BITS,
+    TURBO,
+    UPLINK,
     CodeSpec,
     QuantizerSpec,
     assemble_parity_llrs,
@@ -30,7 +32,6 @@ from datosc.digital import (
     refine,
     rsc_encode,
     max_log_map,
-    rsc16_parity,
     side_info_llrs,
     turbo_decode,
     turbo_encode,
@@ -38,6 +39,7 @@ from datosc.digital import (
     turbo_keep_indices,
     viterbi_decode,
 )
+from datosc.digital import _branches, _rsc_encode
 from datosc.errors import ParameterError
 
 
@@ -150,12 +152,13 @@ def test_crc_detects_single_bit_flip(length, data):
 # RSC encoder and puncturing
 # ---------------------------------------------------------------------------
 
-def _rsc_oracle(bits):
+def _rsc_oracle(bits, d=(0, 0), tail=2):
     """Bit-by-bit reference encoder for the (1, 5/7) recursive code, written
-    directly from the generator polynomials with an explicit register."""
-    d = [0, 0]  # [D, D^2]
+    directly from the generator polynomials with an explicit register that
+    starts in d = [D, D^2] and ends after `tail` termination steps."""
+    d = list(d)
     sys_out, par_out = [], []
-    for u in list(map(int, bits)) + [None, None]:
+    for u in list(map(int, bits)) + [None] * tail:
         if u is None:
             u = d[0] ^ d[1]  # termination input
         a = (u + d[0] + d[1]) % 2       # feedback 7 = 1 + D + D^2
@@ -346,6 +349,11 @@ def test_side_llrs_match_quadrature_oracle():
 # Viterbi and DSC decoding
 # ---------------------------------------------------------------------------
 
+def _pad(side):
+    """Info-position LLRs with zero evidence on the CRC and tail positions."""
+    return np.concatenate([side, np.zeros(side.shape[:-1] + (CRC_BITS + TAIL_BITS,))], axis=-1)
+
+
 def test_noiseless_decode_with_strong_side(rng):
     for pattern in ("R12", "R23", "R34"):
         info = rng.integers(0, 2, 120).astype(np.uint8)
@@ -353,7 +361,7 @@ def test_noiseless_decode_with_strong_side(rng):
         systematic, parity = dsc_encode(info, code)  # a batch of one
         side = llr_clip((1.0 - 2.0 * info) * LLR_CLIP)
         par = (1.0 - 2.0 * parity) * LLR_CLIP
-        bits, ok = dsc_decode(side, par, code)
+        bits, ok = dsc_decode(_pad(side), par, code)
         assert ok.shape == (1,) and ok[0] and np.array_equal(bits, info[None])
         # systematic evidence on every encoded position decodes the same
         bits, ok = dsc_decode((1.0 - 2.0 * systematic) * LLR_CLIP, par, code)
@@ -385,12 +393,64 @@ def test_viterbi_equals_brute_force_ml(k):
     assert mismatches == 0
 
 
+def _viterbi_reference(sys_llrs, par_llrs):
+    """Bit-by-bit Viterbi over the (1, 5/7) trellis, written from the
+    generator polynomials with registers (D, D^2) as states. The next state
+    (a, D) has the predecessors (D, 0) and (D, 1); the lower one, D^2 = 0,
+    survives unless the other's metric is strictly larger. The last two
+    steps admit register input a = 0 only."""
+    length = len(sys_llrs)
+    states = [(d1, d2) for d1 in (0, 1) for d2 in (0, 1)]
+    metric = {s: (0.0 if s == (0, 0) else -np.inf) for s in states}
+    history = []
+    for t in range(length):
+        new, back = {}, {}
+        for a in (0,) if t >= length - 2 else (0, 1):
+            for d1 in (0, 1):
+                best = None
+                for d2 in (0, 1):
+                    u = a ^ d1 ^ d2           # feedback 7 = 1 + D + D^2
+                    p = a ^ d2                # feedforward 5 = 1 + D^2
+                    m = metric[(d1, d2)] + (1 - 2 * u) * sys_llrs[t] + (1 - 2 * p) * par_llrs[t]
+                    if best is None or m > best[0]:
+                        best = (m, (d1, d2), u)
+                new[(a, d1)] = best[0]
+                back[(a, d1)] = best[1:]
+        metric = {s: new.get(s, -np.inf) for s in states}
+        history.append(back)
+    state, bits = (0, 0), []
+    for back in reversed(history):
+        state, u = back[state]
+        bits.append(u)
+    return np.array(bits[::-1], dtype=np.uint8)
+
+
+def test_viterbi_ties_match_reference():
+    """Integer-valued LLRs make many candidates exactly equal; the decoder
+    breaks every tie as the reference does."""
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        shape = (6, int(rng.integers(TAIL_BITS, 30)))
+        sys_llrs = rng.integers(-3, 4, shape).astype(np.float64)
+        par_llrs = rng.integers(-3, 4, shape).astype(np.float64)
+        clipped = rng.random(shape) < 0.1
+        sys_llrs[clipped] = LLR_CLIP * np.sign(rng.standard_normal(clipped.sum()))
+        par_llrs[rng.random(shape) < 0.1] = -LLR_CLIP
+        par_llrs[rng.random(shape) < 0.4] = 0.0  # punctured
+        decided = viterbi_decode(sys_llrs, par_llrs)
+        for row, s, p in zip(decided, sys_llrs, par_llrs):
+            assert np.array_equal(row, _viterbi_reference(s, p))
+    zeros = np.zeros((3, 20))
+    assert not np.any(viterbi_decode(zeros, zeros))
+
+
 def test_batch_decode_matches_single(rng):
     code = CodeSpec("R23")
     infos = rng.integers(0, 2, (8, 40)).astype(np.uint8)
     _, parity = dsc_encode(infos, code)
     sides = llr_clip((1.0 - 2.0 * infos) * 3.0 + rng.normal(0, 1, infos.shape))
     pars = (1.0 - 2.0 * parity) * 2.5 + rng.normal(0, 1, parity.shape)
+    sides = _pad(sides)
     batch_bits, batch_ok = dsc_decode(sides, pars, code)
     for i in range(8):
         bits, ok = dsc_decode(sides[i : i + 1], pars[i : i + 1], code)
@@ -407,7 +467,7 @@ def test_round_trip_wire_contract(rng):
     assert parity.shape == (1000, code.parity_len(64))
     sides = llr_clip((1.0 - 2.0 * infos) * LLR_CLIP)
     pars = (1.0 - 2.0 * parity) * LLR_CLIP
-    bits, ok = dsc_decode(sides, pars, code)
+    bits, ok = dsc_decode(_pad(sides), pars, code)
     assert np.all(ok)
     assert np.array_equal(bits, infos)
 
@@ -427,7 +487,7 @@ def test_side_flip_correction_rate():
         par = demodulate(y, state.h, state.noise_var, "bpsk", 1.0, n_bits=parity.size)
         flips = rng.random(n_bits) < 0.02
         side = (1.0 - 2.0 * (info ^ flips.astype(np.uint8))) * mag
-        bits, ok = dsc_decode(llr_clip(side), par, code)
+        bits, ok = dsc_decode(_pad(llr_clip(side)), par, code)
         ok_count += int(ok[0] and np.array_equal(bits[0], info))
     assert ok_count / n_trials >= 0.99
 
@@ -452,7 +512,7 @@ def test_decode_success_monotone_in_snr():
             )
         flips = rng.random((trials, n_bits)) < 0.05
         sides = llr_clip((1.0 - 2.0 * (infos ^ flips.astype(np.uint8))) * mag)
-        bits, ok = dsc_decode(sides, np.stack(llr_rows), code)
+        bits, ok = dsc_decode(_pad(sides), np.stack(llr_rows), code)
         ok &= np.all(bits == infos, axis=1)
         p = np.mean(ok)
         rates.append(p)
@@ -467,13 +527,13 @@ def test_assemble_rejects_wrong_parity_count():
         assemble_parity_llrs(np.zeros(10), 118, "R34")
 
 
-def test_dsc_decode_rejects_parity_count_of_neither_layout():
+def test_dsc_decode_rejects_wrong_parity_count():
     code = CodeSpec("R34")
-    # 100 info LLRs need 39 parity LLRs; 100 encoded-position LLRs need 33
-    for count in (33, 39):
-        dsc_decode(np.zeros(100), np.zeros(count), code)
-    with pytest.raises(ParameterError):
-        dsc_decode(np.zeros(100), np.zeros(36), code)
+    # 100 encoded-position LLRs (82 info bits) need round(100 / 3) = 33
+    dsc_decode(np.zeros(100), np.zeros(33), code)
+    for count in (32, 34, 39):
+        with pytest.raises(ParameterError):
+            dsc_decode(np.zeros(100), np.zeros(count), code)
     with pytest.raises(ParameterError):
         dsc_decode(np.zeros(10), np.zeros(3), code)  # shorter than CRC + tail
 
@@ -482,33 +542,56 @@ def test_dsc_decode_rejects_parity_count_of_neither_layout():
 # turbo code for model updates
 # ---------------------------------------------------------------------------
 
-def _rsc16_oracle(bits):
-    """Bit-by-bit reference parity of the (1, 35/23) recursive code, written
-    directly from the generator polynomials with an explicit register."""
-    d = [0, 0, 0, 0]  # [D, D^2, D^3, D^4]
-    par_out = []
-    for u in list(map(int, bits)) + [None] * 4:
+def _rsc16_oracle(bits, d=(0, 0, 0, 0), tail=4):
+    """Bit-by-bit reference encoder for the (1, 35/23) recursive code, written
+    directly from the generator polynomials with an explicit register that
+    starts in d = [D, D^2, D^3, D^4] and ends after `tail` termination steps."""
+    d = list(d)
+    sys_out, par_out = [], []
+    for u in list(map(int, bits)) + [None] * tail:
         if u is None:
             u = d[2] ^ d[3]  # termination input
         a = (u + d[2] + d[3]) % 2             # feedback 23 = 1 + D^3 + D^4
+        sys_out.append(u)
         par_out.append((a + d[0] + d[1] + d[3]) % 2)  # 35 = 1 + D + D^2 + D^4
         d = [a] + d[:3]
-    return np.array(par_out, dtype=np.uint8), d
+    return np.array(sys_out, dtype=np.uint8), np.array(par_out, dtype=np.uint8), d
 
 
 def test_rsc16_matches_naive_register_oracle(rng):
     bits = rng.integers(0, 2, (20, 30)).astype(np.uint8)
-    parity = rsc16_parity(bits)
-    for row, got in zip(bits, parity):
-        want, end_state = _rsc16_oracle(row)
-        assert np.array_equal(got, want)
+    sys_bits, parity = _rsc_encode(bits, TURBO)
+    for row, got_sys, got_par in zip(bits, sys_bits, parity):
+        want_sys, want_par, end_state = _rsc16_oracle(row)
+        assert np.array_equal(got_sys, want_sys)
+        assert np.array_equal(got_par, want_par)
         assert end_state == [0, 0, 0, 0]  # zero termination
+
+
+@pytest.mark.parametrize(
+    "code, oracle", [(UPLINK, _rsc_oracle), (TURBO, _rsc16_oracle)], ids=["uplink", "turbo"]
+)
+def test_branch_tables_match_register_oracles(code, oracle):
+    """Branch (b, r, a) leaves state half*b + r (a_{t-1} in bit 0) with the
+    input bit and parity bit of one register step, and lands in 2r + a."""
+    memory = code[0]
+    half = 1 << (memory - 1)
+    branch_u, branch_p = _branches(code)
+    assert branch_u.shape == branch_p.shape == (2, half, 2)
+    for b in (0, 1):
+        for r in range(half):
+            register = [((half * b + r) >> k) & 1 for k in range(memory)]
+            for a in (0, 1):
+                (u,), (p,), after = oracle([branch_u[b, r, a]], register, tail=0)
+                assert u == branch_u[b, r, a] and p == branch_p[b, r, a]
+                assert sum(bit << k for k, bit in enumerate(after)) == 2 * r + a
 
 
 def _rsc16_ml_oracle(input_llrs, parity_llrs, k):
     """Exhaustive max-correlation search over all 2^k terminated inputs."""
     words = ((np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1).astype(np.uint8)
-    metric = (1.0 - 2.0 * words) @ input_llrs + (1.0 - 2.0 * rsc16_parity(words)) @ parity_llrs
+    parity = _rsc_encode(words, TURBO)[1]
+    metric = (1.0 - 2.0 * words) @ input_llrs + (1.0 - 2.0 * parity) @ parity_llrs
     return words[int(np.argmax(metric))]
 
 

@@ -10,6 +10,7 @@ from datosc.codec import analyze, selection_indices
 from datosc.errors import ConfigError, ParameterError
 from datosc.harness import (
     ExperimentConfig,
+    SweepRow,
     calibrate_fer,
     config_from_file,
     config_from_values,
@@ -268,7 +269,10 @@ def test_csv_nine_significant_digits(tmp_path):
     assert line[3] == format(rows[0].feature_mse, ".9g")
     assert line[5] == format(rows[0].data_mse, ".9g")
     parsed = read_sweep_csv(cfg.out)
-    assert parsed[0]["data_mse"] == pytest.approx(rows[0].data_mse, rel=1e-8)
+    assert parsed[0].data_mse == pytest.approx(rows[0].data_mse, rel=1e-8)
+    counts = (parsed[0].trials, parsed[0].n_analog, parsed[0].n_digital, parsed[0].seed)
+    assert counts == (150, rows[0].n_analog, rows[0].n_digital, cfg.seed)
+    assert all(type(c) is int for c in counts)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +281,10 @@ def test_csv_nine_significant_digits(tmp_path):
 
 def _rows(scheme, pairs):
     return [
-        {"scheme": scheme, "snr_db": s, "data_mse": m}
+        SweepRow(scheme=scheme, snr_db=float(s), trials=100, feature_mse=0.0,
+                 feature_mse_se=0.0, data_mse=m, data_mse_se=0.0, system_distortion=0.0,
+                 fer=0.0, task_accuracy=float("nan"), n_analog=0, n_digital=0,
+                 p_a_fraction=0.5, seed=0)
         for s, m in pairs
     ]
 

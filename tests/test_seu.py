@@ -5,15 +5,13 @@ import pytest
 
 from datosc.analog import analog_gains, mmse_error_vars
 from datosc.channel import ChannelState
-from datosc.digital import parity_length
+from datosc.digital import bits_to_cells, cells_to_bits, parity_length
 from datosc.errors import ParameterError
 from datosc.seu import (
     MAX_FRAME_INFO_BITS,
     DriftSpec,
     ModelParams,
-    bits_to_ints,
     drift,
-    ints_to_bits,
     seu_overhead_report,
     seu_send_floats,
     seu_update_ints,
@@ -32,7 +30,7 @@ def _params(rng, floats=64, ints=256, bits=4):
 def test_int_bit_serialization_round_trip(rng):
     for bits in (4, 8):
         v = rng.integers(0, 1 << bits, 100)
-        assert np.array_equal(bits_to_ints(ints_to_bits(v, bits), bits), v)
+        assert np.array_equal(bits_to_cells(cells_to_bits(v, bits), bits), v)
 
 
 def test_precision_invariants():
@@ -67,7 +65,7 @@ def test_empirical_flip_rate():
     )
     spec = DriftSpec(0.0, 0.03)
     out = drift(params, spec, seed=3)
-    flips = ints_to_bits(out.ints, 8) != ints_to_bits(params.ints, 8)
+    flips = cells_to_bits(out.ints, 8) != cells_to_bits(params.ints, 8)
     assert flips.size == 10**6
     assert abs(np.mean(flips) - 0.03) <= 0.002
 
@@ -161,8 +159,8 @@ def test_failed_frames_keep_outdated_bits(rng):
     outdated = drift(params, DriftSpec(0.0, 0.15), seed=19)
     state = ChannelState.awgn(10.0, seed=20)
     result = seu_update_ints(ints, outdated.ints, 4, "R34", state, p_hat=0.15)
-    old = ints_to_bits(outdated.ints, 4)
-    fixed = ints_to_bits(result.corrected_ints, 4)
+    old = cells_to_bits(outdated.ints, 4)
+    fixed = cells_to_bits(result.corrected_ints, 4)
     failed = [f for f in result.frames if not f.crc_ok]
     assert failed  # 15% drift is far past what 1/3 parity density can fix
     for f in failed:
@@ -209,7 +207,7 @@ def test_update_corrects_drifted_ints(rng):
     params = ModelParams(floats=np.zeros(1), ints=ints, int_bits=4)
     outdated = drift(params, DriftSpec(0.0, 0.005), seed=11)
     state = ChannelState.awgn(12.0, seed=12)
-    before = int(np.sum(ints_to_bits(outdated.ints, 4) != ints_to_bits(ints, 4)))
+    before = int(np.sum(cells_to_bits(outdated.ints, 4) != cells_to_bits(ints, 4)))
     result = seu_update_ints(ints, outdated.ints, 4, "R34", state, p_hat=0.005)
     assert before > 0
     assert result.crc_ok
