@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from itertools import chain, groupby
+from itertools import groupby
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -30,6 +30,7 @@ POWER_GRID_POINTS = 21
 POWER_SHARE_LO = 0.05
 POWER_SHARE_HI = 0.95
 GOLDEN_ITERS = 48
+_SCAN_POINTS = 6   # power-grid points scored per call: bounds peak memory, not results
 
 # Fixed 64-point Gauss rule for E[f(X)], X ~ Exp(1), via the substitution
 # X = -ln(u) with Gauss-Legendre nodes on (0, 1). Unlike Gauss-Laguerre this
@@ -128,18 +129,18 @@ class FerTable:
             )
         cell["snr"].append(float(snr_db))
         cell["p"].append(float(p_f))
-        cell.pop("env", None)  # _prepared rebuilds grid and env with the new point
+        cell.pop("log_env", None)  # _prepared rebuilds grid and envelope with the new point
 
     def _prepared(self, key):
         cell = self._cells[key]
-        if "env" not in cell:
+        if "log_env" not in cell:
             order = np.argsort(cell["snr"])
             snr = np.asarray(cell["snr"])[order]
             p = np.asarray(cell["p"])[order]
             floor = 0.5 / max(cell["trials"], 1)
             env = np.minimum.accumulate(np.clip(p, floor, 1.0))
             cell["grid"] = snr
-            cell["env"] = env
+            cell["log_env"] = np.log(env)
         return cell
 
     def keys(self):
@@ -149,15 +150,15 @@ class FerTable:
         cell = self._prepared((pattern, quant_bits))
         return cell["grid"], np.asarray(cell["p"])[np.argsort(cell["snr"])], cell["trials"]
 
-    def lookup(self, pattern: str, quant_bits: int, snr_db: float) -> float:
+    def lookup(self, pattern: str, quant_bits: int, snr_db):
+        """p_f at snr_db: a float for a scalar, one value per SNR for an array."""
         key = (pattern, int(quant_bits))
         if key not in self._cells:
             raise ParameterError(f"no calibration for pattern={pattern}, B={quant_bits}")
         cell = self._prepared(key)
-        grid, env = cell["grid"], cell["env"]
-        s = np.clip(snr_db, grid[0], grid[-1])
-        logp = np.interp(s, grid, np.log(env))
-        return float(np.exp(logp))
+        grid = cell["grid"]
+        p = np.exp(np.interp(snr_db, grid, cell["log_env"]))  # clamped at the edges
+        return float(p) if np.ndim(snr_db) == 0 else p
 
     def save_csv(self, path) -> None:
         with open(path, "w", newline="\n") as fh:
@@ -211,32 +212,97 @@ def default_fer_table(channel: str = "rayleigh") -> FerTable:
     return FerTable.from_csv_text(resource.read_text())
 
 
-def _per_dim_power(power: float, uses: int) -> float:
+def _per_dim_power(power, uses: int):
     # two real dimensions per complex use
     return power / uses / 2.0
 
 
-def _node_errors(
-    plan: AllocationPlan, snr_db: float, ctx: AllocatorContext
-) -> tuple[np.ndarray, np.ndarray]:
-    """Modelled analog error per fade node and coefficient, over all n indices.
+class _AnalogModel(NamedTuple):
+    """Modelled analog errors of one k at U analog powers."""
 
-    Returns (weights, errors (nodes, n)): the 64-point rule over |h|^2 ~
-    Exp(1) for Rayleigh, a single node |h|^2 = 1 of weight 1 for AWGN.
-    Coefficients the analog branch does not carry sit at their prior variance.
+    errors: np.ndarray     # (U, nodes, n) per fade node and coefficient
+    mean_err: np.ndarray   # (U, n) averaged over the fade rule
+    feature: np.ndarray    # (U,) D_a: mean over the kept coefficients
+    data: np.ndarray       # (U,) data MSE when the digital branch contributes nothing
+
+
+def _analog_model(k: int, n_analog: int, powers: np.ndarray, snr_db: float,
+                  ctx: AllocatorContext) -> _AnalogModel:
+    """Modelled analog error of k features on n_analog uses at each of the
+    (U,) analog powers.
+
+    The fade rule is the 64-point rule over |h|^2 ~ Exp(1) for Rayleigh and a
+    single node |h|^2 = 1 of weight 1 for AWGN. Coefficients the analog branch
+    does not carry sit at their prior variance. The means over coefficients
+    are taken one power at a time: over a 2-D array numpy may sum in another
+    order, and the cost would then depend on what else shares the call.
     """
     if ctx.channel == "awgn":
         nodes, weights = np.ones(1), np.ones(1)
     else:
         nodes, weights = FADE_NODES, FADE_WEIGHTS
-    kept = ctx.kept_indices(plan.k)
+    kept = ctx.kept_indices(k)
     priors = ctx.prior_vars[kept]
-    gains = analog_gains(priors, _per_dim_power(plan.power_analog, plan.n_analog))
+    gains = analog_gains(priors, _per_dim_power(powers, n_analog))           # (U, k)
     nv_dim = 10.0 ** (-snr_db / 10.0) / 2.0
-    errors = np.empty((len(nodes), ctx.n))
+    errors = np.empty((len(powers), len(nodes), ctx.n))
     errors[:] = ctx.prior_vars
-    errors[:, kept] = mmse_error_vars(gains, priors, nodes[:, None], nv_dim)
-    return weights, errors
+    errors[:, :, kept] = mmse_error_vars(gains[:, None, :], priors, nodes[:, None], nv_dim)
+    mean_err = weights @ errors
+    feature = np.array([np.mean(row[kept]) for row in mean_err])
+    data = np.array([np.mean(row) for row in mean_err])
+    return _AnalogModel(errors, mean_err, feature, data)
+
+
+def _digital_distortion(model: _AnalogModel, at: np.ndarray, layouts, power_digital,
+                        snr_db: float, ctx: AllocatorContext, fer: FerTable) -> np.ndarray:
+    """model_digital_distortion (L, P) of layout l with the analog power of
+    model row at[l, j] and digital power power_digital[l, j].
+
+    The capped error depends on B and the analog power, not on the pattern,
+    so it is computed once per B for the powers its layouts use. The final
+    weighted sum is one dot product per plan, because a matrix-vector product
+    sums in another order.
+    """
+    out = np.empty(at.shape)
+    off = [row for row, layout in enumerate(layouts) if not layout.n_digital]
+    out[off] = model.data[at[off]]
+    rows = [row for row, layout in enumerate(layouts) if layout.n_digital]
+    if not rows:
+        return out
+    n_digital = np.array([[layouts[row].n_digital] for row in rows])
+    eff_snr = snr_db + 10.0 * np.log10(power_digital[rows] / n_digital)
+    p_f = np.array([
+        fer.lookup(layouts[row].pattern, layouts[row].quant_bits, snr)
+        for row, snr in zip(rows, eff_snr)
+    ])
+    awgn = ctx.channel == "awgn"
+    capped = np.empty(at.shape if awgn else at.shape + (len(FADE_NODES),))
+    for bits in {layouts[row].quant_bits for row in rows}:
+        cell_mse = QuantizerSpec.from_prior_vars(ctx.prior_vars, bits).deltas ** 2 / 12.0
+        same = [row for row in rows if layouts[row].quant_bits == bits]
+        # the model rows these layouts use, ascending, without np.unique's cost
+        used = np.flatnonzero(np.bincount(at[same].ravel(), minlength=len(model.data)))
+        if awgn:
+            per_power = np.array([np.mean(np.minimum(cell_mse, model.mean_err[u])) for u in used])
+        else:
+            per_power = np.mean(np.minimum(cell_mse, model.errors[used]), axis=-1)
+        capped[same] = per_power[np.searchsorted(used, at[same])]
+    capped = capped[rows]
+    if awgn:
+        out[rows] = (1.0 - p_f) * capped + p_f * model.data[at[rows]]
+        return out
+    fallback = np.mean(model.errors, axis=-1)                           # (U, nodes)
+    depth = -np.log1p(-np.minimum(p_f, 1.0 - 1e-12))
+    fail = FADE_NODES < depth[..., None]                                # deepest fades
+    per_fade = np.where(fail, fallback[at[rows]], capped)               # (rows, P, nodes)
+    flat = per_fade.reshape(-1, len(FADE_NODES))
+    out[rows] = np.reshape([FADE_WEIGHTS @ fades for fades in flat], p_f.shape)
+    return out
+
+
+def _plan_model(plan: AllocationPlan, snr_db: float, ctx: AllocatorContext) -> _AnalogModel:
+    return _analog_model(plan.k, plan.n_analog, np.array([plan.power_analog]), snr_db, ctx)
 
 
 def model_analog_distortion(
@@ -244,16 +310,14 @@ def model_analog_distortion(
 ) -> float:
     """Expected feature MSE of the analog branch (mean posterior variance
     of the kept coefficients, averaged over the fade rule)."""
-    weights, errors = _node_errors(plan, snr_db, ctx)
-    return float(np.mean((weights @ errors)[ctx.kept_indices(plan.k)]))
+    return float(_plan_model(plan, snr_db, ctx).feature[0])
 
 
 def model_fallback_distortion(
     plan: AllocationPlan, snr_db: float, ctx: AllocatorContext
 ) -> float:
     """Expected data MSE when the digital branch contributes nothing."""
-    weights, errors = _node_errors(plan, snr_db, ctx)
-    return float(np.mean(weights @ errors))
+    return float(_plan_model(plan, snr_db, ctx).data[0])
 
 
 def model_digital_distortion(
@@ -266,24 +330,12 @@ def model_digital_distortion(
     back to the analog estimate. The failure probability p_f comes from the
     calibration table at the digital partition's effective per-use SNR; under
     quasi-static fading the decoder fails in the deepest fades, so the
-    failure mass sits below the p_f-quantile of |h|^2 when averaging.
+    failure mass sits below the p_f-quantile of |h|^2 when averaging. A
+    digital-off plan gets the fallback distortion.
     """
-    if not plan.digital_on:
-        return model_fallback_distortion(plan, snr_db, ctx)
-    quant = QuantizerSpec.from_prior_vars(ctx.prior_vars, plan.quant_bits)
-    cell_mse = quant.deltas**2 / 12.0
-    eff_snr = snr_db + 10.0 * np.log10(plan.power_digital / plan.n_digital)
-    p_f = fer.lookup(plan.pattern, plan.quant_bits, eff_snr)
-    weights, fade_err = _node_errors(plan, snr_db, ctx)                # (nodes, n)
-    if ctx.channel == "awgn":
-        analog_err = weights @ fade_err
-        refined = float(np.mean(np.minimum(cell_mse, analog_err)))
-        return (1.0 - p_f) * refined + p_f * float(np.mean(analog_err))
-    refined = np.mean(np.minimum(cell_mse, fade_err), axis=1)         # (64,)
-    fallback = np.mean(fade_err, axis=1)
-    fail = FADE_NODES < -np.log1p(-min(p_f, 1.0 - 1e-12))             # deepest fades
-    per_fade = np.where(fail, fallback, refined)
-    return float(FADE_WEIGHTS @ per_fade)
+    model = _plan_model(plan, snr_db, ctx)
+    at, power_digital = np.zeros((1, 1), dtype=np.intp), np.array([[plan.power_digital]])
+    return float(_digital_distortion(model, at, [plan], power_digital, snr_db, ctx, fer)[0, 0])
 
 
 def system_distortion(
@@ -340,47 +392,74 @@ def _layouts(budget: ChannelBudget, ctx: AllocatorContext):
                     yield _Layout(k, n_a, bits, pattern, n_d)
 
 
-def _scored(layout, p_a, p_total, snr_db, lam, ctx, fer):
-    """(cost, key, plan) of a layout at analog power p_a.
+def _costs(layouts, powers, p_total, snr_db, lam, ctx, fer) -> np.ndarray:
+    """Modelled system distortion (L, P) of the L layouts of one k, layout l
+    at the analog powers powers[l] and the rest of p_total on digital.
 
-    The digital-off layout puts all power on the analog branch. Keys order
-    ties lexicographically on (k, B, pattern, P_a); digital-off sorts as B=0.
+    Each cost is the one system_distortion gives that plan, bit for bit,
+    whatever else shares the call. The analog errors are computed once per
+    distinct power and shared by every layout at that power.
     """
-    p_a = float(p_a if layout.n_digital else p_total)
-    plan = AllocationPlan(
-        **layout._asdict(),
-        power_analog=p_a,
-        power_digital=p_total - p_a,
-        lam=lam,
-        n=ctx.n,
-    )
-    pat_idx = -1 if layout.pattern is None else PATTERNS.index(layout.pattern)
-    key = (layout.k, layout.quant_bits, pat_idx, p_a)
-    return system_distortion(plan, snr_db, ctx, fer), key, plan
+    powers = np.asarray(powers, dtype=np.float64)
+    unique, at = np.unique(powers, return_inverse=True)
+    at = at.reshape(powers.shape)
+    model = _analog_model(layouts[0].k, layouts[0].n_analog, unique, snr_db, ctx)
+    d_d = _digital_distortion(model, at, layouts, p_total - powers, snr_db, ctx, fer)
+    return lam * model.feature[at] + (1.0 - lam) * d_d
 
 
-def _refined(layout, p_total, snr_db, lam, ctx, fer):
-    """Best scored entry over the layout's power split, by deterministic
-    golden-section search on [POWER_SHARE_LO, POWER_SHARE_HI] * p_total.
-    The digital-off layout has a single split."""
+def _scan(layouts, points, p_total, snr_db, lam, ctx, fer) -> np.ndarray:
+    """Costs (L, P) of one k's layouts on a grid of analog powers; the
+    digital-off layout has a single split and sits at p_total throughout.
+    The grid is scored _SCAN_POINTS points per call, so a call holds analog
+    error arrays of at most (_SCAN_POINTS + 1, nodes, n) doubles."""
+    digital = np.array([[layout.n_digital > 0] for layout in layouts])
+    powers = np.where(digital, points, p_total)
+    return np.hstack([
+        _costs(layouts, powers[:, i:i + _SCAN_POINTS], p_total, snr_db, lam, ctx, fer)
+        for i in range(0, len(points), _SCAN_POINTS)
+    ])
+
+
+def _refined(layouts, p_total, snr_db, lam, ctx, fer) -> tuple[np.ndarray, np.ndarray]:
+    """(costs, powers) of the best split of each digital layout, by
+    deterministic golden-section search on [POWER_SHARE_LO, POWER_SHARE_HI] *
+    p_total (Kiefer 1953). The layouts step in lockstep, one scorer call per
+    iteration; each walks the bracket sequence it would walk alone."""
     args = (p_total, snr_db, lam, ctx, fer)
-    if not layout.n_digital:
-        return _scored(layout, p_total, *args)
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = POWER_SHARE_LO * p_total, POWER_SHARE_HI * p_total
+    a = np.full(len(layouts), POWER_SHARE_LO * p_total)
+    b = np.full(len(layouts), POWER_SHARE_HI * p_total)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = _scored(layout, c, *args), _scored(layout, d, *args)
+    fc, fd = _costs(layouts, np.stack([c, d], axis=1), *args).T
     for _ in range(GOLDEN_ITERS):
-        if fc[0] <= fd[0]:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = _scored(layout, c, *args)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = _scored(layout, d, *args)
-    return fc if fc[0] <= fd[0] else fd
+        left = fc <= fd                   # the minimum lies in [a, d]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        probe = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        f = _costs(layouts, probe[:, None], *args)[:, 0]
+        c, d = np.where(left, probe, d), np.where(left, c, probe)
+        fc, fd = np.where(left, f, fd), np.where(left, fc, f)
+    left = fc <= fd
+    return np.where(left, fc, fd), np.where(left, c, d)
+
+
+def _entry(cost, layout: _Layout, p_a) -> tuple:
+    """(cost, key, layout) of a layout at analog power p_a. Keys order ties
+    lexicographically on (k, B, pattern, P_a); digital-off sorts as B=0."""
+    pat_idx = -1 if layout.pattern is None else PATTERNS.index(layout.pattern)
+    return float(cost), (layout.k, layout.quant_bits, pat_idx, float(p_a)), layout
+
+
+def _best(entries, p_total: float, lam: float, ctx: AllocatorContext
+          ) -> tuple[float, AllocationPlan]:
+    """The lowest (cost, key) entry: its cost and its plan."""
+    cost, key, layout = min(entries, key=lambda entry: entry[:2])
+    p_a = key[-1]
+    plan = AllocationPlan(
+        **layout._asdict(), power_analog=p_a, power_digital=p_total - p_a, lam=lam, n=ctx.n
+    )
+    return cost, plan
 
 
 def choose_analog_floor_k(
@@ -435,13 +514,14 @@ def allocate_greedy(
         if k < k_floor:
             continue
         layouts = list(group)
-        costs = []
-        for layout in layouts:
-            powers = coarse if layout.n_digital else (p_total,)
-            costs.append(min(_scored(layout, p_a, *args)[0] for p_a in powers))
-        pick = layouts[costs.index(min(costs))]
-        entries.append(_refined(pick, *args))
-    return min(entries, key=lambda entry: entry[:2])[2]
+        costs = _scan(layouts, coarse, *args).min(axis=1)
+        pick = layouts[int(np.argmin(costs))]
+        if pick.n_digital:
+            (cost,), (p_a,) = _refined([pick], *args)
+            entries.append(_entry(cost, pick, p_a))
+        else:
+            entries.append(_entry(costs.min(), pick, p_total))
+    return _best(entries, p_total, lam, ctx)[1]
 
 
 def allocate_exhaustive(
@@ -463,9 +543,20 @@ def allocate_exhaustive(
     power_grid = np.linspace(
         POWER_SHARE_LO * p_total, POWER_SHARE_HI * p_total, POWER_GRID_POINTS
     )
-    entries = chain.from_iterable(
-        [_refined(layout, *args)]
-        + [_scored(layout, p_a, *args) for p_a in power_grid if layout.n_digital]
-        for layout in _layouts(budget, ctx)
-    )
-    return min(entries, key=lambda entry: entry[:2])[2]
+    entries = []
+    for _, group in groupby(_layouts(budget, ctx), key=lambda layout: layout.k):
+        layouts = list(group)
+        off, digital = layouts[0], layouts[1:]
+        costs = _scan(layouts, power_grid, *args)
+        entries.append(_entry(costs[0, 0], off, p_total))
+        if digital:
+            entries += [
+                _entry(cost, layout, p_a)
+                for layout, cost, p_a in zip(digital, *_refined(digital, *args))
+            ]
+            entries += [
+                _entry(cost, layout, p_a)
+                for layout, row in zip(digital, costs[1:])
+                for cost, p_a in zip(row, power_grid)
+            ]
+    return _best(entries, p_total, lam, ctx)[1]

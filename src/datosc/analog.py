@@ -15,16 +15,21 @@ import numpy as np
 from .errors import ParameterError
 
 
-def analog_gains(prior_vars: np.ndarray, per_use_power: float) -> np.ndarray:
-    """g_i = c * prior_var_i^(-1/4) with sum(g_i^2 prior_var_i) = budget * k."""
+def analog_gains(prior_vars: np.ndarray, per_use_power) -> np.ndarray:
+    """g_i = c * prior_var_i^(-1/4) with sum(g_i^2 prior_var_i) = budget * k.
+
+    per_use_power is a scalar, giving (k,) gains, or an array of budgets,
+    giving one row of gains per budget: (..., k).
+    """
     prior = np.asarray(prior_vars, dtype=np.float64)
     if np.any(prior <= 0):
         raise ParameterError("prior variances must be positive")
-    if per_use_power <= 0:
+    power = np.asarray(per_use_power, dtype=np.float64)
+    if np.any(power <= 0):
         raise ParameterError("per-use power must be positive")
     shape = prior ** -0.25
     energy = np.sum(shape * shape * prior)
-    c = np.sqrt(per_use_power * prior.size / energy)
+    c = np.sqrt(power[..., None] * prior.size / energy)
     return c * shape
 
 

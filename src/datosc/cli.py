@@ -51,11 +51,20 @@ def _experiment_config(args) -> ExperimentConfig:
     return config_from_values(overrides)
 
 
-def _session_values(args) -> dict:
+def _session_values(args, reads: tuple[str, ...]) -> dict:
+    """Config-file values for a subcommand that reads only the keys in reads;
+    one stderr line names every other key the file sets."""
     values = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             values = parse_config_text(fh.read())
+    ignored = [key for key in values if key not in reads]
+    if ignored:
+        print(
+            f"datosc {args.command}: ignoring config keys it does not read: "
+            + ", ".join(ignored),
+            file=sys.stderr,
+        )
     return values
 
 
@@ -67,7 +76,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_calibrate_fer(args) -> int:
-    values = _session_values(args)
+    values = _session_values(args, ("channel", "trials", "seed", "out"))
     table = calibrate_fer(
         channel=values.get("channel", "rayleigh"),
         trials=args.trials or values.get("trials", 2000),
@@ -81,7 +90,10 @@ def cmd_calibrate_fer(args) -> int:
 
 
 def cmd_seu(args) -> int:
-    values = _session_values(args)
+    values = _session_values(args, (
+        "seed", "trials", "float_count", "int_count", "int_bits", "pattern", "channel",
+        "snr", "float_noise_std", "flip_prob", "p_hat",
+    ))
     seed = args.seed if args.seed is not None else values.get("seed", 12345)
     sessions = args.trials or values.get("trials", 1)
     float_count = values.get("float_count", 256)

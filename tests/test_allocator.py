@@ -1,3 +1,6 @@
+from dataclasses import replace
+from itertools import groupby
+
 import numpy as np
 import pytest
 from scipy.special import exp1
@@ -179,30 +182,51 @@ def test_model_monotone_in_snr(ctx, fer):
         assert np.all(np.diff(vals) <= 1e-12)
 
 
+def _simulated_data_mse(plan, snr_db, total_uses, trials):
+    """Data MSE of the plan run through the end-to-end pipeline, with all of
+    total_uses worth of power spent."""
+    from datosc.harness import ExperimentConfig, run_point
+
+    digital = (
+        dict(scheme="da", quant_bits=plan.quant_bits, pattern=plan.pattern)
+        if plan.digital_on else dict(scheme="analog")
+    )
+    cfg = ExperimentConfig(
+        trials=trials, k=plan.k, total_uses=total_uses, total_power=float(total_uses),
+        p_a_fraction=plan.power_analog / total_uses, snr_grid=(snr_db,), **digital,
+    )
+    return run_point(cfg, snr_db).data_mse
+
+
 @pytest.mark.parametrize("snr_db", [8.0, 12.0, 16.0])
 @pytest.mark.parametrize("bits", [3, 4, 5])
 def test_model_within_15pct_of_end_to_end(ctx, fer, bits, snr_db):
     """Three hybrid plans at calibration-matched per-use power: the modelled
     data MSE tracks the simulated pipeline within the high-rate-quantizer
     tolerance."""
-    from dataclasses import replace
-
-    from datosc.harness import ExperimentConfig, run_point
-
     n_d = symbol_count(CodeSpec("R12").parity_len(64 * bits), "qpsk")
-    total = float(16 + n_d)
     plan = AllocationPlan(
         k=32, n_analog=16, n_digital=n_d, power_analog=16.0,
         power_digital=float(n_d), quant_bits=bits, pattern="R12", lam=0.5, n=64,
     )
     model = model_digital_distortion(plan, snr_db, ctx, fer)
-    cfg = ExperimentConfig(
-        trials=4000, scheme="da", quant_bits=bits, pattern="R12",
-        total_uses=16 + n_d, total_power=total, p_a_fraction=16.0 / total,
-        snr_grid=(snr_db,),
-    )
-    sim = run_point(cfg, snr_db).data_mse
+    sim = _simulated_data_mse(plan, snr_db, 16 + n_d, trials=4000)
     assert abs(model / sim - 1.0) < 0.15
+
+
+def test_model_within_15pct_on_picked_plans(ctx, fer, pinned_plans):
+    """Every distinct plan the searches return for the pinned suite: the
+    modelled data MSE tracks the simulated pipeline within the same
+    tolerance. Plans that differ only in lambda simulate alike."""
+    picked = {
+        (snr, total, replace(plan, lam=0.5)): plan
+        for snr, _, total, *plans in pinned_plans
+        for plan in plans
+    }
+    for (snr, total, _), plan in picked.items():
+        model = model_digital_distortion(plan, snr, ctx, fer)
+        sim = _simulated_data_mse(plan, snr, total, trials=2000)
+        assert abs(model / sim - 1.0) < 0.15, (snr, total, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +252,13 @@ def test_fer_lookup_clamps_and_is_monotone(fer):
     assert lo == pytest.approx(max(p[0], 0.5 / 6000), rel=1e-9)
     fine = np.linspace(grid[0], grid[-1], 200)
     vals = [fer.lookup("R12", 4, s) for s in fine]
+    assert all(type(v) is float for v in vals)
     assert np.all(np.diff(vals) <= 1e-15)
     assert hi <= vals[-1] + 1e-15
+    # an array of SNRs gives one value per SNR, equal to the scalar lookups
+    edges = np.array([-50.0, 90.0])
+    assert fer.lookup("R12", 4, fine).tolist() == vals
+    assert fer.lookup("R12", 4, edges).tolist() == [lo, hi]
 
 
 def test_fer_raw_values_non_increasing_within_ci(fer):
@@ -331,6 +360,40 @@ def test_oracle_engages_digital_when_analog_is_rate_limited(ctx, fer, monkeypatc
     assert system_distortion(plan, 14.0, ctx, fer) < system_distortion(
         off, 14.0, ctx, fer
     )
+
+
+@pytest.mark.parametrize("channel", ["rayleigh", "awgn"])
+def test_costs_batch_independent_and_winners_are_system_distortion(
+    ctx, fer, monkeypatch, channel
+):
+    """The array scorer gives every digital layout of a budget the same cost
+    bit for bit whether it is scored alone or in its full per-k batch, at
+    random powers and at powers the batch shares. Each search's own winning
+    cost is system_distortion of the plan it returns, bit for bit."""
+    cctx = AllocatorContext(n=64, prior_vars=ctx.prior_vars, task=ctx.task, channel=channel)
+    budget = ChannelBudget(384, 0, 0, 384.0, 0.0, 0.0)
+    args = (384.0, 12.0, 0.4, cctx, fer)
+    rng = np.random.default_rng(0xC057)
+    for _, group in groupby(alloc._layouts(budget, cctx), key=lambda layout: layout.k):
+        digital = list(group)[1:]
+        powers = rng.uniform(0.05, 0.95, (len(digital), 4)) * 384.0
+        powers[:, -1] = powers[0, 0]
+        batch = alloc._costs(digital, powers, *args)
+        for layout, costs, row in zip(digital, batch, powers):
+            alone = [alloc._costs([layout], [[p_a]], *args)[0, 0] for p_a in row]
+            assert costs.tolist() == alone
+
+    winners = []
+    best = alloc._best
+    monkeypatch.setattr(alloc, "_best", lambda *a: winners.append(best(*a)) or winners[-1])
+    for k_grid in ([8, 16, 32, 64], [8, 16]):
+        monkeypatch.setattr(alloc, "candidate_k_grid", lambda n, k_grid=k_grid: k_grid)
+        for snr, lam in ((10.0, 0.5), (14.0, 0.3)):
+            for search in (allocate_greedy, allocate_exhaustive):
+                plan = search(budget, snr, lam, cctx, fer)
+                cost, winner = winners.pop()
+                assert winner == plan
+                assert cost == system_distortion(plan, snr, cctx, fer)
 
 
 @pytest.mark.parametrize(

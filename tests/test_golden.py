@@ -1,25 +1,31 @@
 """Byte-level pins of the determinism contract.
 
-Both files under tests/data are rebuilt from their seeds and compared byte
-for byte, so any change to a draw order, a decoder decision or the CSV
-format shows up here. Regenerate them (only for an intended output change)
-with `PYTHONPATH=src python tests/test_golden.py --write`.
+The files under tests/data are rebuilt from their seeds and compared byte
+for byte, so any change to a draw order, a decoder decision, an allocator
+plan or the CSV format shows up here. Regenerate them (only for an intended
+output change) with `PYTHONPATH=src python tests/test_golden.py --write`.
 """
 
 import dataclasses
 import json
 import os
 import sys
+from unittest import mock
 
 import numpy as np
 
-from datosc.channel import ChannelState
+import datosc.allocator as alloc
+from datosc.channel import ChannelBudget, ChannelState
+from datosc.codec import build_task_model, calibrate_prior_vars
+from datosc.errors import InfeasibleAllocationError
 from datosc.harness import ExperimentConfig, rows_to_csv, run_sweep
 from datosc.seu import DriftSpec, ModelParams, drift, seu_update_ints
+from datosc.sources import SourceSpec
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_SWEEP = os.path.join(DATA, "golden_sweep.csv")
 GOLDEN_SEU = os.path.join(DATA, "golden_seu.json")
+GOLDEN_ALLOC = os.path.join(DATA, "golden_alloc.json")
 
 
 def build_sweep_csv(path, scratch_dir) -> None:
@@ -66,6 +72,59 @@ def seu_json() -> str:
     return json.dumps(seu_sessions(), indent=1, sort_keys=True) + "\n"
 
 
+def _plan_record(plan, snr_db, ctx, fer) -> dict:
+    """Every plan field plus its modelled cost; floats as float.hex."""
+    rec = {
+        key: value.hex() if isinstance(value, float) else value
+        for key, value in dataclasses.asdict(plan).items()
+    }
+    rec["cost"] = alloc.system_distortion(plan, snr_db, ctx, fer).hex()
+    return rec
+
+
+def alloc_plans() -> dict:
+    """Greedy and exhaustive plans: Rayleigh (source seed 2024) at 10/14/18 dB
+    and 256/384 uses, AWGN at 10/18 dB and 320 uses, three hybrid cases with
+    k capped to {8, 16}, a budget too small for any k, and an SNR at which
+    greedy's analog floor is unreachable."""
+    priors = calibrate_prior_vars(
+        SourceSpec(kind="class_mixture", n=64, class_count=4, seed=2024)
+    )
+    task = build_task_model(64, 4)
+    fer = alloc.default_fer_table()
+    contexts = {
+        channel: alloc.AllocatorContext(n=64, prior_vars=priors, task=task, channel=channel)
+        for channel in ("rayleigh", "awgn")
+    }
+    cases = [("rayleigh", snr, total, 0.5) for snr in (10.0, 14.0, 18.0) for total in (256, 384)]
+    cases += [("awgn", snr, 320, 0.5) for snr in (10.0, 18.0)]
+    out = {}
+
+    def run(name, channel, snr, total, lam):
+        ctx = contexts[channel]
+        budget = ChannelBudget(total, 0, 0, float(total), 0.0, 0.0)
+        for search in (alloc.allocate_greedy, alloc.allocate_exhaustive):
+            key = f"{name}_{search.__name__[9:]}"
+            try:
+                out[key] = _plan_record(search(budget, snr, lam, ctx, fer), snr, ctx, fer)
+            except InfeasibleAllocationError as exc:
+                out[key] = {"infeasible": str(exc)}
+
+    for channel, snr, total, lam in cases:
+        run(f"{channel}_{snr:g}dB_{total}", channel, snr, total, lam)
+    with mock.patch.object(alloc, "candidate_k_grid", lambda n: [8, 16]):
+        run("hybrid_k8_16_14dB_320", "rayleigh", 14.0, 320, 0.3)
+        run("hybrid_k8_16_18dB_384", "rayleigh", 18.0, 384, 0.2)
+        run("hybrid_awgn_k8_16_14dB_320", "awgn", 14.0, 320, 0.3)
+    run("infeasible_uses_2", "rayleigh", 10.0, 2, 0.5)
+    run("floor_unreachable_-30dB", "rayleigh", -30.0, 320, 0.5)
+    return out
+
+
+def alloc_json() -> str:
+    return json.dumps(alloc_plans(), indent=1, sort_keys=True) + "\n"
+
+
 def test_sweep_csv_matches_golden_bytes(tmp_path):
     path = tmp_path / "sweep.csv"
     build_sweep_csv(path, tmp_path)
@@ -78,6 +137,11 @@ def test_seu_sessions_match_golden_bytes():
         assert seu_json().encode() == fh.read()
 
 
+def test_alloc_plans_match_golden_bytes():
+    with open(GOLDEN_ALLOC, "rb") as fh:
+        assert alloc_json().encode() == fh.read()
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -87,3 +151,5 @@ if __name__ == "__main__":
         build_sweep_csv(GOLDEN_SWEEP, tmp)
     with open(GOLDEN_SEU, "w", newline="\n") as fh:
         fh.write(seu_json())
+    with open(GOLDEN_ALLOC, "w", newline="\n") as fh:
+        fh.write(alloc_json())

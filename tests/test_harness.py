@@ -123,6 +123,38 @@ def test_seu_reads_snr_flag(capsys):
     assert mse["300"] < 1e-6 < mse["-10"]
 
 
+def test_session_commands_name_config_keys_they_do_not_read(tmp_path, capsys, monkeypatch):
+    """seu and calibrate-fer name every config key they ignore on one stderr
+    line; what they print on stdout and write is unchanged."""
+    from datosc import cli
+
+    base = tmp_path / "base.cfg"
+    base.write_text("snr=0\nint_count=64\nfloat_count=8\n")
+    extra = tmp_path / "extra.cfg"
+    extra.write_text("k=8\nsnr=0\nmodulation=bpsk\nint_count=64\nscheme=analog\nfloat_count=8\n")
+    runs = {}
+    for cfg in (base, extra):
+        log = tmp_path / f"{cfg.stem}.log"
+        cli.main(["seu", "--config", str(cfg), "--seed", "3", "--out", str(log)])
+        out, err = capsys.readouterr()
+        runs[cfg.stem] = (out.replace(str(log), "LOG"), err, log.read_bytes())
+    assert runs["base"][1] == ""
+    assert runs["extra"][1] == (
+        "datosc seu: ignoring config keys it does not read: k, modulation, scheme\n"
+    )
+    assert runs["extra"][0] == runs["base"][0]
+    assert runs["extra"][2] == runs["base"][2]
+
+    from datosc.allocator import FerTable
+
+    monkeypatch.setattr(cli, "calibrate_fer", lambda **kw: FerTable())
+    cli.main(["calibrate-fer", "--config", str(extra), "--out", str(tmp_path / "fer.csv")])
+    assert capsys.readouterr().err == (
+        "datosc calibrate-fer: ignoring config keys it does not read: "
+        "k, snr, modulation, int_count, scheme, float_count\n"
+    )
+
+
 @pytest.mark.parametrize(
     "flags", [["--scheme", "da"], ["--snr", "10"], ["--lambda", "0.5"]]
 )
