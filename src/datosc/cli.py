@@ -10,9 +10,9 @@ import numpy as np
 
 from .channel import ChannelState
 from .harness import (
+    SWEEP_KEYS,
     ExperimentConfig,
     calibrate_fer,
-    config_from_file,
     config_from_values,
     detect_effects,
     parse_config_text,
@@ -46,12 +46,12 @@ def _experiment_config(args) -> ExperimentConfig:
         "lambda": args.lam,
         "snr": args.snr,
     }
-    if args.config:
-        return config_from_file(args.config, overrides)
-    return config_from_values(overrides)
+    values = _config_values(args, SWEEP_KEYS)
+    values.update({key: val for key, val in overrides.items() if val is not None})
+    return config_from_values(values)
 
 
-def _session_values(args, reads: tuple[str, ...]) -> dict:
+def _config_values(args, reads: tuple[str, ...]) -> dict:
     """Config-file values for a subcommand that reads only the keys in reads;
     one stderr line names every other key the file sets."""
     values = {}
@@ -76,7 +76,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_calibrate_fer(args) -> int:
-    values = _session_values(args, ("channel", "trials", "seed", "out"))
+    values = _config_values(args, ("channel", "trials", "seed", "out"))
     table = calibrate_fer(
         channel=values.get("channel", "rayleigh"),
         trials=args.trials or values.get("trials", 2000),
@@ -90,7 +90,7 @@ def cmd_calibrate_fer(args) -> int:
 
 
 def cmd_seu(args) -> int:
-    values = _session_values(args, (
+    values = _config_values(args, (
         "seed", "trials", "float_count", "int_count", "int_bits", "pattern", "channel",
         "snr", "float_noise_std", "flip_prob", "p_hat",
     ))

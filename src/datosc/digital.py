@@ -15,7 +15,8 @@ until the CRC verifies (see turbo_encode / turbo_decode).
 
 The coding and decoding functions take a (T, L) batch of frames and
 return batched results; a single (L,) frame is a batch of one and comes
-back as (1, ...).
+back as (1, ...). turbo_decode also takes a sequence of frames of unequal
+length.
 """
 
 from __future__ import annotations
@@ -484,53 +485,105 @@ def _crc_matches(info: np.ndarray, crc_bits: np.ndarray) -> np.ndarray:
 TURBO_MAX_ITERATIONS = 8
 
 
-def max_log_map(input_llrs: np.ndarray, parity_llrs: np.ndarray) -> np.ndarray:
+def max_log_map(
+    input_llrs: np.ndarray, parity_llrs: np.ndarray, input_counts: np.ndarray | None = None
+) -> np.ndarray:
     """A-posteriori LLRs of the input bits of the terminated 16-state RSC.
 
     input_llrs (T, N) hold all evidence on the inputs (systematic plus a
-    priori); parity_llrs (T, N + 4) are 0 where punctured. Max-log BCJR
-    (Bahl et al., 1974): forward and backward max-sum recursions, both
-    starting in state 0, then per step the best path through an input 0
-    minus the best through an input 1. The termination steps admit a = 0 only
-    and carry no input evidence.
+    priori); parity_llrs (T, N + 4) are 0 where punctured. Frame i has
+    input_counts[i] <= N inputs (default N). Its later steps, the 4
+    termination steps and then the padding, admit register input a = 0 only
+    and carry no input evidence; its parity LLRs past its own tail must be 0.
+    Its output LLRs at those steps are exactly 0, and the others equal those
+    of the frame decoded alone: the forward recursion is causal, and a
+    backward path from a step at or before the count takes a = 0 through the
+    termination, which lands in state 0 whatever follows, and through the
+    padding, which adds exactly 0 in state 0.
+
+    Max-log BCJR (Bahl et al., 1974): forward (alpha) and backward (beta)
+    max-sum recursions, both starting in state 0, then per step the best path
+    through an input 0 minus the best through an input 1. One loop advances
+    alpha at step t and beta at step N + 3 - t in the same two array
+    operations. Beta is kept in reversed time and with bit-reversed state
+    labels: reversal turns the backward step's shift right into a shift left,
+    so beta steps exactly as alpha does, through the branch table re-indexed
+    as (a, rev(r), b). Each metric is the same float32 sum as in two separate
+    recursions, and max is exact, so the LLRs are too.
     """
     batch, n = input_llrs.shape
     length = n + TURBO_TAIL_BITS
-    branch_u, branch_p = _branches(TURBO)
-    half = branch_u.shape[1]
+    counts = np.full(batch, n) if input_counts is None else np.asarray(input_counts)
+    branch_u = _branches(TURBO)[0].ravel()  # per branch (b, r, a), flat
+    half = branch_u.size // 4
+    steps = np.arange(length)[:, None]
+    live = steps[:n] < counts  # (n, T): the steps that carry a frame's inputs
     lu = np.zeros((length, batch), dtype=np.float32)
-    lu[:n] = input_llrs.T
-    # branch metrics, time-major with the batch axis last: (length, b, r, a, T).
-    # float32 halves the working set; its rounding matters only for
-    # decisions that are near-ties anyway.
-    half_u = (0.5 - branch_u[..., None]).astype(np.float32)  # (b, r, a, 1)
-    half_p = (0.5 - branch_p[..., None]).astype(np.float32)
-    g = lu[:, None, None, None, :] * half_u
-    g += parity_llrs.T[:, None, None, None, :].astype(np.float32) * half_p
-    g[n:, :, :, 1] = _NEG_METRIC
+    lu[:n] = np.where(live, input_llrs.T, 0.0)
+    # Per step and frame, a branch metric depends on (a, u, p) only: the
+    # u-term plus the p-term, or _NEG_METRIC for a = 1 once the frame's
+    # inputs end. float32 halves the working set; its rounding matters only
+    # for decisions that are near-ties anyway.
+    signs = np.array([0.5, -0.5], dtype=np.float32)
+    terms = lu[:, None, :] * signs[:, None]
+    terms = terms[:, :, None] + parity_llrs.T.astype(np.float32)[:, None, None] * signs[:, None]
+    # values over (step, recursion, a, u, p, T), the backward recursion's
+    # steps reversed; gg spreads them over the branches of each loop step
+    values = np.empty((length, 2, 2, 2, 2, batch), dtype=np.float32)
+    values[:, 0, 0] = terms
+    values[:, 0, 1] = np.where((steps >= counts)[:, None, None], _NEG_METRIC, terms)
+    values[:, 1] = values[::-1, 0]
+    codes, starts = _stacked_trellis()
+    gg = np.take(values.reshape(length, 16, batch), codes, axis=1)
 
+    # metric[t] holds alpha[t] and beta[length - t] (labels bit-reversed):
     # alpha[t + 1][2r + a] = max over b of alpha[t][half*b + r] + g[t][b, r, a]
-    alpha = np.full((length + 1, 2 * half, batch), _NEG_METRIC, dtype=np.float32)
-    alpha[0, 0] = 0.0
-    a_in = alpha.reshape(length + 1, 2, half, 1, batch)
-    a_out = alpha.reshape(length + 1, half, 2, batch)
-    for a_t, g_t, a_next in zip(a_in, g, a_out[1:]):
-        c = a_t + g_t
-        np.maximum(c[0], c[1], out=a_next)
-    # beta[t][half*b + r] = max over a of g[t][b, r, a] + beta[t + 1][2r + a]
-    beta = np.full((length + 1, 2 * half, batch), _NEG_METRIC, dtype=np.float32)
-    beta[length, 0] = 0.0
-    b_in = beta.reshape(length + 1, 1, half, 2, batch)
-    b_out = beta.reshape(length + 1, 2, half, batch)
-    for g_t, b_next, b_t in zip(g[::-1], b_in[:0:-1], b_out[-2::-1]):
-        c = g_t + b_next
-        np.maximum(c[:, :, 0], c[:, :, 1], out=b_t)
+    metric = np.empty((length + 1, 2, 2 * half, batch), dtype=np.float32)
+    metric[0] = _NEG_METRIC  # the loop fills every later row
+    metric[0, :, 0] = 0.0
+    m_in = metric.reshape(length + 1, 2, 2, half, 1, batch)
+    m_out = metric.reshape(length + 1, 2, half, 2, batch)
+    c = np.empty(gg.shape[1:], dtype=np.float32)
+    c_0, c_1 = c[:, 0], c[:, 1]  # b = 0 and b = 1 for alpha, a for beta
+    for m_t, g_t, m_next in zip(m_in, gg, m_out[1:]):
+        np.add(m_t, g_t, out=c)
+        np.maximum(c_0, c_1, out=m_next)
 
-    paths = g[:n]  # in place: the branch metrics are not needed again
-    paths += a_in[:n]
-    paths += b_in[1 : n + 1]
+    # per branch (b, r, a) of step t < n: g[t] + alpha[t] + beta[t + 1]
+    paths = gg[:n, 0].reshape(n, 4 * half, batch)  # in place: g is not needed again
+    paths += np.take(metric[:n, 0], starts, axis=1)
+    beta = np.take(metric[length - 1 : length - 1 - n : -1, 1], _bit_reversal(TURBO[0]), axis=1)
+    by_end = paths.reshape(n, 2, 2 * half, batch)  # (t, b, 2r + a)
+    by_end += beta[:, None]
     llrs = paths[:, branch_u == 0].max(axis=1) - paths[:, branch_u == 1].max(axis=1)
+    llrs[~live] = 0.0
     return llrs.T.astype(np.float64)
+
+
+@functools.lru_cache(maxsize=1)
+def _stacked_trellis() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index arrays of max_log_map's stacked recursion.
+
+    codes: per loop-step slot, the index of its branch metric among the
+    (recursion, a, u, p) values; [0] is over (b, r, a) for alpha, [1] over
+    (a, rev(r), b) for beta. starts: per branch (b, r, a), flat, the label
+    of its start state.
+    """
+    memory = TURBO[0]
+    branch_u, branch_p = _branches(TURBO)
+    b, r, a = np.indices(branch_u.shape)
+    forward = 4 * a + 2 * branch_u + branch_p
+    backward = 8 + forward.transpose(2, 1, 0)[:, _bit_reversal(memory - 1)]
+    tables = (np.stack([forward, backward]), (b << (memory - 1) | r).ravel())
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _bit_reversal(bits: int) -> np.ndarray:
+    """Each `bits`-bit label with its bit order reversed."""
+    labels = np.arange(1 << bits)
+    return sum(((labels >> k) & 1) << (bits - 1 - k) for k in range(bits))
 
 
 @functools.lru_cache(maxsize=16)
@@ -600,57 +653,88 @@ def turbo_encode(info_bits: np.ndarray, pattern: str) -> np.ndarray:
     return np.concatenate([parity1[:, keep1], parity2[:, keep2]], axis=1)
 
 
-def turbo_decode(
-    side_llrs: np.ndarray, parity_llrs: np.ndarray, pattern: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Iterative max-log-MAP decoding of a batch of equal-length frames.
+def turbo_decode(side_llrs, parity_llrs, pattern: str) -> tuple[np.ndarray, np.ndarray]:
+    """Iterative max-log-MAP decoding of a batch of frames.
 
-    side_llrs (T, K) cover the info positions; CRC positions start with no
-    evidence. Each iteration runs constituent 1 with constituent 2's
-    extrinsic LLRs as a priori evidence, then constituent 2 with
-    constituent 1's, and checks the hard decision against its CRC. A frame
-    stops as soon as its CRC verifies; the rest go on for at most
-    TURBO_MAX_ITERATIONS iterations. Returns (info_bits, crc_ok); a frame
-    that never verifies returns its last hard decision.
+    side_llrs hold each frame's info-position LLRs: a (T, K) array, or a
+    sequence of T frames whose lengths K_i may differ. parity_llrs hold
+    frame i's parity_length(K_i, pattern) LLRs in the same form. CRC
+    positions start with no evidence. Each iteration runs constituent 1
+    with constituent 2's extrinsic LLRs as a priori evidence, then
+    constituent 2 with constituent 1's, and checks each frame's hard
+    decision against its CRC. A frame stops as soon as its CRC verifies; the
+    rest go on for at most TURBO_MAX_ITERATIONS iterations.
+
+    Frames of unequal length share one batch, padded to the longest frame
+    still active: max_log_map takes each frame's input count, and frame i
+    interleaves through its own permutation, extended by the identity over
+    the padding. Pad positions then carry exactly 0 throughout, and each
+    frame decodes exactly as it would alone.
+
+    Returns (info_bits, crc_ok): info_bits is (T, max K_i), frame i's bits
+    in its first K_i columns and 0 after. A frame that never verifies
+    returns its last hard decision.
     """
-    side = np.atleast_2d(np.asarray(side_llrs, dtype=np.float64))
-    parity = np.atleast_2d(np.asarray(parity_llrs, dtype=np.float64))
-    batch, info_len = side.shape
-    n = info_len + CRC_BITS
-    keep1, keep2 = turbo_keep_indices(info_len, pattern)
-    if parity.shape != (batch, len(keep1) + len(keep2)):
-        raise ParameterError(
-            f"expected {len(keep1) + len(keep2)} parity LLRs per frame for "
-            f"pattern {pattern}, got {parity.shape[-1]}"
-        )
-    perm = turbo_interleaver(n)
-    par1 = np.zeros((batch, n + TURBO_TAIL_BITS))
-    par1[:, keep1] = parity[:, : len(keep1)]
-    par2 = np.zeros((batch, n + TURBO_TAIL_BITS))
-    par2[:, keep2] = parity[:, len(keep1) :]
+    sides, parities = _frames(side_llrs), _frames(parity_llrs)
+    if len(sides) != len(parities):
+        raise ParameterError(f"{len(sides)} frames of side LLRs but {len(parities)} of parity")
+    batch = len(sides)
+    info_lens = np.array([len(side) for side in sides])
+    counts = info_lens + CRC_BITS
+    n = counts.max()
     systematic = np.zeros((batch, n))
-    systematic[:, :info_len] = side
+    par1 = np.zeros((batch, n + TURBO_TAIL_BITS))
+    par2 = np.zeros((batch, n + TURBO_TAIL_BITS))
+    order = np.tile(np.arange(n), (batch, 1))  # constituent 2's input j is stream bit order[j]
+    for i, (side, parity) in enumerate(zip(sides, parities)):
+        keep1, keep2 = turbo_keep_indices(len(side), pattern)
+        if len(parity) != len(keep1) + len(keep2):
+            raise ParameterError(
+                f"expected {len(keep1) + len(keep2)} parity LLRs per frame for "
+                f"pattern {pattern}, got {len(parity)}"
+            )
+        systematic[i, : len(side)] = side
+        par1[i, keep1] = parity[: len(keep1)]
+        par2[i, keep2] = parity[len(keep1) :]
+        order[i, : counts[i]] = turbo_interleaver(counts[i])
 
     extrinsic2 = np.zeros((batch, n))
     decided = np.zeros((batch, n), dtype=np.uint8)
     crc_ok = np.zeros(batch, dtype=bool)
     active = np.arange(batch)
     for _ in range(TURBO_MAX_ITERATIONS):
-        s = systematic[active]
-        prior1 = s + extrinsic2[active]
-        extrinsic1 = max_log_map(prior1, par1[active]) - prior1
-        prior2 = (s + extrinsic1)[:, perm]
+        width = counts[active].max()
+        trellis = width + TURBO_TAIL_BITS
+        s = systematic[active, :width]
+        prior1 = s + extrinsic2[active, :width]
+        extrinsic1 = max_log_map(prior1, par1[active, :trellis], counts[active]) - prior1
+        perm = order[active, :width]
+        prior2 = np.take_along_axis(s + extrinsic1, perm, axis=1)
         posterior = np.empty_like(prior2)
-        posterior[:, perm] = max_log_map(prior2, par2[active])
-        extrinsic2[active] = posterior - s - extrinsic1
+        np.put_along_axis(
+            posterior, perm, max_log_map(prior2, par2[active, :trellis], counts[active]), axis=1
+        )
+        extrinsic2[active, :width] = posterior - s - extrinsic1
         hard = (posterior < 0).astype(np.uint8)
-        decided[active] = hard
-        passed = _crc_matches(hard[:, :info_len], hard[:, info_len:])
+        decided[active, :width] = hard
+        passed = np.zeros(active.size, dtype=bool)
+        for k in np.unique(info_lens[active]):
+            group = info_lens[active] == k
+            passed[group] = _crc_matches(hard[group, :k], hard[group, k : k + CRC_BITS])
         crc_ok[active[passed]] = True
         active = active[~passed]
         if not active.size:
             break
-    return decided[:, :info_len], crc_ok
+    k_max = info_lens.max()
+    return np.where(np.arange(k_max) < info_lens[:, None], decided[:, :k_max], 0), crc_ok
+
+
+def _frames(llrs) -> list[np.ndarray]:
+    """The rows of a (T, L) array, where an (L,) frame is a batch of one, or
+    the frames of a sequence, each as a float64 array."""
+    if isinstance(llrs, np.ndarray):
+        llrs = np.atleast_2d(llrs)
+    return [np.asarray(frame, dtype=np.float64) for frame in llrs]
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,9 @@ _SESSION_CASTS = {
     "p_hat": float,
 }
 
+# the keys a sweep config reads
+SWEEP_KEYS = tuple(_CONFIG_CASTS)
+
 _KEY_TO_FIELD = {
     "lambda": "lam",
     "snr": "snr_grid",

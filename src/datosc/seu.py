@@ -129,9 +129,12 @@ def seu_update_ints(
     The sender turbo-encodes the updated bits and transmits only the
     punctured parity, parity_length(frame bits, pattern) per frame, as
     unit-power BPSK; the receiver forms systematic LLRs from its outdated
-    copy, (1 - 2*old_bit) * log((1-p_hat)/p_hat), and decodes all
-    equal-length frames of the session in one batch. Frames whose CRC never
-    verifies keep the outdated values.
+    copy, (1 - 2*old_bit) * log((1-p_hat)/p_hat). Frames hold
+    MAX_FRAME_INFO_BITS bits, the last one the rest. The full frames are
+    encoded and sent as one batch, then the last frame, and the receiver
+    decodes every frame of the session, the shorter one included, in one
+    turbo_decode call. Frames whose CRC never verifies keep the outdated
+    values.
     """
     if not 0.0 < p_hat < 0.5:
         raise ParameterError("assumed drift rate must lie in (0, 0.5)")
@@ -139,46 +142,47 @@ def seu_update_ints(
     old_bits = cells_to_bits(outdated, int_bits)
     if up_bits.size != old_bits.size:
         raise ParameterError("updated/outdated parameter counts differ")
+    if not up_bits.size:
+        raise ParameterError("a session needs at least one integer parameter")
     side_mag = float(np.log((1.0 - p_hat) / p_hat))
 
     total = up_bits.size
     full_end = total - total % MAX_FRAME_INFO_BITS
-    corrected = old_bits.copy()
-    crc_ok: list[bool] = []
-    parity_bits: list[int] = []
-    # the full frames in one batch, then the shorter rest: frame order
+    parity_llrs: list[np.ndarray] = []
+    # frame order, and the order of the channel's noise draws
     for start, stop in ((0, full_end), (full_end, total)):
         if start == stop:
             continue
         width = min(MAX_FRAME_INFO_BITS, stop - start)
-        up = up_bits[start:stop].reshape(-1, width)
-        old = old_bits[start:stop].reshape(-1, width)
-        parity = turbo_encode(up, pattern)
+        parity = turbo_encode(up_bits[start:stop].reshape(-1, width), pattern)
         received = transmit(modulate(parity, "bpsk"), state)
-        parity_llrs = demodulate(
-            received, state.h, state.noise_var, "bpsk", n_bits=parity.shape[1]
+        parity_llrs += list(
+            demodulate(received, state.h, state.noise_var, "bpsk", n_bits=parity.shape[1])
         )
-        side = llr_clip((1.0 - 2.0 * old.astype(np.float64)) * side_mag)
-        decoded, ok = turbo_decode(side, parity_llrs, pattern)
-        corrected[start:stop] = np.where(ok[:, None], decoded, old).reshape(-1)
-        crc_ok += ok.tolist()
-        parity_bits += [parity.shape[1]] * len(ok)
+    slices = _frame_slices(total)
+    side = llr_clip((1.0 - 2.0 * old_bits.astype(np.float64)) * side_mag)
+    decoded, crc_ok = turbo_decode([side[sl] for sl in slices], parity_llrs, pattern)
+    corrected = old_bits.copy()
+    for sl, bits, ok in zip(slices, decoded, crc_ok):
+        if ok:
+            corrected[sl] = bits[: sl.stop - sl.start]
+    parity_bits = [len(p) for p in parity_llrs]
 
     frames = [
         FrameRecord(
             frame_idx=idx,
             pattern=pattern,
             parity_bits=parity_bits[idx],
-            crc_ok=crc_ok[idx],
+            crc_ok=bool(crc_ok[idx]),
             bit_errors_before=int(np.sum(old_bits[sl] != up_bits[sl])),
             bit_errors_after=int(np.sum(corrected[sl] != up_bits[sl])),
         )
-        for idx, sl in enumerate(_frame_slices(total))
+        for idx, sl in enumerate(slices)
     ]
     parity_total = sum(parity_bits)
     return SeuSessionResult(
         corrected_ints=bits_to_cells(corrected, int_bits),
-        crc_ok=all(crc_ok),
+        crc_ok=bool(crc_ok.all()),
         overhead_ratio=parity_total / up_bits.size,
         frames=frames,
         parity_bits_sent=parity_total,

@@ -39,7 +39,7 @@ from datosc.digital import (
     turbo_keep_indices,
     viterbi_decode,
 )
-from datosc.digital import _branches, _rsc_encode
+from datosc.digital import _NEG_METRIC, TURBO_TAIL_BITS, _branches, _rsc_encode
 from datosc.errors import ParameterError
 
 
@@ -610,6 +610,89 @@ def test_max_log_map_equals_brute_force_ml(k):
     assert mismatches == 0
 
 
+def _max_log_map_two_loops(input_llrs, parity_llrs):
+    """Reference max-log BCJR for equal-length frames: the forward recursion
+    in one loop, then the backward recursion in a second, both in natural
+    time and state order, with float32 metrics."""
+    batch, n = input_llrs.shape
+    length = n + TURBO_TAIL_BITS
+    branch_u, branch_p = _branches(TURBO)
+    half = branch_u.shape[1]
+    lu = np.zeros((length, batch), dtype=np.float32)
+    lu[:n] = input_llrs.T
+    half_u = (0.5 - branch_u[..., None]).astype(np.float32)
+    half_p = (0.5 - branch_p[..., None]).astype(np.float32)
+    g = lu[:, None, None, None, :] * half_u
+    g += parity_llrs.T[:, None, None, None, :].astype(np.float32) * half_p
+    g[n:, :, :, 1] = _NEG_METRIC
+
+    # alpha[t + 1][2r + a] = max over b of alpha[t][half*b + r] + g[t][b, r, a]
+    alpha = np.full((length + 1, 2 * half, batch), _NEG_METRIC, dtype=np.float32)
+    alpha[0, 0] = 0.0
+    a_in = alpha.reshape(length + 1, 2, half, 1, batch)
+    a_out = alpha.reshape(length + 1, half, 2, batch)
+    for a_t, g_t, a_next in zip(a_in, g, a_out[1:]):
+        c = a_t + g_t
+        np.maximum(c[0], c[1], out=a_next)
+    # beta[t][half*b + r] = max over a of g[t][b, r, a] + beta[t + 1][2r + a]
+    beta = np.full((length + 1, 2 * half, batch), _NEG_METRIC, dtype=np.float32)
+    beta[length, 0] = 0.0
+    b_in = beta.reshape(length + 1, 1, half, 2, batch)
+    b_out = beta.reshape(length + 1, 2, half, batch)
+    for g_t, b_next, b_t in zip(g[::-1], b_in[:0:-1], b_out[-2::-1]):
+        c = g_t + b_next
+        np.maximum(c[:, :, 0], c[:, :, 1], out=b_t)
+
+    paths = g[:n]
+    paths += a_in[:n]
+    paths += b_in[1 : n + 1]
+    llrs = paths[:, branch_u == 0].max(axis=1) - paths[:, branch_u == 1].max(axis=1)
+    return llrs.T.astype(np.float64)
+
+
+def _mlm_inputs(rng, batch, n):
+    """Turbo-like evidence: clipped input LLRs, a third of the parity
+    punctured, and some large values so that near-ties and saturated
+    metrics both occur."""
+    input_llrs = llr_clip(rng.normal(0.0, 6.0, (batch, n)))
+    parity_llrs = rng.normal(0.0, 3.0, (batch, n + TURBO_TAIL_BITS))
+    parity_llrs[rng.random(parity_llrs.shape) < 0.33] = 0.0
+    return input_llrs, parity_llrs
+
+
+@pytest.mark.parametrize("batch", [1, 3, 48])
+@pytest.mark.parametrize("n", [1, 30, 614, 1182])
+def test_max_log_map_equals_two_loop_oracle(batch, n):
+    """The single stacked recursion gives the two-loop LLRs bit for bit."""
+    rng = np.random.default_rng(batch * 10_000 + n)
+    input_llrs, parity_llrs = _mlm_inputs(rng, batch, n)
+    assert np.array_equal(
+        max_log_map(input_llrs, parity_llrs), _max_log_map_two_loops(input_llrs, parity_llrs)
+    )
+
+
+@pytest.mark.parametrize("batch", [3, 48])
+@pytest.mark.parametrize("n", [30, 614, 1182])
+def test_max_log_map_ragged_frames_equal_frames_alone(batch, n):
+    """A frame padded past its input count gives its LLRs alone up to the
+    count and exactly 0 after; pad evidence is ignored."""
+    rng = np.random.default_rng(batch + n)
+    counts = rng.integers(1, n + 1, batch)
+    counts[0] = n
+    input_llrs, parity_llrs = _mlm_inputs(rng, batch, n)
+    for i, count in enumerate(counts):
+        parity_llrs[i, count + TURBO_TAIL_BITS :] = 0.0
+    # evidence on pad input positions must not leak in
+    input_llrs[np.arange(n) >= counts[:, None]] = 25.0
+    got = max_log_map(input_llrs, parity_llrs, counts)
+    for i, count in enumerate(counts):
+        alone = _max_log_map_two_loops(
+            input_llrs[i : i + 1, :count], parity_llrs[i : i + 1, : count + TURBO_TAIL_BITS]
+        )
+        assert np.array_equal(got[i, :count], alone[0])
+        assert np.all(got[i, count:] == 0.0)
+
+
 @pytest.mark.parametrize("pattern", ["R12", "R23", "R34"])
 @pytest.mark.parametrize("info_len", [1, 4, 30, 1166])
 def test_turbo_puncture_budget(pattern, info_len):
@@ -644,6 +727,31 @@ def test_turbo_batch_matches_single(rng):
         bits, ok = turbo_decode(sides[i : i + 1], pars[i : i + 1], "R34")
         assert np.array_equal(bits, batch_bits[i : i + 1])
         assert np.array_equal(ok, batch_ok[i : i + 1])
+
+
+def test_turbo_frames_of_unequal_length_decode_as_alone():
+    """One batch of 1,166- and 598-bit frames (and a 2-bit one) gives each
+    frame's bits and flag from decoding it alone. The long frames verify at
+    different iterations and the short ones never do, so the batch narrows
+    to the short frames' width for its last iterations."""
+    rng = np.random.default_rng(0x7A6)
+    lengths = (1166, 598, 1166, 598, 2, 1166)
+    flip_rates = (0.01, 0.04, 0.03, 0.3, 0.0, 0.02)
+    sides, pars = [], []
+    for length, flip in zip(lengths, flip_rates):
+        info = rng.integers(0, 2, (1, length)).astype(np.uint8)
+        parity = turbo_encode(info, "R34")[0]
+        flips = (rng.random(length) < flip).astype(np.uint8)
+        sides.append((1.0 - 2.0 * (info[0] ^ flips)) * np.log(0.95 / 0.05))
+        pars.append((1.0 - 2.0 * parity) * 2.0 + rng.normal(0, 1.0, parity.shape))
+    bits, ok = turbo_decode(sides, pars, "R34")
+    assert bits.shape == (len(lengths), max(lengths))
+    assert ok.tolist() == [length == 1166 for length in lengths]
+    for i, length in enumerate(lengths):
+        alone_bits, alone_ok = turbo_decode(sides[i], pars[i], "R34")
+        assert np.array_equal(bits[i, :length], alone_bits[0])
+        assert not bits[i, length:].any()
+        assert ok[i] == alone_ok[0]
 
 
 def test_turbo_rejects_wrong_parity_count():

@@ -25,6 +25,7 @@ from datosc.sources import SourceSpec
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_SWEEP = os.path.join(DATA, "golden_sweep.csv")
 GOLDEN_SEU = os.path.join(DATA, "golden_seu.json")
+GOLDEN_SEU_RAGGED = os.path.join(DATA, "golden_seu_ragged.json")
 GOLDEN_ALLOC = os.path.join(DATA, "golden_alloc.json")
 
 
@@ -70,6 +71,38 @@ def seu_sessions() -> dict:
 
 def seu_json() -> str:
     return json.dumps(seu_sessions(), indent=1, sort_keys=True) + "\n"
+
+
+def seu_ragged_sessions() -> dict:
+    """24 sessions of 4-bit ints whose last frame is shorter than the rest:
+    R12/R23/R34 at drift 1% and 15% (p_hat = drift), 10 dB. 1024 ints (three
+    full frames and a 598-bit rest) on AWGN and Rayleigh, 292 ints (one full
+    frame and a 2-bit rest) on AWGN, and 583 ints (two full frames, no rest)
+    on Rayleigh. Corrected ints are one hex digit each."""
+    out = {}
+    for fading, short_count in (("awgn", 292), ("rayleigh", 583)):
+        for pattern in ("R12", "R23", "R34"):
+            for flip in (0.01, 0.15):
+                for count in (short_count, 1024):
+                    rng = np.random.default_rng((count, int(flip * 100)))
+                    params = ModelParams(
+                        floats=np.zeros(1), ints=rng.integers(0, 16, count), int_bits=4
+                    )
+                    outdated = drift(params, DriftSpec(0.0, flip), seed=count + 7)
+                    state = ChannelState.for_block(10.0, fading, seed=count)
+                    res = seu_update_ints(params.ints, outdated.ints, 4, pattern, state, flip)
+                    rng_state = state.rng.bit_generator.state["state"]
+                    out[f"{fading}_{pattern}_{flip:g}_{count}"] = {
+                        "corrected_ints": "".join(f"{v:x}" for v in res.corrected_ints),
+                        "crc_ok": bool(res.crc_ok),
+                        "frames": [dataclasses.asdict(f) for f in res.frames],
+                        "rng_after": [int(rng_state["state"]), int(rng_state["inc"])],
+                    }
+    return out
+
+
+def seu_ragged_json() -> str:
+    return json.dumps(seu_ragged_sessions(), indent=1, sort_keys=True) + "\n"
 
 
 def _plan_record(plan, snr_db, ctx, fer) -> dict:
@@ -137,6 +170,11 @@ def test_seu_sessions_match_golden_bytes():
         assert seu_json().encode() == fh.read()
 
 
+def test_seu_ragged_sessions_match_golden_bytes():
+    with open(GOLDEN_SEU_RAGGED, "rb") as fh:
+        assert seu_ragged_json().encode() == fh.read()
+
+
 def test_alloc_plans_match_golden_bytes():
     with open(GOLDEN_ALLOC, "rb") as fh:
         assert alloc_json().encode() == fh.read()
@@ -151,5 +189,7 @@ if __name__ == "__main__":
         build_sweep_csv(GOLDEN_SWEEP, tmp)
     with open(GOLDEN_SEU, "w", newline="\n") as fh:
         fh.write(seu_json())
+    with open(GOLDEN_SEU_RAGGED, "w", newline="\n") as fh:
+        fh.write(seu_ragged_json())
     with open(GOLDEN_ALLOC, "w", newline="\n") as fh:
         fh.write(alloc_json())

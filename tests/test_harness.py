@@ -155,6 +155,27 @@ def test_session_commands_name_config_keys_they_do_not_read(tmp_path, capsys, mo
     )
 
 
+def test_sweep_names_session_keys_it_does_not_read(tmp_path, capsys):
+    """A sweep config that sets session-only keys writes the same CSV and
+    stdout as one without them, plus one stderr line naming them."""
+    from datosc import cli
+
+    runs = {}
+    for name, extra in (("base", ""), ("extra", "int_count=5\nflip_prob=0.3\n")):
+        cfg = tmp_path / f"{name}.cfg"
+        csv_path = tmp_path / f"{name}.csv"
+        cfg.write_text(f"scheme=analog\nsnr=10\ntrials=100\n{extra}out={csv_path}\n")
+        cli.main(["sweep", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        runs[name] = (out.replace(str(csv_path), "CSV"), err, csv_path.read_bytes())
+    assert runs["base"][1] == ""
+    assert runs["extra"][1] == (
+        "datosc sweep: ignoring config keys it does not read: int_count, flip_prob\n"
+    )
+    assert runs["extra"][0] == runs["base"][0]
+    assert runs["extra"][2] == runs["base"][2]
+
+
 @pytest.mark.parametrize(
     "flags", [["--scheme", "da"], ["--snr", "10"], ["--lambda", "0.5"]]
 )

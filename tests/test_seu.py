@@ -40,6 +40,8 @@ def test_precision_invariants():
         ModelParams(floats=np.zeros(1), ints=np.array([0]), int_bits=5)
     with pytest.raises(ParameterError):
         DriftSpec(bit_flip_prob=0.5)
+    with pytest.raises(ParameterError, match="at least one"):
+        seu_update_ints(np.zeros(0, int), np.zeros(0, int), 4, "R34", ChannelState.awgn(10.0), 0.01)
 
 
 def test_zero_drift_is_identity(rng):
