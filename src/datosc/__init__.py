@@ -23,7 +23,6 @@ from .codec import (
     synthesize_full,
 )
 from .digital import (
-    CodeSpec,
     QuantizerSpec,
     crc16,
     demodulate,
@@ -55,7 +54,6 @@ from .seu import (
     DriftSpec,
     ModelParams,
     drift,
-    seu_overhead_report,
     seu_send_floats,
     seu_update_ints,
 )

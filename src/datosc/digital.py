@@ -229,13 +229,17 @@ def _branches(code: tuple) -> tuple[np.ndarray, np.ndarray]:
 
 
 def parity_length(info_len: int, pattern: str) -> int:
-    """Punctured parity bit count: round(fraction * (info + CRC + tail))."""
-    frac = PATTERN_FRACTIONS[pattern]
+    """Punctured parity bit count of both codes: round(fraction * (info + CRC
+    + tail)). The one check of the pattern id: ParameterError if unknown."""
+    frac = PATTERN_FRACTIONS.get(pattern)
+    if frac is None:
+        raise ParameterError(f"unknown code pattern {pattern!r}")
     return int(round(Fraction(info_len + CRC_BITS + TAIL_BITS) * frac))
 
 
-def puncture_keep_indices(encoded_len: int, pattern: str) -> np.ndarray:
-    """Surviving parity positions; exactly round(fraction * encoded_len) bits.
+def puncture_keep_indices(info_len: int, pattern: str) -> np.ndarray:
+    """Surviving parity positions of the uplink code: parity_length(info_len,
+    pattern) of its info_len + CRC_BITS + TAIL_BITS trellis steps.
 
     The CRC and tail steps carry no receiver-side systematic evidence, so
     their parity is never punctured: the last CRC_BITS + TAIL_BITS positions
@@ -243,8 +247,8 @@ def puncture_keep_indices(encoded_len: int, pattern: str) -> np.ndarray:
     region. (Without this, a punctured trellis tail is under-determined and
     even noiseless frames fail their CRC check.)
     """
-    m = int(round(Fraction(encoded_len) * PATTERN_FRACTIONS[pattern]))
-    return _spread_keep(encoded_len, m, CRC_BITS + TAIL_BITS)
+    length = info_len + CRC_BITS + TAIL_BITS
+    return _spread_keep(length, parity_length(info_len, pattern), CRC_BITS + TAIL_BITS)
 
 
 def _spread_keep(length: int, m: int, protected: int) -> np.ndarray:
@@ -261,34 +265,23 @@ def _spread_keep(length: int, m: int, protected: int) -> np.ndarray:
     return np.concatenate([head_keep, np.arange(head, length)])
 
 
-@dataclass(frozen=True)
-class CodeSpec:
-    """Pattern id selecting the parity fraction of the fixed RSC+CRC chain."""
-
-    pattern: str = "R12"
-
-    def __post_init__(self):
-        if self.pattern not in PATTERN_FRACTIONS:
-            raise ParameterError(f"unknown code pattern {self.pattern!r}")
-
-    def encoded_len(self, info_len: int) -> int:
-        return info_len + CRC_BITS + TAIL_BITS
-
-    def parity_len(self, info_len: int) -> int:
-        return parity_length(info_len, self.pattern)
+def _with_crc(info_bits: np.ndarray) -> np.ndarray:
+    """(T, K) info bits, an (K,) frame a batch of one, with their CRC
+    appended: the (T, K + CRC_BITS) stream both encoders code."""
+    info = np.atleast_2d(np.asarray(info_bits, dtype=np.uint8))
+    return np.concatenate([info, crc16(info)], axis=1)
 
 
-def dsc_encode(info_bits: np.ndarray, code: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
+def dsc_encode(info_bits: np.ndarray, pattern: str) -> tuple[np.ndarray, np.ndarray]:
     """Append CRC and tail, run the RSC, and puncture its parity.
 
     Returns (systematic, parity): the info + CRC + tail bits, and the
-    parity_len(info_len) surviving parity bits. A parity-only link sends the
-    parity alone; a plain digital link sends both.
+    parity_length(info_len, pattern) surviving parity bits. A parity-only
+    link sends the parity alone; a plain digital link sends both.
     """
-    info = np.atleast_2d(np.asarray(info_bits, dtype=np.uint8))
-    stream = np.concatenate([info, crc16(info)], axis=1)
+    stream = _with_crc(info_bits)
     systematic, parity = rsc_encode(stream)
-    return systematic, parity[:, puncture_keep_indices(parity.shape[1], code.pattern)]
+    return systematic, parity[:, puncture_keep_indices(stream.shape[1] - CRC_BITS, pattern)]
 
 
 # ---------------------------------------------------------------------------
@@ -440,36 +433,33 @@ def viterbi_decode(sys_llrs: np.ndarray, parity_llrs: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(bits.T)
 
 
-def assemble_parity_llrs(parity_llrs: np.ndarray, encoded_len: int, pattern: str) -> np.ndarray:
-    """Spread punctured-parity LLRs over the full trellis (zeros elsewhere)."""
-    keep = puncture_keep_indices(encoded_len, pattern)
-    p = np.asarray(parity_llrs, dtype=np.float64)
-    if p.shape[-1] != len(keep):
-        raise ParameterError(
-            f"expected {len(keep)} parity LLRs for pattern {pattern}, got {p.shape[-1]}"
-        )
-    full = np.zeros(p.shape[:-1] + (encoded_len,))
-    full[..., keep] = p
-    return full
-
-
 def dsc_decode(
     side_llrs: np.ndarray,
     parity_llrs: np.ndarray,
-    code: CodeSpec,
+    pattern: str,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Soft-input Viterbi with receiver-side systematic evidence.
 
     side_llrs cover every encoded position (info, CRC and tail); a position
-    without evidence carries 0. Returns (info_bits, crc_ok); on a CRC
-    mismatch the bits are still the best path's decision, and the caller
-    decides the fallback.
+    without evidence carries 0. parity_llrs hold the punctured parity,
+    parity_length(info_len, pattern) per frame; the decoder spreads them
+    over the trellis with zeros at the punctured positions. Returns
+    (info_bits, crc_ok); on a CRC mismatch the bits are still the best
+    path's decision, and the caller decides the fallback.
     """
     side = np.atleast_2d(np.asarray(side_llrs, dtype=np.float64))
     info_len = side.shape[1] - CRC_BITS - TAIL_BITS
     if info_len < 0:
         raise ParameterError("fewer systematic LLRs than CRC and tail positions")
-    decided = viterbi_decode(side, assemble_parity_llrs(parity_llrs, side.shape[1], code.pattern))
+    keep = puncture_keep_indices(info_len, pattern)
+    parity = np.asarray(parity_llrs, dtype=np.float64)
+    if parity.shape[-1] != len(keep):
+        raise ParameterError(
+            f"expected {len(keep)} parity LLRs for pattern {pattern}, got {parity.shape[-1]}"
+        )
+    full = np.zeros(parity.shape[:-1] + (side.shape[1],))
+    full[..., keep] = parity
+    decided = viterbi_decode(side, full)
     info = decided[:, :info_len]
     return info, _crc_matches(info, decided[:, info_len : info_len + CRC_BITS])
 
@@ -644,9 +634,8 @@ def turbo_encode(info_bits: np.ndarray, pattern: str) -> np.ndarray:
     each is terminated on its own. The wire carries constituent 1's kept
     parity, then constituent 2's, and never a systematic bit.
     """
-    info = np.atleast_2d(np.asarray(info_bits, dtype=np.uint8))
-    stream = np.concatenate([info, crc16(info)], axis=1)
-    keep1, keep2 = turbo_keep_indices(info.shape[1], pattern)
+    stream = _with_crc(info_bits)
+    keep1, keep2 = turbo_keep_indices(stream.shape[1] - CRC_BITS, pattern)
     perm = turbo_interleaver(stream.shape[1])
     parity1 = _rsc_encode(stream, TURBO)[1]
     parity2 = _rsc_encode(stream[:, perm], TURBO)[1]

@@ -9,7 +9,6 @@ regardless of how trials are chunked over workers.
 from __future__ import annotations
 
 import csv
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
 from typing import Optional, get_type_hints
@@ -19,7 +18,7 @@ import numpy as np
 from . import analog as ana
 from . import codec
 from . import digital as dig
-from .allocator import FerTable
+from .allocator import FerTable, digital_uses
 from .channel import ChannelBudget, ChannelState, _complex_noise
 from .errors import ConfigError, ParameterError
 from .sources import SourceSpec, gen_block, load_pgm
@@ -235,7 +234,6 @@ class LinkSetup:
     task: Optional[codec.TaskModel]
     kept: np.ndarray             # selected coefficient indices (k,)
     quant: dig.QuantizerSpec
-    code: dig.CodeSpec
     n_analog: int
     n_digital: int
     power_analog: float
@@ -277,22 +275,19 @@ def build_link(config: ExperimentConfig) -> LinkSetup:
         )
     kept = codec.selection_indices(config.n, config.k, prior_vars, task)
     quant = dig.QuantizerSpec.from_prior_vars(prior_vars, config.quant_bits)
-    code = dig.CodeSpec(config.pattern)
+    info_len = config.n * config.quant_bits
+    parity_len = dig.parity_length(info_len, config.pattern)  # checks the pattern, for every scheme
 
     if config.scheme == "analog":
         n_a, n_d = -(-config.k // 2), 0
         p_a, p_d = config.total_power, 0.0
     elif config.scheme == "digital":
-        wire_bits = code.encoded_len(config.n * config.quant_bits) + code.parity_len(
-            config.n * config.quant_bits
-        )
+        wire_bits = info_len + dig.CRC_BITS + dig.TAIL_BITS + parity_len
         n_a, n_d = 0, dig.symbol_count(wire_bits, config.modulation)
         p_a, p_d = 0.0, config.total_power
     else:
         n_a = -(-config.k // 2)
-        n_d = dig.symbol_count(
-            code.parity_len(config.n * config.quant_bits), config.modulation
-        )
+        n_d = digital_uses(config.n, config.quant_bits, config.pattern, config.modulation)
         p_a = config.p_a_fraction * config.total_power
         p_d = config.total_power - p_a
 
@@ -310,7 +305,6 @@ def build_link(config: ExperimentConfig) -> LinkSetup:
         task=task,
         kept=kept,
         quant=quant,
-        code=code,
         n_analog=n_a,
         n_digital=n_d,
         power_analog=p_a,
@@ -408,7 +402,7 @@ def digital_stage(
     no evidence. Without it the systematic bits are sent as well.
     Returns the decoded quantizer cells and the CRC flags.
     """
-    systematic, parity = dig.dsc_encode(dig.quantize(full, setup.quant), setup.code)
+    systematic, parity = dig.dsc_encode(dig.quantize(full, setup.quant), config.pattern)
     wire = parity if side is not None else np.concatenate([systematic, parity], axis=1)
     x_d = dig.modulate(wire, config.modulation, setup.digital_amplitude)
     h = draws.h[:, None]
@@ -421,7 +415,7 @@ def digital_stage(
     else:
         sys_llrs = np.zeros(systematic.shape)
         sys_llrs[:, : side.shape[1]] = side
-    decoded, crc_ok = dig.dsc_decode(sys_llrs, llrs, setup.code)
+    decoded, crc_ok = dig.dsc_decode(sys_llrs, llrs, config.pattern)
     return dig.bits_to_cells(decoded, setup.quant.bits), crc_ok
 
 
@@ -621,12 +615,6 @@ def detect_effects(rows: list[SweepRow]) -> dict:
         if top_da[0] == top_an[0]:
             report["graceful"] = bool(top_da[1] <= GRACEFUL_FACTOR * top_an[1])
     return report
-
-
-def write_report(report: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ that frame's integers untouched.
 from __future__ import annotations
 
 import csv
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -42,10 +43,13 @@ class ModelParams:
     def __post_init__(self):
         if self.int_bits not in (4, 8):
             raise ParameterError(f"integer precision must be 4 or 8, got {self.int_bits}")
-        if np.any(np.asarray(self.ints) >= (1 << self.int_bits)) or np.any(
-            np.asarray(self.ints) < 0
-        ):
-            raise ParameterError("integer parameters exceed their precision")
+        _check_range(self.ints, self.int_bits, "integer parameters")
+
+
+def _check_range(ints: np.ndarray, int_bits: int, what: str) -> None:
+    v = np.asarray(ints)
+    if np.any(v < 0) or np.any(v >= 1 << int_bits):
+        raise ParameterError(f"{what} exceed their {int_bits}-bit precision")
 
 
 @dataclass(frozen=True)
@@ -68,15 +72,25 @@ class FrameRecord:
     bit_errors_after: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class SeuSessionResult:
     corrected_ints: np.ndarray
-    crc_ok: bool                 # every frame verified
-    overhead_ratio: float        # parity bits sent / total integer bits
-    frames: list[FrameRecord] = field(default_factory=list)
-    parity_bits_sent: int = 0
-    analog_uses_spent: int = 0
-    total_int_bits: int = 0
+    frames: list[FrameRecord]
+    total_int_bits: int
+
+    @property
+    def crc_ok(self) -> bool:
+        """Every frame verified."""
+        return all(f.crc_ok for f in self.frames)
+
+    @property
+    def parity_bits_sent(self) -> int:
+        return sum(f.parity_bits for f in self.frames)
+
+    @property
+    def overhead_ratio(self) -> float:
+        """Parity bits sent per integer bit."""
+        return self.parity_bits_sent / self.total_int_bits
 
 
 def drift(params: ModelParams, spec: DriftSpec, seed: int) -> ModelParams:
@@ -124,20 +138,23 @@ def seu_update_ints(
     state: ChannelState,
     p_hat: float,
 ) -> SeuSessionResult:
-    """Correct the outdated integer parameters from parity bits alone.
+    """Correct the outdated integers, each in [0, 2^int_bits), from parity alone.
 
     The sender turbo-encodes the updated bits and transmits only the
     punctured parity, parity_length(frame bits, pattern) per frame, as
     unit-power BPSK; the receiver forms systematic LLRs from its outdated
     copy, (1 - 2*old_bit) * log((1-p_hat)/p_hat). Frames hold
-    MAX_FRAME_INFO_BITS bits, the last one the rest. The full frames are
-    encoded and sent as one batch, then the last frame, and the receiver
-    decodes every frame of the session, the shorter one included, in one
-    turbo_decode call. Frames whose CRC never verifies keep the outdated
-    values.
+    MAX_FRAME_INFO_BITS bits, the last one the rest; frames of equal length
+    encode as one batch. All parity goes out as one wire, in frame order,
+    and one turbo_decode call decodes every frame. Frames whose CRC never
+    verifies keep the outdated values.
     """
     if not 0.0 < p_hat < 0.5:
         raise ParameterError("assumed drift rate must lie in (0, 0.5)")
+    if int_bits < 1:
+        raise ParameterError(f"integer precision must be at least 1 bit, got {int_bits}")
+    _check_range(updated, int_bits, "updated integers")
+    _check_range(outdated, int_bits, "outdated integers")
     up_bits = cells_to_bits(updated, int_bits)
     old_bits = cells_to_bits(outdated, int_bits)
     if up_bits.size != old_bits.size:
@@ -146,68 +163,37 @@ def seu_update_ints(
         raise ParameterError("a session needs at least one integer parameter")
     side_mag = float(np.log((1.0 - p_hat) / p_hat))
 
-    total = up_bits.size
-    full_end = total - total % MAX_FRAME_INFO_BITS
-    parity_llrs: list[np.ndarray] = []
-    # frame order, and the order of the channel's noise draws
-    for start, stop in ((0, full_end), (full_end, total)):
-        if start == stop:
-            continue
-        width = min(MAX_FRAME_INFO_BITS, stop - start)
-        parity = turbo_encode(up_bits[start:stop].reshape(-1, width), pattern)
-        received = transmit(modulate(parity, "bpsk"), state)
-        parity_llrs += list(
-            demodulate(received, state.h, state.noise_var, "bpsk", n_bits=parity.shape[1])
-        )
-    slices = _frame_slices(total)
+    slices = _frame_slices(up_bits.size)
+    parity = [
+        frame
+        for _, group in groupby(slices, key=lambda sl: sl.stop - sl.start)
+        for frame in turbo_encode(np.stack([up_bits[sl] for sl in group]), pattern)
+    ]
+    received = transmit(modulate(np.concatenate(parity), "bpsk"), state)
+    llrs = demodulate(received, state.h, state.noise_var, "bpsk")
+    parity_llrs = np.split(llrs, np.cumsum([len(p) for p in parity])[:-1])
     side = llr_clip((1.0 - 2.0 * old_bits.astype(np.float64)) * side_mag)
     decoded, crc_ok = turbo_decode([side[sl] for sl in slices], parity_llrs, pattern)
     corrected = old_bits.copy()
     for sl, bits, ok in zip(slices, decoded, crc_ok):
         if ok:
             corrected[sl] = bits[: sl.stop - sl.start]
-    parity_bits = [len(p) for p in parity_llrs]
 
     frames = [
         FrameRecord(
             frame_idx=idx,
             pattern=pattern,
-            parity_bits=parity_bits[idx],
+            parity_bits=len(parity[idx]),
             crc_ok=bool(crc_ok[idx]),
             bit_errors_before=int(np.sum(old_bits[sl] != up_bits[sl])),
             bit_errors_after=int(np.sum(corrected[sl] != up_bits[sl])),
         )
         for idx, sl in enumerate(slices)
     ]
-    parity_total = sum(parity_bits)
     return SeuSessionResult(
         corrected_ints=bits_to_cells(corrected, int_bits),
-        crc_ok=bool(crc_ok.all()),
-        overhead_ratio=parity_total / up_bits.size,
         frames=frames,
-        parity_bits_sent=parity_total,
-        analog_uses_spent=0,
         total_int_bits=int(up_bits.size),
-    )
-
-
-@dataclass(frozen=True)
-class OverheadReport:
-    parity_bits_sent: int
-    analog_uses_spent: int
-    full_retransmission_bits: int
-    reduction_factor: float
-
-
-def seu_overhead_report(session: SeuSessionResult) -> OverheadReport:
-    """Control-overhead summary versus retransmitting every integer bit."""
-    full = session.total_int_bits
-    parity = sum(f.parity_bits for f in session.frames)
-    return OverheadReport(
-        parity_bits_sent=parity,
-        analog_uses_spent=session.analog_uses_spent,
-        full_retransmission_bits=full,
-        reduction_factor=1.0 - parity / full if full else 0.0,
     )
 
 
@@ -215,11 +201,9 @@ def seu_overhead_report(session: SeuSessionResult) -> OverheadReport:
 SESSION_LOG_HEADER = [f.name for f in fields(FrameRecord)]
 
 
-def write_session_log(path, frames: list[FrameRecord], append: bool = False) -> None:
-    mode = "a" if append else "w"
-    with open(path, mode, newline="\n") as fh:
+def write_session_log(path, frames: list[FrameRecord]) -> None:
+    with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        if not append:
-            writer.writerow(SESSION_LOG_HEADER)
+        writer.writerow(SESSION_LOG_HEADER)
         for f in frames:
             writer.writerow(astuple(replace(f, crc_ok=int(f.crc_ok))))

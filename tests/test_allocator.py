@@ -22,7 +22,7 @@ from datosc.allocator import (
 from datosc.analog import analog_gains, mmse_error_vars, pack_iq, unpack_iq
 from datosc.channel import ChannelBudget
 from datosc.codec import build_task_model, calibrate_prior_vars
-from datosc.digital import CodeSpec, symbol_count
+from datosc.digital import parity_length, symbol_count
 from datosc.errors import InfeasibleAllocationError, ParameterError
 from datosc.sources import SourceSpec
 
@@ -44,7 +44,7 @@ def _plan(ctx, k=32, bits=4, pattern="R12", p_a=0.5, total=320.0, lam=0.5):
             k=k, n_analog=n_a, n_digital=0, power_analog=total, power_digital=0.0,
             quant_bits=0, pattern=None, lam=lam, n=ctx.n,
         )
-    n_d = symbol_count(CodeSpec(pattern).parity_len(ctx.n * bits), "qpsk")
+    n_d = symbol_count(parity_length(ctx.n * bits, pattern), "qpsk")
     return AllocationPlan(
         k=k, n_analog=n_a, n_digital=n_d, power_analog=p_a * total,
         power_digital=(1 - p_a) * total, quant_bits=bits, pattern=pattern,
@@ -204,7 +204,7 @@ def test_model_within_15pct_of_end_to_end(ctx, fer, bits, snr_db):
     """Three hybrid plans at calibration-matched per-use power: the modelled
     data MSE tracks the simulated pipeline within the high-rate-quantizer
     tolerance."""
-    n_d = symbol_count(CodeSpec("R12").parity_len(64 * bits), "qpsk")
+    n_d = symbol_count(parity_length(64 * bits, "R12"), "qpsk")
     plan = AllocationPlan(
         k=32, n_analog=16, n_digital=n_d, power_analog=16.0,
         power_digital=float(n_d), quant_bits=bits, pattern="R12", lam=0.5, n=64,

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.special import erfc
 from scipy.stats import norm
 
+from datosc.allocator import digital_uses
 from datosc.channel import ChannelState, transmit
 from datosc.digital import (
     CRC_BITS,
@@ -13,9 +14,7 @@ from datosc.digital import (
     TAIL_BITS,
     TURBO,
     UPLINK,
-    CodeSpec,
     QuantizerSpec,
-    assemble_parity_llrs,
     cell_bounds,
     cells_to_bits,
     crc16,
@@ -41,6 +40,8 @@ from datosc.digital import (
 )
 from datosc.digital import _NEG_METRIC, TURBO_TAIL_BITS, _branches, _rsc_encode
 from datosc.errors import ParameterError
+from datosc.harness import ExperimentConfig, build_link
+from datosc.seu import seu_update_ints
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +180,8 @@ def test_all_zero_info_frame_parity_prefix():
     # CRC of zero info is nonzero (init 0xFFFF), so only the parity bits at
     # info positions are guaranteed zero.
     info_len = 50
-    _, (parity,) = dsc_encode(np.zeros((1, info_len), dtype=np.uint8), CodeSpec("R12"))
-    keep = puncture_keep_indices(info_len + CRC_BITS + TAIL_BITS, "R12")
+    _, (parity,) = dsc_encode(np.zeros((1, info_len), dtype=np.uint8), "R12")
+    keep = puncture_keep_indices(info_len, "R12")
     info_positions = keep < info_len
     assert not np.any(parity[info_positions])
     assert np.any(parity)  # CRC region is not all-zero
@@ -206,7 +207,7 @@ def test_parity_length_arithmetic():
 @pytest.mark.parametrize("pattern", ["R12", "R23", "R34"])
 @pytest.mark.parametrize("enc_len", [20, 118, 274, 1184])
 def test_puncture_counts_and_order(pattern, enc_len):
-    keep = puncture_keep_indices(enc_len, pattern)
+    keep = puncture_keep_indices(enc_len - CRC_BITS - TAIL_BITS, pattern)
     assert len(keep) == parity_length(enc_len - CRC_BITS - TAIL_BITS, pattern)
     assert np.all(np.diff(keep) > 0)
     assert keep[-1] < enc_len
@@ -217,15 +218,14 @@ def test_puncture_counts_and_order(pattern, enc_len):
 
 def test_dsc_encode_matches_oracle_pipeline(rng):
     info = rng.integers(0, 2, 30).astype(np.uint8)
-    code = CodeSpec("R23")
-    (systematic,), (parity,) = dsc_encode(info[None], code)
+    (systematic,), (parity,) = dsc_encode(info[None], "R23")
     stream = np.concatenate([info, crc16(info[None])[0]])
     o_sys, o_par, _ = _rsc_oracle(stream)
-    keep = puncture_keep_indices(len(stream) + TAIL_BITS, "R23")
+    keep = puncture_keep_indices(30, "R23")
     assert np.array_equal(systematic, o_sys)
-    assert systematic.size == code.encoded_len(30)
+    assert systematic.size == 30 + CRC_BITS + TAIL_BITS
     assert np.array_equal(parity, o_par[keep])
-    assert parity.size == code.parity_len(30)
+    assert parity.size == parity_length(30, "R23")
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +357,13 @@ def _pad(side):
 def test_noiseless_decode_with_strong_side(rng):
     for pattern in ("R12", "R23", "R34"):
         info = rng.integers(0, 2, 120).astype(np.uint8)
-        code = CodeSpec(pattern)
-        systematic, parity = dsc_encode(info, code)  # a batch of one
+        systematic, parity = dsc_encode(info, pattern)  # a batch of one
         side = llr_clip((1.0 - 2.0 * info) * LLR_CLIP)
         par = (1.0 - 2.0 * parity) * LLR_CLIP
-        bits, ok = dsc_decode(_pad(side), par, code)
+        bits, ok = dsc_decode(_pad(side), par, pattern)
         assert ok.shape == (1,) and ok[0] and np.array_equal(bits, info[None])
         # systematic evidence on every encoded position decodes the same
-        bits, ok = dsc_decode((1.0 - 2.0 * systematic) * LLR_CLIP, par, code)
+        bits, ok = dsc_decode((1.0 - 2.0 * systematic) * LLR_CLIP, par, pattern)
         assert ok[0] and np.array_equal(bits, info[None])
 
 
@@ -445,15 +444,15 @@ def test_viterbi_ties_match_reference():
 
 
 def test_batch_decode_matches_single(rng):
-    code = CodeSpec("R23")
+    pattern = "R23"
     infos = rng.integers(0, 2, (8, 40)).astype(np.uint8)
-    _, parity = dsc_encode(infos, code)
+    _, parity = dsc_encode(infos, pattern)
     sides = llr_clip((1.0 - 2.0 * infos) * 3.0 + rng.normal(0, 1, infos.shape))
     pars = (1.0 - 2.0 * parity) * 2.5 + rng.normal(0, 1, parity.shape)
     sides = _pad(sides)
-    batch_bits, batch_ok = dsc_decode(sides, pars, code)
+    batch_bits, batch_ok = dsc_decode(sides, pars, pattern)
     for i in range(8):
-        bits, ok = dsc_decode(sides[i : i + 1], pars[i : i + 1], code)
+        bits, ok = dsc_decode(sides[i : i + 1], pars[i : i + 1], pattern)
         assert np.array_equal(bits, batch_bits[i : i + 1])
         assert np.array_equal(ok, batch_ok[i : i + 1])
 
@@ -461,39 +460,39 @@ def test_batch_decode_matches_single(rng):
 def test_round_trip_wire_contract(rng):
     """Perfect channel + certain side info reproduces the info bits, and the
     only bits on the wire are exactly the punctured parity."""
-    code = CodeSpec("R34")
+    pattern = "R34"
     infos = rng.integers(0, 2, (1000, 64)).astype(np.uint8)
-    _, parity = dsc_encode(infos, code)
-    assert parity.shape == (1000, code.parity_len(64))
+    _, parity = dsc_encode(infos, pattern)
+    assert parity.shape == (1000, parity_length(64, pattern))
     sides = llr_clip((1.0 - 2.0 * infos) * LLR_CLIP)
     pars = (1.0 - 2.0 * parity) * LLR_CLIP
-    bits, ok = dsc_decode(_pad(sides), pars, code)
+    bits, ok = dsc_decode(_pad(sides), pars, pattern)
     assert np.all(ok)
     assert np.array_equal(bits, infos)
 
 
 def test_side_flip_correction_rate():
     """2% flipped side bits, full-rate parity over a 6 dB AWGN link."""
-    code = CodeSpec("R12")
+    pattern = "R12"
     rng = np.random.default_rng(17)
     n_trials, n_bits = 1000, 200
     mag = np.log(0.98 / 0.02)
     ok_count = 0
     for t in range(n_trials):
         info = rng.integers(0, 2, n_bits).astype(np.uint8)
-        _, parity = dsc_encode(info, code)
+        _, parity = dsc_encode(info, pattern)
         state = ChannelState.awgn(6.0, seed=1717, block_index=t)
         y = transmit(modulate(parity, "bpsk", 1.0), state)
         par = demodulate(y, state.h, state.noise_var, "bpsk", 1.0, n_bits=parity.size)
         flips = rng.random(n_bits) < 0.02
         side = (1.0 - 2.0 * (info ^ flips.astype(np.uint8))) * mag
-        bits, ok = dsc_decode(_pad(llr_clip(side)), par, code)
+        bits, ok = dsc_decode(_pad(llr_clip(side)), par, pattern)
         ok_count += int(ok[0] and np.array_equal(bits[0], info))
     assert ok_count / n_trials >= 0.99
 
 
 def test_decode_success_monotone_in_snr():
-    code = CodeSpec("R23")
+    pattern = "R23"
     rng = np.random.default_rng(18)
     grid = list(range(0, 18, 2))
     rates, ses = [], []
@@ -501,7 +500,7 @@ def test_decode_success_monotone_in_snr():
     mag = np.log(0.95 / 0.05)
     for i, snr in enumerate(grid):
         infos = rng.integers(0, 2, (trials, n_bits)).astype(np.uint8)
-        _, parity = dsc_encode(infos, code)
+        _, parity = dsc_encode(infos, pattern)
         oks = 0
         llr_rows = []
         for t in range(trials):
@@ -512,7 +511,7 @@ def test_decode_success_monotone_in_snr():
             )
         flips = rng.random((trials, n_bits)) < 0.05
         sides = llr_clip((1.0 - 2.0 * (infos ^ flips.astype(np.uint8))) * mag)
-        bits, ok = dsc_decode(_pad(sides), np.stack(llr_rows), code)
+        bits, ok = dsc_decode(_pad(sides), np.stack(llr_rows), pattern)
         ok &= np.all(bits == infos, axis=1)
         p = np.mean(ok)
         rates.append(p)
@@ -522,20 +521,36 @@ def test_decode_success_monotone_in_snr():
         assert rates[i + 1] >= rates[i] - 2.58 * (ses[i] + ses[i + 1])
 
 
-def test_assemble_rejects_wrong_parity_count():
-    with pytest.raises(ParameterError):
-        assemble_parity_llrs(np.zeros(10), 118, "R34")
-
-
 def test_dsc_decode_rejects_wrong_parity_count():
-    code = CodeSpec("R34")
+    pattern = "R34"
     # 100 encoded-position LLRs (82 info bits) need round(100 / 3) = 33
-    dsc_decode(np.zeros(100), np.zeros(33), code)
+    dsc_decode(np.zeros(100), np.zeros(33), pattern)
     for count in (32, 34, 39):
         with pytest.raises(ParameterError):
-            dsc_decode(np.zeros(100), np.zeros(count), code)
+            dsc_decode(np.zeros(100), np.zeros(count), pattern)
     with pytest.raises(ParameterError):
-        dsc_decode(np.zeros(10), np.zeros(3), code)  # shorter than CRC + tail
+        dsc_decode(np.zeros(10), np.zeros(3), pattern)  # shorter than CRC + tail
+
+
+@pytest.mark.parametrize(
+    "entry", ["dsc_encode", "turbo_encode", "seu_update_ints", "digital_uses", "build_link"]
+)
+def test_unknown_pattern_raises_parameter_error(entry):
+    """Every entry point that takes a pattern id rejects an unknown one with
+    ParameterError, through the one check in parity_length."""
+    bits = np.zeros((1, 8), dtype=np.uint8)
+    ints = np.zeros(4, dtype=np.int64)
+    calls = {
+        "dsc_encode": lambda: dsc_encode(bits, "R99"),
+        "turbo_encode": lambda: turbo_encode(bits, "R99"),
+        "seu_update_ints": lambda: seu_update_ints(
+            ints, ints, 4, "R99", ChannelState.awgn(10.0), 0.01
+        ),
+        "digital_uses": lambda: digital_uses(64, 4, "R99", "qpsk"),
+        "build_link": lambda: build_link(ExperimentConfig(pattern="R99")),
+    }
+    with pytest.raises(ParameterError, match="R99"):
+        calls[entry]()
 
 
 # ---------------------------------------------------------------------------
@@ -569,14 +584,14 @@ def test_rsc16_matches_naive_register_oracle(rng):
 
 
 @pytest.mark.parametrize(
-    "code, oracle", [(UPLINK, _rsc_oracle), (TURBO, _rsc16_oracle)], ids=["uplink", "turbo"]
+    "pattern, oracle", [(UPLINK, _rsc_oracle), (TURBO, _rsc16_oracle)], ids=["uplink", "turbo"]
 )
-def test_branch_tables_match_register_oracles(code, oracle):
+def test_branch_tables_match_register_oracles(pattern, oracle):
     """Branch (b, r, a) leaves state half*b + r (a_{t-1} in bit 0) with the
     input bit and parity bit of one register step, and lands in 2r + a."""
-    memory = code[0]
+    memory = pattern[0]
     half = 1 << (memory - 1)
-    branch_u, branch_p = _branches(code)
+    branch_u, branch_p = _branches(pattern)
     assert branch_u.shape == branch_p.shape == (2, half, 2)
     for b in (0, 1):
         for r in range(half):

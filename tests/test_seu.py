@@ -12,7 +12,6 @@ from datosc.seu import (
     DriftSpec,
     ModelParams,
     drift,
-    seu_overhead_report,
     seu_send_floats,
     seu_update_ints,
     write_session_log,
@@ -268,14 +267,25 @@ def test_overhead_report_totals(rng):
     ints = rng.integers(0, 16, 2048)  # 8192 bits -> 8 frames of <=1166
     state = ChannelState.awgn(300.0, seed=13)
     r12 = seu_update_ints(ints, ints.copy(), 4, "R12", state, p_hat=0.01)
-    rep12 = seu_overhead_report(r12)
-    assert rep12.parity_bits_sent == sum(f.parity_bits for f in r12.frames)
-    assert rep12.full_retransmission_bits == 8192
-    assert abs(rep12.reduction_factor) < 0.03  # parity ~= info length
+    assert r12.parity_bits_sent == sum(f.parity_bits for f in r12.frames)
+    assert r12.total_int_bits == 8192
+    assert r12.overhead_ratio == r12.parity_bits_sent / 8192
+    assert abs(1.0 - r12.overhead_ratio) < 0.03  # parity ~= info length
 
     r34 = seu_update_ints(ints, ints.copy(), 4, "R34", state, p_hat=0.01)
-    rep34 = seu_overhead_report(r34)
-    assert abs(rep34.reduction_factor - 2 / 3) < 0.02
+    assert abs((1.0 - r34.overhead_ratio) - 2 / 3) < 0.02
+
+
+def test_update_ints_rejects_values_outside_precision():
+    """Integers outside [0, 2^int_bits) raise rather than being cut to their
+    low bits (16 would read as 0 and -1 as 15 at 4 bits)."""
+    state = ChannelState.awgn(10.0, seed=21)
+    valid = np.array([0, 5, 15])
+    for updated, outdated in (([16, 5, -1], valid), (valid, [16, 5, 15]), (valid, [0, 5, -1])):
+        with pytest.raises(ParameterError, match="precision"):
+            seu_update_ints(np.array(updated), np.array(outdated), 4, "R34", state, 0.01)
+    with pytest.raises(ParameterError, match="precision"):
+        seu_update_ints(valid, valid, 0, "R34", state, 0.01)
 
 
 def test_session_log_format(tmp_path, rng):
