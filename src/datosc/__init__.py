@@ -57,12 +57,6 @@ from .seu import (
     seu_send_floats,
     seu_update_ints,
 )
-from .sources import (
-    SourceBlock,
-    SourceSpec,
-    gen_class_mixture,
-    gen_gauss_markov,
-    load_pgm,
-)
+from .sources import SourceSpec, gen_blocks, load_pgm
 
 __version__ = "0.1.0"

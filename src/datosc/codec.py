@@ -9,7 +9,7 @@ and analog-valued features, in an exactly testable form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -17,12 +17,14 @@ import numpy as np
 from scipy.fft import dctn, idctn, dct, idct
 
 from .errors import ParameterError
-from .sources import SourceSpec, class_means, gen_block
+from .sources import SourceSpec, class_means, gen_blocks
 
 # Offline calibration passes use their own fixed seed so coefficient
 # statistics (and therefore index selection) are stable across runs.
 CALIBRATION_SEED = 0xCA11B
 CALIBRATION_BLOCKS = 10_000
+# Blocks generated per calibration step; a bound on memory, not on results.
+_CALIBRATION_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -102,38 +104,33 @@ def build_task_model(n: int, class_count: int) -> TaskModel:
     return TaskModel(centroids=centroids, weights=weights)
 
 
+def _prior_vars(chunks) -> np.ndarray:
+    """Per-index coefficient second moments of (B, n) sample chunks, floored
+    at 1e-12. Squares are added one block at a time, in block order, so the
+    result does not depend on how the blocks are cut into chunks."""
+    acc, count = 0.0, 0
+    for chunk in chunks:
+        coeffs = analyze(chunk)
+        for sq in coeffs * coeffs:
+            acc = acc + sq
+        count += len(coeffs)
+    return np.maximum(acc / count, 1e-12)
+
+
 @lru_cache(maxsize=32)
-def _calibrate_prior_vars_cached(cal_spec: SourceSpec, n_blocks: int) -> np.ndarray:
-    acc = np.zeros(cal_spec.n)
-    for t in range(n_blocks):
-        coeffs = analyze(gen_block(cal_spec, t).samples)
-        acc += coeffs * coeffs
-    out = acc / n_blocks
+def _calibrate_prior_vars_cached(cal_spec: SourceSpec) -> np.ndarray:
+    out = _prior_vars(
+        gen_blocks(cal_spec, t, min(t + _CALIBRATION_CHUNK, CALIBRATION_BLOCKS))[0]
+        for t in range(0, CALIBRATION_BLOCKS, _CALIBRATION_CHUNK)
+    )
     out.setflags(write=False)
     return out
 
 
-def calibrate_prior_vars(
-    spec: SourceSpec, n_blocks: int = CALIBRATION_BLOCKS
-) -> np.ndarray:
+def calibrate_prior_vars(spec: SourceSpec) -> np.ndarray:
     """Per-index coefficient second moments from a seeded offline pass.
 
     The pass always runs under CALIBRATION_SEED so two runs of the same
     experiment select identical indices regardless of the stream seed.
     """
-    cal_spec = SourceSpec(
-        kind=spec.kind,
-        n=spec.n,
-        rho=spec.rho,
-        class_count=spec.class_count,
-        seed=CALIBRATION_SEED,
-    )
-    return _calibrate_prior_vars_cached(cal_spec, n_blocks)
-
-
-def prior_vars_from_blocks(blocks) -> np.ndarray:
-    """Calibration variant for externally supplied blocks (image streams)."""
-    stack = np.stack([b.samples for b in blocks])
-    coeffs = analyze(stack)
-    vars_ = np.mean(coeffs * coeffs, axis=0)
-    return np.maximum(vars_, 1e-12)
+    return _calibrate_prior_vars_cached(replace(spec, seed=CALIBRATION_SEED))

@@ -21,7 +21,7 @@ from . import digital as dig
 from .allocator import FerTable, digital_uses
 from .channel import ChannelBudget, ChannelState, _complex_noise
 from .errors import ConfigError, ParameterError
-from .sources import SourceSpec, gen_block, load_pgm
+from .sources import SourceSpec, gen_blocks, load_pgm
 
 SCHEMES = ("analog", "digital", "da")
 CHANNELS = ("awgn", "rayleigh")
@@ -217,13 +217,6 @@ def config_from_values(values: dict) -> ExperimentConfig:
     return cfg
 
 
-def config_from_file(path, overrides: Optional[dict] = None) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        values = parse_config_text(fh.read())
-    values.update({k: v for k, v in (overrides or {}).items() if v is not None})
-    return config_from_values(values)
-
-
 # ---------------------------------------------------------------------------
 # link setup shared by all schemes
 # ---------------------------------------------------------------------------
@@ -238,7 +231,7 @@ class LinkSetup:
     n_digital: int
     power_analog: float
     power_digital: float
-    image_blocks: Optional[list] = None
+    image_blocks: Optional[np.ndarray] = None  # (B, 64) tiles of an image source
 
     @property
     def analog_per_dim(self) -> float:
@@ -264,7 +257,7 @@ def build_link(config: ExperimentConfig) -> LinkSetup:
         if not config.image:
             raise ConfigError("image_blocks source needs an image path")
         image_blocks = load_pgm(config.image)
-        prior_vars = codec.prior_vars_from_blocks(image_blocks)
+        prior_vars = codec._prior_vars([image_blocks])
         task = None
     else:
         prior_vars = codec.calibrate_prior_vars(spec)
@@ -341,24 +334,19 @@ def draw_trials(
     """Draws for trials [t0, t1) of one sweep point, in the same order a
     sequential run would use."""
     count = t1 - t0
-    src_seed = derive_seed(config.seed, point_index, 0)
-    ch_seed = derive_seed(config.seed, point_index, 1)
-    spec = replace(config.source_spec(), seed=src_seed)
+    if setup.image_blocks is not None:
+        samples = setup.image_blocks[np.arange(t0, t1) % len(setup.image_blocks)]
+        labels = np.full(count, -1, dtype=np.int64)
+    else:
+        src_seed = derive_seed(config.seed, point_index, 0)
+        samples, labels = gen_blocks(replace(config.source_spec(), seed=src_seed), t0, t1)
 
-    samples = np.empty((count, config.n))
-    labels = np.full(count, -1, dtype=np.int64)
+    ch_seed = derive_seed(config.seed, point_index, 1)
     h = np.empty(count, dtype=np.complex128)
     w_a = np.zeros((count, setup.n_analog), dtype=np.complex128)
     w_d = np.zeros((count, setup.n_digital), dtype=np.complex128)
     noise_var = 10.0 ** (-snr_db / 10.0)
-
     for i, t in enumerate(range(t0, t1)):
-        if setup.image_blocks is not None:
-            block = setup.image_blocks[t % len(setup.image_blocks)]
-        else:
-            block = gen_block(spec, t)
-        samples[i] = block.samples
-        labels[i] = -1 if block.label is None else block.label
         state = ChannelState.for_block(snr_db, config.channel, ch_seed, t)
         h[i] = state.h
         if setup.n_analog:

@@ -48,6 +48,9 @@ class ModelParams:
 
 def _check_range(ints: np.ndarray, int_bits: int, what: str) -> None:
     v = np.asarray(ints)
+    # cells_to_bits casts to int64, which would truncate 3.7 and NaN silently
+    if v.dtype.kind not in "biu" and not np.all(np.isfinite(v) & (v == np.trunc(v))):
+        raise ParameterError(f"{what} must be whole numbers")
     if np.any(v < 0) or np.any(v >= 1 << int_bits):
         raise ParameterError(f"{what} exceed their {int_bits}-bit precision")
 

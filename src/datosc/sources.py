@@ -1,15 +1,15 @@
 """Synthetic source generators and PGM ingestion.
 
-Every generator is a pure function of (spec, block_index): block t of a
-stream is reproducible in isolation, so trials can run on any number of
-workers without changing results.
+gen_blocks returns a batch of blocks, but block t of a stream draws from its
+own generator seeded by (spec.seed, t), so any range of blocks equals the same
+rows of a longer range: trials can run on any number of workers without
+changing results. load_pgm returns an image's 8x8 tiles as one (B, 64) array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -21,14 +21,6 @@ from .errors import FormatError, ParameterError
 CLASS_MEAN_SEED = 0xC1A55
 
 BLOCK_SIDE = 8  # PGM tiling is 8x8 -> n=64
-
-
-@dataclass(frozen=True)
-class SourceBlock:
-    """One fixed-length sample vector, optionally labelled with a class index."""
-
-    samples: np.ndarray
-    label: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -54,10 +46,6 @@ class SourceSpec:
                 )
 
 
-def _block_rng(seed: int, block_index: int) -> np.random.Generator:
-    return np.random.default_rng((seed, block_index))
-
-
 @lru_cache(maxsize=8)
 def class_means(n: int, class_count: int) -> np.ndarray:
     """K orthogonal class-mean rows of norm sqrt(n)/2, fixed for all runs."""
@@ -75,47 +63,34 @@ def class_means(n: int, class_count: int) -> np.ndarray:
     return means
 
 
-def gen_gauss_markov(spec: SourceSpec, block_index: int = 0) -> SourceBlock:
-    """AR(1) block: x[i] = rho*x[i-1] + sqrt(1-rho^2)*w[i], unit marginal variance."""
-    if spec.kind != "gauss_markov":
-        raise ParameterError(f"spec.kind is {spec.kind!r}, expected 'gauss_markov'")
-    spec.validate()
-    rng = _block_rng(spec.seed, block_index)
-    w = rng.standard_normal(spec.n)
-    if spec.rho == 0.0:
-        return SourceBlock(samples=w)
-    x = np.empty(spec.n)
-    x[0] = w[0]  # stationary start keeps the marginal variance at 1
-    scale = np.sqrt(1.0 - spec.rho**2)
-    for i in range(1, spec.n):
-        x[i] = spec.rho * x[i - 1] + scale * w[i]
-    return SourceBlock(samples=x)
+def gen_blocks(spec: SourceSpec, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks t0..t1-1 of a synthetic stream: samples (T, n) and class
+    labels (T,), -1 for the label-free AR(1) source.
 
-
-def gen_class_mixture(
-    spec: SourceSpec, block_index: int = 0, noise_std: float = 1.0
-) -> SourceBlock:
-    """Draw a uniform class label and emit its mean vector plus white noise.
-
-    noise_std is a test hook; the production mixture uses unit noise.
+    Block t draws from its own generator seeded by (spec.seed, t): first the
+    label (class mixture only), then n unit normals. A mixture block is its
+    class mean plus those normals. Image streams are built via load_pgm instead.
     """
-    if spec.kind != "class_mixture":
-        raise ParameterError(f"spec.kind is {spec.kind!r}, expected 'class_mixture'")
+    if spec.kind not in ("gauss_markov", "class_mixture"):
+        raise ParameterError(f"cannot generate blocks for source kind {spec.kind!r}")
     spec.validate()
-    means = class_means(spec.n, spec.class_count)
-    rng = _block_rng(spec.seed, block_index)
-    label = int(rng.integers(spec.class_count))
-    samples = means[label] + noise_std * rng.standard_normal(spec.n)
-    return SourceBlock(samples=samples, label=label)
-
-
-def gen_block(spec: SourceSpec, block_index: int = 0) -> SourceBlock:
-    """Dispatch on spec.kind (image streams are built via load_pgm instead)."""
-    if spec.kind == "gauss_markov":
-        return gen_gauss_markov(spec, block_index)
-    if spec.kind == "class_mixture":
-        return gen_class_mixture(spec, block_index)
-    raise ParameterError(f"cannot generate blocks for source kind {spec.kind!r}")
+    mixture = spec.kind == "class_mixture"
+    w = np.empty((t1 - t0, spec.n))
+    labels = np.full(t1 - t0, -1, dtype=np.int64)
+    for i, t in enumerate(range(t0, t1)):
+        rng = np.random.default_rng((spec.seed, t))
+        if mixture:
+            labels[i] = rng.integers(spec.class_count)
+        w[i] = rng.standard_normal(spec.n)
+    if mixture:
+        return class_means(spec.n, spec.class_count)[labels] + w, labels
+    # AR(1): x[i] = rho*x[i-1] + sqrt(1-rho^2)*w[i], unit marginal variance;
+    # x[0] = w[0] is the stationary start. Steps in place, one column at a time.
+    if spec.rho != 0.0:
+        scale = np.sqrt(1.0 - spec.rho**2)
+        for i in range(1, spec.n):
+            w[:, i] = spec.rho * w[:, i - 1] + scale * w[:, i]
+    return w, labels
 
 
 def pixel_to_sample(p: np.ndarray) -> np.ndarray:
@@ -160,8 +135,9 @@ def _parse_pgm_header(data: bytes) -> tuple[int, int, int, int]:
     return width, height, maxval, pos + 1  # single whitespace before raster
 
 
-def load_pgm(path) -> list[SourceBlock]:
-    """Tile a maxval-255 binary PGM into zero-padded 8x8 blocks, row-major."""
+def load_pgm(path) -> np.ndarray:
+    """Tile a maxval-255 binary PGM into zero-padded 8x8 blocks: a (B, 64)
+    array with one raster-ordered tile per row, tiles in row-major order."""
     with open(path, "rb") as fh:
         data = fh.read()
     width, height, maxval, offset = _parse_pgm_header(data)
@@ -178,13 +154,5 @@ def load_pgm(path) -> list[SourceBlock]:
     bx = -(-width // BLOCK_SIDE)
     padded = np.zeros((by * BLOCK_SIDE, bx * BLOCK_SIDE))
     padded[:height, :width] = pixel_to_sample(image.astype(np.float64))
-
-    blocks = []
-    for r in range(by):
-        for c in range(bx):
-            tile = padded[
-                r * BLOCK_SIDE : (r + 1) * BLOCK_SIDE,
-                c * BLOCK_SIDE : (c + 1) * BLOCK_SIDE,
-            ]
-            blocks.append(SourceBlock(samples=tile.reshape(-1).copy()))
-    return blocks
+    tiles = padded.reshape(by, BLOCK_SIDE, bx, BLOCK_SIDE).swapaxes(1, 2)
+    return tiles.reshape(by * bx, BLOCK_SIDE * BLOCK_SIDE)

@@ -12,7 +12,7 @@ from datosc.analog import (
 )
 from datosc.channel import ChannelState, transmit
 from datosc.codec import analyze, selection_indices, synthesize_full
-from datosc.sources import SourceSpec, gen_class_mixture
+from datosc.sources import SourceSpec, gen_blocks
 
 
 def _send(coeffs, prior, per_use, state):
@@ -136,14 +136,13 @@ def test_saturation_floor_at_high_snr(mixture_priors):
     state_seed = 91
     kept = selection_indices(64, 32, mixture_priors)
     mses, floors = [], []
-    for t in range(300):
-        block = gen_class_mixture(spec, t)
-        full = analyze(block.samples)
+    for t, samples in enumerate(gen_blocks(spec, 0, 300)[0]):
+        full = analyze(samples)
         state = ChannelState.awgn(60.0, seed=state_seed, block_index=t)
         _, _, est, _ = _send(full[kept], mixture_priors[kept], 2.0, state)
         est_full = np.zeros(64)
         est_full[kept] = est
-        mses.append(np.mean((block.samples - synthesize_full(est_full)) ** 2))
+        mses.append(np.mean((samples - synthesize_full(est_full)) ** 2))
         mask = np.ones(64, dtype=bool)
         mask[kept] = False
         floors.append(np.sum(full[mask] ** 2) / 64)

@@ -14,7 +14,7 @@ from datosc.codec import (
 )
 from datosc.errors import ParameterError
 from datosc.harness import _metrics
-from datosc.sources import SourceSpec, gen_class_mixture
+from datosc.sources import SourceSpec, gen_blocks
 
 
 @pytest.mark.parametrize("n", [64, 32])
@@ -34,8 +34,7 @@ def test_parseval_and_round_trip(rng):
 
 
 def test_parseval_on_generated_blocks(mixture_spec):
-    for t in range(200):
-        x = gen_class_mixture(mixture_spec, t).samples
+    for x in gen_blocks(mixture_spec, 0, 200)[0]:
         c = analyze(x)
         assert abs(np.sum(c * c) - np.sum(x * x)) < 1e-9
 
@@ -166,30 +165,29 @@ def test_data_distortion_cases(rng):
     assert abs(_link_metrics(kept, c, c2)[1][0] - naive) <= 1e-12
 
 
-def _task_accuracy(blocks, estimates, task):
+def _task_accuracy(labels, estimates, task):
     predicted = classify(analyze(np.stack(estimates)), task)
-    return float(np.mean(predicted == np.array([b.label for b in blocks])))
+    return float(np.mean(predicted == labels))
 
 
 def test_task_metric_perfect_and_oracle(mixture_spec, task4):
-    blocks = [gen_class_mixture(mixture_spec, t) for t in range(200)]
-    estimates = [b.samples for b in blocks]
-    acc = _task_accuracy(blocks, estimates, task4)
+    samples, labels = gen_blocks(mixture_spec, 0, 200)
+    acc = _task_accuracy(labels, list(samples), task4)
     # brute-force per-block argmin in coefficient space
     hits = 0
-    for b in blocks:
-        c = analyze(b.samples)
+    for x, label in zip(samples, labels):
+        c = analyze(x)
         d2 = np.sum((task4.centroids - c) ** 2, axis=1)
-        hits += int(np.argmin(d2) == b.label)
-    assert acc == hits / len(blocks)
+        hits += int(np.argmin(d2) == label)
+    assert acc == hits / len(samples)
 
 
 def test_task_metric_symmetric_tie_breaks_low(mixture_spec):
     task2 = build_task_model(64, 2)
     spec = SourceSpec(kind="class_mixture", n=64, class_count=2, seed=5)
-    blocks = [gen_class_mixture(spec, t) for t in range(400)]
-    zeros = [np.zeros(64) for _ in blocks]
-    acc = _task_accuracy(blocks, zeros, task2)
-    label0 = np.mean([b.label == 0 for b in blocks])
+    labels = gen_blocks(spec, 0, 400)[1]
+    zeros = [np.zeros(64) for _ in labels]
+    acc = _task_accuracy(labels, zeros, task2)
+    label0 = np.mean(labels == 0)
     assert acc == pytest.approx(label0)  # every tie resolves to class 0
     assert 0.4 <= acc <= 0.6

@@ -18,7 +18,7 @@ import datosc.allocator as alloc
 from datosc.channel import ChannelBudget, ChannelState
 from datosc.codec import build_task_model, calibrate_prior_vars
 from datosc.errors import InfeasibleAllocationError
-from datosc.harness import ExperimentConfig, rows_to_csv, run_sweep
+from datosc.harness import ExperimentConfig, build_link, rows_to_csv, run_sweep
 from datosc.seu import DriftSpec, ModelParams, drift, seu_update_ints
 from datosc.sources import SourceSpec
 
@@ -27,6 +27,8 @@ GOLDEN_SWEEP = os.path.join(DATA, "golden_sweep.csv")
 GOLDEN_SEU = os.path.join(DATA, "golden_seu.json")
 GOLDEN_SEU_RAGGED = os.path.join(DATA, "golden_seu_ragged.json")
 GOLDEN_ALLOC = os.path.join(DATA, "golden_alloc.json")
+GOLDEN_SOURCES = os.path.join(DATA, "golden_sources.csv")
+GOLDEN_PRIORS = os.path.join(DATA, "golden_priors.json")
 
 
 def build_sweep_csv(path, scratch_dir) -> None:
@@ -44,6 +46,52 @@ def build_sweep_csv(path, scratch_dir) -> None:
             )
             rows += run_sweep(cfg)
     rows_to_csv(rows, path)
+
+
+def _source_configs(scratch_dir) -> dict:
+    """Every source kind off the default path: AR(1) at three correlations
+    and block lengths, a 3-class mixture at n=32, and a seeded 45x37 PGM
+    whose sides are not multiples of 8 (30 tiles, the edge ones padded)."""
+    rng = np.random.default_rng(0x9617)
+    image = os.path.join(scratch_dir, "tiles.pgm")
+    with open(image, "wb") as fh:
+        fh.write(b"P5\n45 37\n255\n" + rng.integers(0, 256, 45 * 37, dtype=np.uint8).tobytes())
+    return {
+        "gm_n64_rho0.9": dict(source_kind="gauss_markov", n=64, rho=0.9),
+        "gm_n48_rho0.5": dict(source_kind="gauss_markov", n=48, rho=0.5, k=24),
+        "gm_n64_rho0": dict(source_kind="gauss_markov", n=64, rho=0.0),
+        "mixture_n32_k3": dict(source_kind="class_mixture", n=32, class_count=3, k=16),
+        "image_45x37": dict(source_kind="image_blocks", n=64, image=image),
+    }
+
+
+def build_sources_csv(path, scratch_dir) -> None:
+    """Each source of _source_configs in order, each as build_sweep_csv's
+    six sweeps (seed 4321)."""
+    rows = []
+    for source in _source_configs(scratch_dir).values():
+        for channel in ("awgn", "rayleigh"):
+            for scheme in ("analog", "digital", "da"):
+                cfg = ExperimentConfig(
+                    scheme=scheme,
+                    channel=channel,
+                    snr_grid=(0.0, 10.0, 20.0),
+                    trials=200,
+                    seed=4321,
+                    out=os.path.join(scratch_dir, f"{channel}_{scheme}.csv"),
+                    **source,
+                )
+                rows += run_sweep(cfg)
+    rows_to_csv(rows, path)
+
+
+def priors_json(scratch_dir) -> str:
+    """Calibrated prior variances of each source of _source_configs, as float.hex."""
+    out = {
+        name: [v.hex() for v in build_link(ExperimentConfig(**source)).prior_vars.tolist()]
+        for name, source in _source_configs(scratch_dir).items()
+    }
+    return json.dumps(out, indent=1, sort_keys=True) + "\n"
 
 
 def seu_sessions() -> dict:
@@ -165,6 +213,18 @@ def test_sweep_csv_matches_golden_bytes(tmp_path):
         assert path.read_bytes() == fh.read()
 
 
+def test_sources_csv_matches_golden_bytes(tmp_path):
+    path = tmp_path / "sources.csv"
+    build_sources_csv(path, tmp_path)
+    with open(GOLDEN_SOURCES, "rb") as fh:
+        assert path.read_bytes() == fh.read()
+
+
+def test_priors_match_golden_bytes(tmp_path):
+    with open(GOLDEN_PRIORS, "rb") as fh:
+        assert priors_json(tmp_path).encode() == fh.read()
+
+
 def test_seu_sessions_match_golden_bytes():
     with open(GOLDEN_SEU, "rb") as fh:
         assert seu_json().encode() == fh.read()
@@ -187,6 +247,9 @@ if __name__ == "__main__":
         sys.exit("usage: python tests/test_golden.py --write")
     with tempfile.TemporaryDirectory() as tmp:
         build_sweep_csv(GOLDEN_SWEEP, tmp)
+        build_sources_csv(GOLDEN_SOURCES, tmp)
+        with open(GOLDEN_PRIORS, "w", newline="\n") as fh:
+            fh.write(priors_json(tmp))
     with open(GOLDEN_SEU, "w", newline="\n") as fh:
         fh.write(seu_json())
     with open(GOLDEN_SEU_RAGGED, "w", newline="\n") as fh:

@@ -12,7 +12,6 @@ from datosc.harness import (
     ExperimentConfig,
     SweepRow,
     calibrate_fer,
-    config_from_file,
     config_from_values,
     detect_effects,
     parse_config_text,
@@ -67,24 +66,41 @@ def test_unknown_key_is_error():
         parse_config_text("just some words")
 
 
-def test_config_file_with_overrides(tmp_path):
+def _cli_sweep_configs(monkeypatch) -> list:
+    """The ExperimentConfigs `datosc sweep` would run, collected in place of running them."""
+    from datosc import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "run_sweep", lambda cfg, verbose: seen.append(cfg) or [])
+    return seen
+
+
+def test_config_file_with_overrides(tmp_path, monkeypatch):
+    from datosc import cli
+
+    seen = _cli_sweep_configs(monkeypatch)
     path = tmp_path / "exp.cfg"
     path.write_text("scheme=analog\ntrials=300\nseed=5\n")
-    cfg = config_from_file(path, {"trials": 500, "lam": 0.25, "out": None})
+    cli.main(["sweep", "--config", str(path), "--trials", "500", "--lambda", "0.25"])
+    (cfg,) = seen
     assert cfg.scheme == "analog"
     assert cfg.trials == 500
     assert cfg.lam == 0.25
     assert cfg.seed == 5
 
 
-def test_removed_keys_are_unknown(tmp_path):
+def test_removed_keys_are_unknown(tmp_path, monkeypatch):
+    from datosc import cli
+
+    seen = _cli_sweep_configs(monkeypatch)
     for line in ("floor_threshold=0.05", "fer_table=fer.csv"):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text(line)
         path = tmp_path / "old.cfg"
         path.write_text(f"scheme=da\n{line}\n")
         with pytest.raises(ConfigError, match="unknown key"):
-            config_from_file(path)
+            cli.main(["sweep", "--config", str(path)])
+    assert seen == []
 
 
 def test_session_keys_do_not_reach_the_sweep_config():
@@ -95,8 +111,7 @@ def test_session_keys_do_not_reach_the_sweep_config():
 def test_cli_flags_and_config_file_give_the_same_config(tmp_path, monkeypatch):
     from datosc import cli
 
-    seen = []
-    monkeypatch.setattr(cli, "run_sweep", lambda cfg, verbose: seen.append(cfg) or [])
+    seen = _cli_sweep_configs(monkeypatch)
     path = tmp_path / "exp.cfg"
     path.write_text(
         "scheme=analog\nsnr=0:8:4\ntrials=300\nlambda=0.25\nseed=5\nout=a.csv\n"

@@ -288,6 +288,24 @@ def test_update_ints_rejects_values_outside_precision():
         seu_update_ints(valid, valid, 0, "R34", state, 0.01)
 
 
+def test_non_integer_values_rejected():
+    """Fractions and NaN raise rather than being truncated: [3.7, 15.9, 2.0]
+    would read as [3, 15, 2] and match the outdated ints with crc_ok set.
+    Whole-number floats still pass."""
+    state = ChannelState.awgn(20.0, seed=21)
+    valid = np.array([3, 15, 2])
+    for bad in ([3.7, 15.9, 2.0], [3.0, np.nan, 2.0], [3.0, np.inf, 2.0]):
+        with pytest.raises(ParameterError, match="whole numbers"):
+            seu_update_ints(np.array(bad), valid, 4, "R12", state, 0.01)
+        with pytest.raises(ParameterError, match="whole numbers"):
+            seu_update_ints(valid, np.array(bad), 4, "R12", state, 0.01)
+    with pytest.raises(ParameterError, match="whole numbers"):
+        ModelParams(floats=np.zeros(1), ints=np.array([1.5, np.nan]), int_bits=4)
+    params = ModelParams(floats=np.zeros(1), ints=np.array([3.0, 15.0, 2.0]), int_bits=4)
+    res = seu_update_ints(params.ints, valid, 4, "R12", state, 0.01)
+    assert np.array_equal(res.corrected_ints, valid)
+
+
 def test_session_log_format(tmp_path, rng):
     ints = rng.integers(0, 16, 700)
     state = ChannelState.awgn(12.0, seed=14)
