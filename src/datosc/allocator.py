@@ -21,11 +21,14 @@ from numpy.polynomial.legendre import leggauss
 from .analog import analog_gains, mmse_error_vars
 from .channel import ChannelBudget
 from .codec import TaskModel, selection_indices
-from .digital import QuantizerSpec, bits_per_symbol, parity_length
+from .digital import PATTERN_FRACTIONS, QuantizerSpec, bits_per_symbol, parity_length
 from .errors import InfeasibleAllocationError, ParameterError
 
-PATTERNS = ("R12", "R23", "R34")
+# The layout grid the searches score; calibrate_fer covers the same grid by
+# default, because every layout scored is looked up in the FER table.
+PATTERNS = tuple(PATTERN_FRACTIONS)
 QUANT_BITS_GRID = (1, 2, 3, 4, 5, 6)
+FEATURE_MSE_FLOOR = 0.05  # analog feature MSE greedy's smallest k must reach
 POWER_GRID_POINTS = 21
 POWER_SHARE_LO = 0.05
 POWER_SHARE_HI = 0.95
@@ -56,18 +59,6 @@ class AllocationPlan:
         if not 0.0 < self.lam < 1.0:
             raise ParameterError(f"lambda must lie strictly in (0, 1), got {self.lam}")
 
-    @property
-    def digital_on(self) -> bool:
-        return self.n_digital > 0
-
-    @property
-    def analog_code_rate(self) -> float:
-        return self.n / self.n_analog
-
-    @property
-    def digital_code_rate(self) -> Optional[float]:
-        return self.n / self.n_digital if self.n_digital else None
-
     def budget(self, total_uses: int, power_total: float) -> ChannelBudget:
         return ChannelBudget(
             total_uses=total_uses,
@@ -87,7 +78,6 @@ class AllocatorContext:
     prior_vars: np.ndarray
     task: Optional[TaskModel] = None
     modulation: str = "qpsk"
-    floor_threshold: float = 0.05
     channel: str = "rayleigh"
     _kept_cache: dict = field(default_factory=dict, repr=False)
 
@@ -102,9 +92,19 @@ class AllocatorContext:
         return self.prior_vars[self.kept_indices(k)]
 
 
+class _FerCell(NamedTuple):
+    grid: np.ndarray      # calibrated SNRs in dB, ascending
+    p: np.ndarray         # p_f at each grid SNR
+    log_env: np.ndarray   # log of the non-increasing, floored envelope of p
+    trials: int
+    seed: int
+
+
 class FerTable:
     """Empirical decode-failure probabilities on a (pattern, B, snr) grid.
 
+    Built once from (pattern, B, snr_db, p_f, trials, seed) rows, in any
+    order; every row of a (pattern, B) cell must share its trials and seed.
     Lookups interpolate log(p) linearly in snr_db over a non-increasing
     envelope of the calibrated points (Monte-Carlo upticks are flattened so
     the distortion model stays monotone in SNR), clamped at the grid edges.
@@ -112,84 +112,63 @@ class FerTable:
     for cells that saw no failures.
     """
 
-    def __init__(self):
-        self._cells: dict[tuple[str, int], dict] = {}
+    HEADER = ("pattern", "B", "snr_db", "p_f", "trials", "seed")
 
-    def add(self, pattern: str, quant_bits: int, snr_db, p_f, trials: int, seed: int):
-        """Add one calibrated point; every point of a cell shares its first
-        point's trials and seed."""
-        key = (pattern, int(quant_bits))
-        cell = self._cells.setdefault(
-            key, {"snr": [], "p": [], "trials": trials, "seed": seed}
-        )
-        if (trials, seed) != (cell["trials"], cell["seed"]):
-            raise ParameterError(
-                f"pattern={pattern}, B={quant_bits} was calibrated with trials="
-                f"{cell['trials']}, seed={cell['seed']}; got trials={trials}, seed={seed}"
+    def __init__(self, rows=()):
+        points: dict[tuple[str, int], list] = {}
+        for pattern, bits, snr_db, p_f, trials, seed in rows:
+            points.setdefault((pattern, int(bits)), []).append(
+                (float(snr_db), float(p_f), trials, seed)
             )
-        cell["snr"].append(float(snr_db))
-        cell["p"].append(float(p_f))
-        cell.pop("log_env", None)  # _prepared rebuilds grid and envelope with the new point
-
-    def _prepared(self, key):
-        cell = self._cells[key]
-        if "log_env" not in cell:
-            order = np.argsort(cell["snr"])
-            snr = np.asarray(cell["snr"])[order]
-            p = np.asarray(cell["p"])[order]
-            floor = 0.5 / max(cell["trials"], 1)
-            env = np.minimum.accumulate(np.clip(p, floor, 1.0))
-            cell["grid"] = snr
-            cell["log_env"] = np.log(env)
-        return cell
+        self._cells: dict[tuple[str, int], _FerCell] = {}
+        for (pattern, bits), cell in points.items():
+            trials, seed = cell[0][2:]
+            for *_, other_trials, other_seed in cell:
+                if (other_trials, other_seed) != (trials, seed):
+                    raise ParameterError(
+                        f"pattern={pattern}, B={bits} was calibrated with trials={trials}, "
+                        f"seed={seed}; got trials={other_trials}, seed={other_seed}"
+                    )
+            grid, p = np.array([pt[:2] for pt in sorted(cell, key=lambda pt: pt[0])]).T
+            env = np.minimum.accumulate(np.clip(p, 0.5 / max(trials, 1), 1.0))
+            for arr in (grid, p):
+                arr.setflags(write=False)
+            self._cells[pattern, bits] = _FerCell(grid, p, np.log(env), trials, seed)
 
     def keys(self):
-        return sorted(self._cells.keys())
+        return sorted(self._cells)
 
     def raw(self, pattern: str, quant_bits: int) -> tuple[np.ndarray, np.ndarray, int]:
-        cell = self._prepared((pattern, quant_bits))
-        return cell["grid"], np.asarray(cell["p"])[np.argsort(cell["snr"])], cell["trials"]
+        """(snr grid, p_f, trials) of one cell, in grid order."""
+        cell = self._cells[pattern, quant_bits]
+        return cell.grid, cell.p, cell.trials
 
     def lookup(self, pattern: str, quant_bits: int, snr_db):
         """p_f at snr_db: a float for a scalar, one value per SNR for an array."""
-        key = (pattern, int(quant_bits))
-        if key not in self._cells:
+        cell = self._cells.get((pattern, int(quant_bits)))
+        if cell is None:
             raise ParameterError(f"no calibration for pattern={pattern}, B={quant_bits}")
-        cell = self._prepared(key)
-        grid = cell["grid"]
-        p = np.exp(np.interp(snr_db, grid, cell["log_env"]))  # clamped at the edges
+        p = np.exp(np.interp(snr_db, cell.grid, cell.log_env))  # clamped at the edges
         return float(p) if np.ndim(snr_db) == 0 else p
 
     def save_csv(self, path) -> None:
         with open(path, "w", newline="\n") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["pattern", "B", "snr_db", "p_f", "trials", "seed"])
+            writer.writerow(self.HEADER)
             for (pattern, bits), cell in sorted(self._cells.items()):
-                order = np.argsort(cell["snr"])
-                for i in order:
-                    writer.writerow(
-                        [
-                            pattern,
-                            bits,
-                            f"{cell['snr'][i]:g}",
-                            f"{cell['p'][i]:.9g}",
-                            cell["trials"],
-                            cell["seed"],
-                        ]
-                    )
+                writer.writerows(
+                    [pattern, bits, f"{snr:g}", f"{p:.9g}", cell.trials, cell.seed]
+                    for snr, p in zip(cell.grid, cell.p)
+                )
 
     @classmethod
     def from_csv_text(cls, text: str) -> "FerTable":
-        table = cls()
         rows = [r for r in csv.reader(text.splitlines()) if r and not r[0].startswith("#")]
-        header = rows[0]
-        if header != ["pattern", "B", "snr_db", "p_f", "trials", "seed"]:
-            raise ParameterError(f"unexpected FER table header: {header}")
-        for row in rows[1:]:
-            table.add(
-                row[0], int(row[1]), float(row[2]), float(row[3]), int(row[4]), int(row[5])
-            )
-        return table
+        if tuple(rows[0]) != cls.HEADER:
+            raise ParameterError(f"unexpected FER table header: {rows[0]}")
+        return cls(
+            (r[0], int(r[1]), float(r[2]), float(r[3]), int(r[4]), int(r[5])) for r in rows[1:]
+        )
 
     @classmethod
     def load_csv(cls, path) -> "FerTable":
@@ -311,13 +290,6 @@ def model_analog_distortion(
     """Expected feature MSE of the analog branch (mean posterior variance
     of the kept coefficients, averaged over the fade rule)."""
     return float(_plan_model(plan, snr_db, ctx).feature[0])
-
-
-def model_fallback_distortion(
-    plan: AllocationPlan, snr_db: float, ctx: AllocatorContext
-) -> float:
-    """Expected data MSE when the digital branch contributes nothing."""
-    return float(_plan_model(plan, snr_db, ctx).data[0])
 
 
 def model_digital_distortion(
@@ -462,25 +434,20 @@ def _best(entries, p_total: float, lam: float, ctx: AllocatorContext
     return cost, plan
 
 
-def choose_analog_floor_k(
-    budget: ChannelBudget, snr_db: float, ctx: AllocatorContext, lam: float
-) -> tuple[int, int]:
-    """Smallest candidate k whose analog-only feature MSE meets the floor."""
+def choose_analog_floor_k(budget: ChannelBudget, snr_db: float, ctx: AllocatorContext) -> int:
+    """Smallest candidate k whose analog-only feature MSE meets FEATURE_MSE_FLOOR."""
     best = None
+    power = np.array([budget.power_total])
     for layout in _layouts(budget, ctx):
         if layout.n_digital:
             continue
-        probe = AllocationPlan(
-            **layout._asdict(), power_analog=budget.power_total, power_digital=0.0,
-            lam=lam, n=ctx.n,
-        )
-        mse = model_analog_distortion(probe, snr_db, ctx)
+        mse = float(_analog_model(layout.k, layout.n_analog, power, snr_db, ctx).feature[0])
         if best is None or mse < best[1]:
             best = (layout.k, mse)
-        if mse <= ctx.floor_threshold:
-            return layout.k, layout.n_analog
+        if mse <= FEATURE_MSE_FLOOR:
+            return layout.k
     raise InfeasibleAllocationError(
-        f"binding constraint: analog feature-MSE floor {ctx.floor_threshold} "
+        f"binding constraint: analog feature-MSE floor {FEATURE_MSE_FLOOR} "
         f"unreachable at {snr_db} dB (best candidate k={best[0]} reaches {best[1]:.4g})"
     )
 
@@ -504,7 +471,7 @@ def allocate_greedy(
     """
     p_total = budget.power_total
     args = (p_total, snr_db, lam, ctx, fer)
-    k_floor, _ = choose_analog_floor_k(budget, snr_db, ctx, lam)
+    k_floor = choose_analog_floor_k(budget, snr_db, ctx)
     # rank tuples by their best cost over a coarse power scan (a single
     # use-proportional split mis-ranks tuples whose optimum sits at an
     # extreme split)

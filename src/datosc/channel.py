@@ -29,7 +29,12 @@ class ChannelState:
     def for_block(
         cls, snr_db: float, fading: str, seed: int, block_index: int = 0
     ) -> "ChannelState":
-        """Channel realization for one block; fading is 'awgn' or 'rayleigh'."""
+        """Channel realization for one block; fading is 'awgn' or 'rayleigh'.
+
+        The stream is default_rng(seed ^ block_index), so seed must already be
+        hashed (harness.derive_seed): a raw seed that also seeds another
+        stream would collide with it at block 0.
+        """
         rng = np.random.default_rng((seed ^ block_index) & _SEED_MASK)
         if fading == "awgn":
             h = 1.0 + 0.0j

@@ -14,6 +14,7 @@ from .harness import (
     ExperimentConfig,
     calibrate_fer,
     config_from_values,
+    derive_seed,
     detect_effects,
     parse_config_text,
     read_sweep_csv,
@@ -75,14 +76,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_calibrate_fer(args) -> int:
+    """calibrate_fer gets only the keys a flag or the config file set, so its
+    signature holds the defaults."""
     values = _config_values(args, ("channel", "trials", "seed", "out"))
+    flags = {"trials": args.trials, "seed": args.seed, "out": args.out}
+    values.update({key: val for key, val in flags.items() if val is not None})
     table = calibrate_fer(
-        channel=values.get("channel", "rayleigh"),
-        trials=args.trials or values.get("trials", 2000),
-        seed=args.seed if args.seed is not None else values.get("seed", 0xFE12),
+        **{key: values[key] for key in ("channel", "trials", "seed") if key in values},
         verbose=True,
     )
-    out = args.out or values.get("out", "fer_table.csv")
+    out = values.get("out", "fer_table.csv")
     table.save_csv(out)
     print(f"wrote calibration table to {out}")
     return 0
@@ -107,7 +110,9 @@ def cmd_seu(args) -> int:
     )
     p_hat = values.get("p_hat", max(spec.bit_flip_prob, 1e-3))
 
-    rng = np.random.default_rng(seed)
+    # parameters and channels draw from separately derived streams, as in a sweep
+    rng = np.random.default_rng(derive_seed(seed, 0))
+    channel_seed = derive_seed(seed, 1)
     ok_count = 0
     all_frames = []
     overhead = 0.0
@@ -118,7 +123,7 @@ def cmd_seu(args) -> int:
             int_bits=int_bits,
         )
         outdated = drift(params, spec, seed=int(rng.integers(2**63)))
-        state = ChannelState.for_block(snr_db, channel, seed, block_index=s)
+        state = ChannelState.for_block(snr_db, channel, channel_seed, block_index=s)
         est, _ = seu_send_floats(
             params.floats, np.ones(float_count), 1.0, state
         )

@@ -131,6 +131,11 @@ def calibrate_prior_vars(spec: SourceSpec) -> np.ndarray:
     """Per-index coefficient second moments from a seeded offline pass.
 
     The pass always runs under CALIBRATION_SEED so two runs of the same
-    experiment select identical indices regardless of the stream seed.
+    experiment select identical indices regardless of the stream seed. The
+    field the kind does not read (rho of a class mixture, class_count of an
+    AR(1) stream) is reset too, so it does not key a second pass.
     """
-    return _calibrate_prior_vars_cached(replace(spec, seed=CALIBRATION_SEED))
+    unread = {"class_mixture": {"rho": 0.0}, "gauss_markov": {"class_count": 1}}
+    return _calibrate_prior_vars_cached(
+        replace(spec, seed=CALIBRATION_SEED, **unread.get(spec.kind, {}))
+    )

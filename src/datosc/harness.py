@@ -18,7 +18,7 @@ import numpy as np
 from . import analog as ana
 from . import codec
 from . import digital as dig
-from .allocator import FerTable, digital_uses
+from .allocator import PATTERNS, QUANT_BITS_GRID, FerTable, digital_uses
 from .channel import ChannelBudget, ChannelState, _complex_noise
 from .errors import ConfigError, ParameterError
 from .sources import SourceSpec, gen_blocks, load_pgm
@@ -70,6 +70,8 @@ class ExperimentConfig:
             raise ParameterError("lambda must lie strictly in (0, 1)")
         if not 1 <= self.k <= self.n:
             raise ParameterError(f"k must lie in [1, {self.n}]")
+        if self.source_kind == "image_blocks" and self.n != 64:
+            raise ParameterError(f"an image source cuts 8x8 tiles, so needs n=64, got n={self.n}")
         if self.workers < 1:
             raise ParameterError("workers must be >= 1")
 
@@ -611,8 +613,8 @@ def detect_effects(rows: list[SweepRow]) -> dict:
 
 def calibrate_fer(
     channel: str = "rayleigh",
-    patterns=("R12", "R23", "R34"),
-    bits_grid=(1, 2, 3, 4, 5, 6),
+    patterns=PATTERNS,
+    bits_grid=QUANT_BITS_GRID,
     snr_grid=tuple(float(s) for s in range(0, 25, 2)),
     trials: int = 2000,
     seed: int = 0xFE12,
@@ -622,9 +624,10 @@ def calibrate_fer(
 
     Each cell runs the full DA chain at equal per-use power (1.0) on both
     partitions, so the table's snr axis is the per-use SNR the digital
-    partition actually sees at calibration time.
+    partition actually sees at calibration time. The default grid is the
+    one the allocator searches.
     """
-    table = FerTable()
+    rows = []
     cell_index = 0
     for pattern in patterns:
         for bits in bits_grid:
@@ -647,8 +650,8 @@ def calibrate_fer(
                     power_digital=float(setup.n_digital),
                 )
                 p_f = run_point(cfg, snr, 0, equal).fer
-                table.add(pattern, bits, snr, p_f, trials, seed)
+                rows.append((pattern, bits, snr, p_f, trials, seed))
                 if verbose:
                     print(f"pattern {pattern} B={bits} snr {snr:5.1f}: p_f {p_f:.4f}")
                 cell_index += 1
-    return table
+    return FerTable(rows)

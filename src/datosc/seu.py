@@ -41,12 +41,13 @@ class ModelParams:
     int_bits: int  # precision of the integer layer parameters
 
     def __post_init__(self):
-        if self.int_bits not in (4, 8):
-            raise ParameterError(f"integer precision must be 4 or 8, got {self.int_bits}")
-        _check_range(self.ints, self.int_bits, "integer parameters")
+        _check_ints(self.ints, self.int_bits, "integer parameters")
 
 
-def _check_range(ints: np.ndarray, int_bits: int, what: str) -> None:
+def _check_ints(ints: np.ndarray, int_bits: int, what: str) -> None:
+    """int_bits is 4 or 8, and every value is a whole number in [0, 2^int_bits)."""
+    if int_bits not in (4, 8):
+        raise ParameterError(f"integer precision must be 4 or 8, got {int_bits}")
     v = np.asarray(ints)
     # cells_to_bits casts to int64, which would truncate 3.7 and NaN silently
     if v.dtype.kind not in "biu" and not np.all(np.isfinite(v) & (v == np.trunc(v))):
@@ -141,7 +142,8 @@ def seu_update_ints(
     state: ChannelState,
     p_hat: float,
 ) -> SeuSessionResult:
-    """Correct the outdated integers, each in [0, 2^int_bits), from parity alone.
+    """Correct the outdated integers, each in [0, 2^int_bits) with int_bits
+    4 or 8, from parity alone.
 
     The sender turbo-encodes the updated bits and transmits only the
     punctured parity, parity_length(frame bits, pattern) per frame, as
@@ -154,10 +156,8 @@ def seu_update_ints(
     """
     if not 0.0 < p_hat < 0.5:
         raise ParameterError("assumed drift rate must lie in (0, 0.5)")
-    if int_bits < 1:
-        raise ParameterError(f"integer precision must be at least 1 bit, got {int_bits}")
-    _check_range(updated, int_bits, "updated integers")
-    _check_range(outdated, int_bits, "outdated integers")
+    _check_ints(updated, int_bits, "updated integers")
+    _check_ints(outdated, int_bits, "outdated integers")
     up_bits = cells_to_bits(updated, int_bits)
     old_bits = cells_to_bits(outdated, int_bits)
     if up_bits.size != old_bits.size:

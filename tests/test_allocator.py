@@ -1,5 +1,6 @@
 from dataclasses import replace
 from itertools import groupby
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from datosc.allocator import (
     allocate_greedy,
     model_analog_distortion,
     model_digital_distortion,
-    model_fallback_distortion,
     system_distortion,
 )
 from datosc.analog import analog_gains, mmse_error_vars, pack_iq, unpack_iq
@@ -110,17 +110,18 @@ def test_rayleigh_model_matches_monte_carlo(ctx, snr_db):
 # digital model
 # ---------------------------------------------------------------------------
 
-def _stub_table(p):
-    table = FerTable()
-    for snr in (0.0, 24.0):
-        table.add("R12", 4, snr, p, trials=10**6, seed=0)
-    return table
+def _stub_table(p, bits=4):
+    return FerTable([("R12", bits, snr, p, 10**6, 0) for snr in (0.0, 24.0)])
 
 
 def test_pf_one_reduces_to_fallback(ctx):
+    """When every frame fails, the refined output is the analog estimate:
+    the digital-off plan at the same analog power."""
     plan = _plan(ctx)
+    off = replace(_plan(ctx, pattern=None), power_analog=plan.power_analog)
     got = model_digital_distortion(plan, 12.0, ctx, _stub_table(1.0))
-    assert got == pytest.approx(model_fallback_distortion(plan, 12.0, ctx), rel=1e-9)
+    want = model_digital_distortion(off, 12.0, ctx, _stub_table(1.0))
+    assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_pf_zero_is_refined_floor_and_b8_approaches_it(ctx):
@@ -140,11 +141,8 @@ def test_pf_zero_is_refined_floor_and_b8_approaches_it(ctx):
     )
     assert got == pytest.approx(want, rel=1e-9)
     # with 8-bit cells the refined floor is the analog error almost everywhere
-    table8 = FerTable()
-    for snr in (0.0, 24.0):
-        table8.add("R12", 8, snr, 0.0, trials=10**6, seed=0)
     plan8 = _plan(ctx, bits=8)
-    got8 = model_digital_distortion(plan8, 12.0, ctx, table8)
+    got8 = model_digital_distortion(plan8, 12.0, ctx, _stub_table(0.0, bits=8))
     deltas8 = quant.from_prior_vars(ctx.prior_vars, 8).deltas
     direct = float(
         alloc.FADE_WEIGHTS @ np.mean(np.minimum(deltas8**2 / 12.0, fade_err), axis=1)
@@ -154,10 +152,14 @@ def test_pf_zero_is_refined_floor_and_b8_approaches_it(ctx):
 
 
 def test_digital_off_plan_is_fallback(ctx, fer):
-    plan = _plan(ctx, pattern=None)
-    assert model_digital_distortion(plan, 10.0, ctx, fer) == pytest.approx(
-        model_fallback_distortion(plan, 10.0, ctx)
-    )
+    """A digital-off plan's data MSE is its analog estimate's, whatever the
+    table says. At k = n every coefficient is a feature and the transform is
+    orthonormal, so it equals the feature MSE."""
+    plan = _plan(ctx, k=64, pattern=None)
+    got = model_digital_distortion(plan, 10.0, ctx, fer)
+    for table in (_stub_table(0.0), _stub_table(1.0)):
+        assert model_digital_distortion(plan, 10.0, ctx, table) == got
+    assert got == pytest.approx(model_analog_distortion(plan, 10.0, ctx), rel=1e-12)
 
 
 def test_system_distortion_weighted_sum(ctx, fer, monkeypatch):
@@ -189,7 +191,7 @@ def _simulated_data_mse(plan, snr_db, total_uses, trials):
 
     digital = (
         dict(scheme="da", quant_bits=plan.quant_bits, pattern=plan.pattern)
-        if plan.digital_on else dict(scheme="analog")
+        if plan.n_digital else dict(scheme="analog")
     )
     cfg = ExperimentConfig(
         trials=trials, k=plan.k, total_uses=total_uses, total_power=float(total_uses),
@@ -245,6 +247,13 @@ def test_fer_table_round_trip(tmp_path, fer):
         assert t1 == t2
 
 
+def test_shipped_fer_table_saves_byte_for_byte(tmp_path):
+    shipped = Path(alloc.__file__).parent / "data" / "fer_rayleigh.csv"
+    path = tmp_path / "fer.csv"
+    FerTable.load_csv(shipped).save_csv(path)
+    assert path.read_bytes() == shipped.read_bytes()
+
+
 def test_fer_lookup_clamps_and_is_monotone(fer):
     lo = fer.lookup("R12", 4, -50.0)
     hi = fer.lookup("R12", 4, 90.0)
@@ -269,28 +278,37 @@ def test_fer_raw_values_non_increasing_within_ci(fer):
             assert p[i + 1] - p[i] <= 2.58 * (se[i] + se[i + 1])
 
 
-def test_fer_add_after_lookup_refreshes_envelope():
-    table = FerTable()
-    for snr, p in ((0.0, 0.5), (10.0, 0.1)):
-        table.add("R12", 4, snr, p, trials=10**6, seed=0)
-    assert table.lookup("R12", 4, 20.0) == pytest.approx(0.1)  # clamped edge
-    table.add("R12", 4, 20.0, 0.01, trials=10**6, seed=0)
-    assert table.lookup("R12", 4, 20.0) == pytest.approx(0.01)
-    grid, p, _ = table.raw("R12", 4)
-    assert list(grid) == [0.0, 10.0, 20.0]
-    assert list(p) == [0.5, 0.1, 0.01]
+def test_fer_cells_sort_their_rows():
+    """Rows in any order give each cell an ascending grid, and the table
+    does not change through what raw returns."""
+    rows = [
+        ("R12", 4, 20.0, 0.01, 10**6, 0),
+        ("R12", 5, 0.0, 0.3, 10**6, 0),
+        ("R12", 4, 0.0, 0.5, 10**6, 0),
+        ("R12", 4, 10.0, 0.1, 10**6, 0),
+    ]
+    for table in (FerTable(rows), FerTable(reversed(rows))):
+        assert table.keys() == [("R12", 4), ("R12", 5)]
+        grid, p, _ = table.raw("R12", 4)
+        assert list(grid) == [0.0, 10.0, 20.0]
+        assert list(p) == [0.5, 0.1, 0.01]
+        assert table.lookup("R12", 4, 20.0) == pytest.approx(0.01)
+        assert table.lookup("R12", 4, 15.0) == pytest.approx(np.sqrt(0.1 * 0.01))
+        with pytest.raises(ValueError):
+            grid[0] = 5.0
 
 
-def test_fer_add_rejects_mixed_trials_or_seed():
-    table = FerTable()
-    table.add("R12", 4, 0.0, 0.0, trials=10, seed=0)
+def test_fer_rows_reject_mixed_trials_or_seed():
     # a 10^6-trial point would otherwise be looked up at the 10-trial floor
     with pytest.raises(ParameterError, match="trials=10, seed=0"):
-        table.add("R12", 4, 10.0, 0.0, trials=10**6, seed=0)
+        FerTable([("R12", 4, 0.0, 0.0, 10, 0), ("R12", 4, 10.0, 0.0, 10**6, 0)])
     with pytest.raises(ParameterError):
-        table.add("R12", 4, 10.0, 0.0, trials=10, seed=1)
-    table.add("R12", 4, 10.0, 0.0, trials=10, seed=0)
-    table.add("R12", 5, 10.0, 0.0, trials=10**6, seed=1)  # another cell
+        FerTable([("R12", 4, 0.0, 0.0, 10, 0), ("R12", 4, 10.0, 0.0, 10, 1)])
+    table = FerTable([
+        ("R12", 4, 0.0, 0.0, 10, 0),
+        ("R12", 4, 10.0, 0.0, 10, 0),
+        ("R12", 5, 10.0, 0.0, 10**6, 1),  # another cell
+    ])
     assert table.raw("R12", 4)[2] == 10
 
 
@@ -322,11 +340,7 @@ def test_returned_plans_satisfy_budget(pinned_plans):
         for plan in (g, e):
             plan.budget(total, float(total)).validate()
             assert 0.0 < plan.lam < 1.0
-            assert plan.analog_code_rate == 64 / plan.n_analog
-            if plan.digital_on:
-                assert plan.digital_code_rate == 64 / plan.n_digital
-            else:
-                assert plan.digital_code_rate is None
+            assert (plan.pattern is None) == (plan.quant_bits == 0) == (plan.n_digital == 0)
 
 
 def test_lambda_monotone_analog_power_share(pinned_plans):
@@ -354,7 +368,7 @@ def test_oracle_engages_digital_when_analog_is_rate_limited(ctx, fer, monkeypatc
     monkeypatch.setattr(alloc, "candidate_k_grid", lambda n: [8, 16])
     budget = ChannelBudget(320, 0, 0, 320.0, 0.0, 0.0)
     plan = allocate_exhaustive(budget, 14.0, 0.3, ctx, fer)
-    assert plan.digital_on
+    assert plan.n_digital
     assert plan.pattern == "R12"
     off = _plan(ctx, k=plan.k, pattern=None, lam=0.3)
     assert system_distortion(plan, 14.0, ctx, fer) < system_distortion(

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -52,6 +53,20 @@ def test_select_k_out_of_range(mixture_priors):
         selection_indices(32, 8, mixture_priors)  # prior shape is not (n,)
     with pytest.raises(ParameterError):
         selection_indices(64, 8, np.zeros(64))  # priors must be positive
+
+
+def test_calibration_cache_ignores_fields_the_source_does_not_read():
+    """rho does not shape a class mixture and class_count does not shape an
+    AR(1) stream, so changing either reuses the cached calibration."""
+    info = codec._calibrate_prior_vars_cached.cache_info
+    for spec, unread in (
+        (SourceSpec(kind="class_mixture", n=16, class_count=2, rho=0.9), dict(rho=0.1)),
+        (SourceSpec(kind="gauss_markov", n=16, rho=0.5, class_count=1), dict(class_count=3)),
+    ):
+        first = calibrate_prior_vars(spec)
+        misses = info().misses
+        assert calibrate_prior_vars(replace(spec, **unread)) is first
+        assert info().misses == misses
 
 
 def _ar1_blocks_vectorized(n, rho, count, seed):

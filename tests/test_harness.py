@@ -138,6 +138,27 @@ def test_seu_reads_snr_flag(capsys):
     assert mse["300"] < 1e-6 < mse["-10"]
 
 
+def test_seu_parameters_and_channel_draw_from_separate_streams(monkeypatch, capsys):
+    """Session 0's channel noise is not a rescaled copy of its float
+    parameters: the two streams come from different derived seeds."""
+    from datosc import cli
+
+    seen = []
+    send = cli.seu_send_floats
+
+    def record(floats, prior_vars, per_use_power, state):
+        noise = np.random.default_rng()
+        noise.bit_generator.state = state.rng.bit_generator.state
+        seen.append((floats, noise.standard_normal(floats.size)))
+        return send(floats, prior_vars, per_use_power, state)
+
+    monkeypatch.setattr(cli, "seu_send_floats", record)
+    cli.main(["seu", "--trials", "1", "--seed", "12345"])
+    capsys.readouterr()
+    ((floats, noise),) = seen
+    assert not np.allclose(floats, noise)
+
+
 def test_session_commands_name_config_keys_they_do_not_read(tmp_path, capsys, monkeypatch):
     """seu and calibrate-fer name every config key they ignore on one stderr
     line; what they print on stdout and write is unchanged."""
@@ -191,6 +212,29 @@ def test_sweep_names_session_keys_it_does_not_read(tmp_path, capsys):
     assert runs["extra"][2] == runs["base"][2]
 
 
+def test_calibrate_fer_cli_passes_only_the_read_keys_it_was_given(tmp_path, monkeypatch):
+    """calibrate-fer hands calibrate_fer the read keys a flag or the config
+    file set, flags first; unread config keys never reach the call, and
+    unset keys take calibrate_fer's own defaults."""
+    from datosc import cli
+    from datosc.allocator import FerTable
+
+    calls = []
+    monkeypatch.setattr(cli, "calibrate_fer", lambda **kw: calls.append(kw) or FerTable())
+    cfg = tmp_path / "cal.cfg"
+    cfg.write_text("channel=awgn\ntrials=50\nseed=4\nk=8\nsnr=0:20:10\nscheme=analog\n")
+    out = str(tmp_path / "fer.csv")
+    cli.main(["calibrate-fer", "--config", str(cfg), "--trials", "300", "--seed", "9",
+              "--out", out])
+    cli.main(["calibrate-fer", "--config", str(cfg), "--out", out])
+    cli.main(["calibrate-fer", "--out", out])
+    assert calls == [
+        {"channel": "awgn", "trials": 300, "seed": 9, "verbose": True},
+        {"channel": "awgn", "trials": 50, "seed": 4, "verbose": True},
+        {"verbose": True},
+    ]
+
+
 @pytest.mark.parametrize(
     "flags", [["--scheme", "da"], ["--snr", "10"], ["--lambda", "0.5"]]
 )
@@ -200,6 +244,13 @@ def test_calibrate_fer_rejects_flags_it_does_not_read(flags, tmp_path, monkeypat
     monkeypatch.setattr(cli, "calibrate_fer", lambda **kw: pytest.fail("it ran"))
     with pytest.raises(SystemExit):
         cli.main(["calibrate-fer", "--out", str(tmp_path / "fer.csv")] + flags)
+
+
+def test_image_source_needs_n_64(tmp_path):
+    """An image source cuts 8x8 tiles; any other n is rejected by name
+    before calibration rather than by a prior-shape error."""
+    with pytest.raises(ParameterError, match="8x8.*n=64"):
+        ExperimentConfig(source_kind="image_blocks", image="tiles.pgm", n=32, k=16).validate()
 
 
 def test_validation_rules():

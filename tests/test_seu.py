@@ -288,6 +288,19 @@ def test_update_ints_rejects_values_outside_precision():
         seu_update_ints(valid, valid, 0, "R34", state, 0.01)
 
 
+def test_update_ints_and_model_params_share_the_precision_rule():
+    """seu_update_ints accepts the integer precisions ModelParams does, 4 and
+    8 bits, and rejects the rest with the same message."""
+    state = ChannelState.awgn(20.0, seed=21)
+    ints = np.array([1, 30, 7])
+    for bits in (1, 5, 16):
+        with pytest.raises(ParameterError, match="precision must be 4 or 8") as update:
+            seu_update_ints(ints, ints, bits, "R12", state, 0.01)
+        with pytest.raises(ParameterError) as params:
+            ModelParams(floats=np.zeros(1), ints=ints, int_bits=bits)
+        assert str(update.value) == str(params.value)
+
+
 def test_non_integer_values_rejected():
     """Fractions and NaN raise rather than being truncated: [3.7, 15.9, 2.0]
     would read as [3, 15, 2] and match the outdated ints with crc_ok set.
