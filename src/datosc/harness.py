@@ -452,45 +452,22 @@ def run_chunk(
 
 
 # Trials per run_chunk call at most, so a point's working set stays bounded
-# (Viterbi decisions alone take 4 bytes per trellis state and step).
+# (Viterbi decisions alone take 1 byte per trellis state and step).
 MAX_CHUNK_TRIALS = 4096
 
 
 def chunk_bounds(trials: int, workers: int) -> list[tuple[int, int]]:
-    """Near-equal [t0, t1) chunks: one per worker, more when a chunk would
-    exceed MAX_CHUNK_TRIALS."""
+    """Near-equal [t0, t1) chunks of one point: one per worker, more when a
+    chunk would exceed MAX_CHUNK_TRIALS. A sweep's pool runs the chunks of
+    all its points."""
     chunks = max(workers, -(-trials // MAX_CHUNK_TRIALS))
     edges = np.linspace(0, trials, chunks + 1).astype(int)
     return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
 
-def run_point(
-    config: ExperimentConfig,
-    snr_db: float,
-    point_index: Optional[int] = None,
-    setup: Optional[LinkSetup] = None,
-) -> SweepRow:
-    """One sweep point: per-trial pipeline runs and Monte-Carlo aggregation.
-
-    setup defaults to build_link(config).
-    """
-    if setup is None:
-        setup = build_link(config)
-    if point_index is None:
-        grid = list(config.snr_grid)
-        point_index = grid.index(snr_db) if snr_db in grid else 0
-    bounds = chunk_bounds(config.trials, config.workers)
-    if config.workers == 1 or len(bounds) == 1:
-        parts = [
-            run_chunk(config, setup, snr_db, point_index, a, b) for a, b in bounds
-        ]
-    else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [
-                pool.submit(run_chunk, config, setup, snr_db, point_index, a, b)
-                for a, b in bounds
-            ]
-            parts = [f.result() for f in futures]
+def _aggregate(config: ExperimentConfig, setup: LinkSetup, snr_db: float, parts) -> SweepRow:
+    """Monte-Carlo means and standard errors of a point's chunk results,
+    concatenated in trial order."""
     feature = np.concatenate([p[0] for p in parts])
     data = np.concatenate([p[1] for p in parts])
     task_ok = np.concatenate([p[2] for p in parts])
@@ -520,6 +497,53 @@ def run_point(
     )
 
 
+def _run_points(config: ExperimentConfig, setup: LinkSetup, points):
+    """Yield one SweepRow per (point_index, snr_db) of points, in order.
+
+    With several workers, every chunk of every point is queued up front on
+    one process pool. A failing chunk cancels the queued ones and re-raises
+    once the running ones have stopped.
+    """
+    bounds = chunk_bounds(config.trials, config.workers)
+    if config.workers == 1 or len(bounds) == 1:
+        for idx, snr in points:
+            parts = [run_chunk(config, setup, snr, idx, a, b) for a, b in bounds]
+            yield _aggregate(config, setup, snr, parts)
+        return
+    pool = ProcessPoolExecutor(max_workers=config.workers)
+    try:
+        pending = [
+            [pool.submit(run_chunk, config, setup, snr, idx, a, b) for a, b in bounds]
+            for idx, snr in points
+        ]
+        for _, snr in points:
+            # popped, so a point's results are freed once its row is built
+            parts = [f.result() for f in pending.pop(0)]
+            yield _aggregate(config, setup, snr, parts)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def run_point(
+    config: ExperimentConfig,
+    snr_db: float,
+    point_index: Optional[int] = None,
+    setup: Optional[LinkSetup] = None,
+) -> SweepRow:
+    """One sweep point: per-trial pipeline runs and Monte-Carlo aggregation.
+
+    setup defaults to build_link(config). With several workers the point
+    opens its own pool; run_sweep runs all its points through one.
+    """
+    if setup is None:
+        setup = build_link(config)
+    if point_index is None:
+        grid = list(config.snr_grid)
+        point_index = grid.index(snr_db) if snr_db in grid else 0
+    (row,) = _run_points(config, setup, [(point_index, snr_db)])
+    return row
+
+
 # ---------------------------------------------------------------------------
 # sweeps and CSV
 # ---------------------------------------------------------------------------
@@ -542,12 +566,11 @@ def run_sweep(config: ExperimentConfig, verbose: bool = False) -> list[SweepRow]
     config.validate()
     setup = build_link(config)
     rows = []
-    for idx, snr in enumerate(config.snr_grid):
-        row = run_point(config, snr, idx, setup)
+    for row in _run_points(config, setup, list(enumerate(config.snr_grid))):
         rows.append(row)
         if verbose:
             print(
-                f"[{config.scheme}] SNR {snr:5.1f} dB  data_mse {row.data_mse:.4g}"
+                f"[{config.scheme}] SNR {row.snr_db:5.1f} dB  data_mse {row.data_mse:.4g}"
                 f"  feature_mse {row.feature_mse:.4g}  fer {row.fer:.3f}"
             )
     rows_to_csv(rows, config.out)

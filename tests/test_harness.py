@@ -1,5 +1,7 @@
 import json
+import multiprocessing
 import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -367,6 +369,66 @@ def test_csv_bytes_identical_across_worker_counts(tmp_path):
     run_sweep(c1)
     run_sweep(c3)
     assert open(c1.out, "rb").read() == open(c3.out, "rb").read()
+
+
+def test_sweep_runs_every_point_through_one_pool(tmp_path, monkeypatch):
+    pools = []
+
+    class CountingPool(H.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(H, "ProcessPoolExecutor", CountingPool)
+    cfg = ExperimentConfig(
+        trials=120, snr_grid=(0.0, 6.0, 12.0), scheme="da", workers=2,
+        out=str(tmp_path / "pool.csv"),
+    )
+    assert len(run_sweep(cfg)) == 3
+    assert len(pools) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_pooled_chunks_of_several_points_write_the_serial_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr(H, "MAX_CHUNK_TRIALS", 40)
+    assert len(H.chunk_bounds(120, 2)) == 3  # more chunks than workers, per point
+    for scheme in ("digital", "da"):
+        base = ExperimentConfig(trials=120, snr_grid=(2.0, 8.0, 14.0), scheme=scheme)
+        serial = replace(base, workers=1, out=str(tmp_path / f"{scheme}-1.csv"))
+        pooled = replace(base, workers=2, out=str(tmp_path / f"{scheme}-2.csv"))
+        run_sweep(serial)
+        run_sweep(pooled)
+        assert open(serial.out, "rb").read() == open(pooled.out, "rb").read()
+
+
+_real_run_chunk = H.run_chunk
+
+
+def _chunk_failing_at_one_point(config, setup, snr_db, point_index, t0, t1):
+    """run_chunk for pool workers: marks each call in a file under
+    config.out's directory and raises at point 1."""
+    marks = os.path.dirname(config.out)
+    open(os.path.join(marks, f"ran-{point_index}-{t0}"), "w").close()
+    if point_index == 1:
+        raise ValueError(f"chunk {t0} of point {point_index} failed")
+    time.sleep(0.05)
+    return _real_run_chunk(config, setup, snr_db, point_index, t0, t1)
+
+
+def test_failing_chunk_stops_the_sweep_and_its_workers(tmp_path, monkeypatch):
+    monkeypatch.setattr(H, "MAX_CHUNK_TRIALS", 40)
+    monkeypatch.setattr(H, "run_chunk", _chunk_failing_at_one_point)
+    cfg = ExperimentConfig(
+        trials=120, snr_grid=tuple(float(s) for s in range(0, 40, 2)), scheme="analog",
+        workers=2, out=str(tmp_path / "never.csv"),
+    )
+    with pytest.raises(ValueError, match="of point 1 failed"):
+        run_sweep(cfg)
+    assert multiprocessing.active_children() == []
+    assert not os.path.exists(cfg.out)
+    ran = [f for f in os.listdir(tmp_path) if f.startswith("ran-")]
+    # the queued chunks were cancelled: at most a pool's in-flight window ran
+    assert len(ran) < len(cfg.snr_grid) * 3 // 2
 
 
 def test_sweep_rerun_reproduces_bytes(tmp_path):
