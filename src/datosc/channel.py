@@ -3,18 +3,21 @@
 Conventions: snr_db is the average received SNR per complex channel use
 under unit average transmit power and E[|h|^2] = 1, so noise_var =
 10^(-snr_db/10) per complex use (noise_var/2 per real dimension). The
-receiver knows h exactly. Each block consumes its own RNG stream derived
-as seed XOR block_index, with draws ordered (h, then noise per transmit
-call), so parallel trial execution reproduces serial results bit for bit.
+receiver knows h exactly. Each block consumes its own RNG stream,
+default_rng(seed XOR block_index), with draws ordered (h, then noise per
+transmit call), so parallel trial execution reproduces serial results bit
+for bit. for_blocks seeds a range of blocks' streams together (streams.py).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 from .errors import AllocationError, ParameterError
+from .streams import default_rngs
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -26,24 +29,28 @@ class ChannelState:
     rng: np.random.Generator = field(repr=False)
 
     @classmethod
-    def for_block(
-        cls, snr_db: float, fading: str, seed: int, block_index: int = 0
-    ) -> "ChannelState":
-        """Channel realization for one block; fading is 'awgn' or 'rayleigh'.
+    def for_blocks(
+        cls, snr_db: float, fading: str, seed: int, t0: int, t1: int
+    ) -> Iterator["ChannelState"]:
+        """Channel realizations of blocks t0..t1-1, one at a time; fading is
+        'awgn' or 'rayleigh'.
 
-        The stream is default_rng(seed ^ block_index), so seed must already be
+        Block t's stream is default_rng(seed ^ t), so seed must already be
         hashed (harness.derive_seed): a raw seed that also seeds another
         stream would collide with it at block 0.
         """
-        rng = np.random.default_rng((seed ^ block_index) & _SEED_MASK)
-        if fading == "awgn":
-            h = 1.0 + 0.0j
-        elif fading == "rayleigh":
-            re, im = rng.standard_normal(2)
-            h = complex(re, im) / np.sqrt(2.0)
-        else:
+        if fading not in ("awgn", "rayleigh"):
             raise ParameterError(f"unknown fading kind {fading!r}")
-        return cls(noise_var=10.0 ** (-snr_db / 10.0), h=h, rng=rng)
+        noise_var = 10.0 ** (-snr_db / 10.0)
+        rngs = default_rngs((seed ^ t) & _SEED_MASK for t in range(t0, t1))
+        return (cls(noise_var=noise_var, h=_gain(rng, fading), rng=rng) for rng in rngs)
+
+    @classmethod
+    def for_block(
+        cls, snr_db: float, fading: str, seed: int, block_index: int = 0
+    ) -> "ChannelState":
+        """The one-block case of for_blocks."""
+        return next(cls.for_blocks(snr_db, fading, seed, block_index, block_index + 1))
 
     @classmethod
     def awgn(cls, snr_db: float, seed: int = 0, block_index: int = 0) -> "ChannelState":
@@ -54,6 +61,14 @@ class ChannelState:
         cls, snr_db: float, seed: int = 0, block_index: int = 0
     ) -> "ChannelState":
         return cls.for_block(snr_db, "rayleigh", seed, block_index)
+
+
+def _gain(rng: np.random.Generator, fading: str) -> complex:
+    """h: 1 for AWGN; unit mean-square complex Gaussian for Rayleigh."""
+    if fading == "awgn":
+        return 1.0 + 0.0j
+    re, im = rng.standard_normal(2)
+    return complex(re, im) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -88,11 +103,12 @@ def transmit(symbols: np.ndarray, state: ChannelState) -> np.ndarray:
     x = np.asarray(symbols, dtype=np.complex128)
     if not np.all(np.isfinite(x)):
         raise ParameterError("transmit requires finite symbols")
-    return state.h * x + _complex_noise(state.rng, x.size, state.noise_var).reshape(x.shape)
+    noise = _complex_noise(state.rng.standard_normal(2 * x.size), state.noise_var)
+    return state.h * x + noise.reshape(x.shape)
 
 
-def _complex_noise(rng: np.random.Generator, size: int, noise_var: float) -> np.ndarray:
-    """size circularly-symmetric samples of variance noise_var: one
-    standard_normal(2 * size) draw read as interleaved (re, im) pairs."""
-    noise = rng.standard_normal(2 * size) * np.sqrt(noise_var / 2.0)
-    return noise[0::2] + 1j * noise[1::2]
+def _complex_noise(raw: np.ndarray, noise_var: float) -> np.ndarray:
+    """Circularly-symmetric noise of variance noise_var from unit normals
+    (..., 2m): scaled by sqrt(noise_var / 2) and read as (re, im) pairs,
+    (..., m) complex."""
+    return (raw * np.sqrt(noise_var / 2.0)).view(np.complex128)

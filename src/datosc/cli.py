@@ -112,18 +112,17 @@ def cmd_seu(args) -> int:
 
     # parameters and channels draw from separately derived streams, as in a sweep
     rng = np.random.default_rng(derive_seed(seed, 0))
-    channel_seed = derive_seed(seed, 1)
+    states = ChannelState.for_blocks(snr_db, channel, derive_seed(seed, 1), 0, sessions)
     ok_count = 0
     all_frames = []
     overhead = 0.0
-    for s in range(sessions):
+    for s, state in enumerate(states):
         params = ModelParams(
             floats=rng.standard_normal(float_count),
             ints=rng.integers(0, 1 << int_bits, int_count),
             int_bits=int_bits,
         )
         outdated = drift(params, spec, seed=int(rng.integers(2**63)))
-        state = ChannelState.for_block(snr_db, channel, channel_seed, block_index=s)
         est, _ = seu_send_floats(
             params.floats, np.ones(float_count), 1.0, state
         )

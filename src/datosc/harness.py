@@ -343,18 +343,18 @@ def draw_trials(
         src_seed = derive_seed(config.seed, point_index, 0)
         samples, labels = gen_blocks(replace(config.source_spec(), seed=src_seed), t0, t1)
 
-    ch_seed = derive_seed(config.seed, point_index, 1)
+    # Each trial draws h, then the analog noise, then the digital noise.
+    n_a = setup.n_analog
     h = np.empty(count, dtype=np.complex128)
-    w_a = np.zeros((count, setup.n_analog), dtype=np.complex128)
-    w_d = np.zeros((count, setup.n_digital), dtype=np.complex128)
-    noise_var = 10.0 ** (-snr_db / 10.0)
-    for i, t in enumerate(range(t0, t1)):
-        state = ChannelState.for_block(snr_db, config.channel, ch_seed, t)
+    raw = np.empty((count, 2 * (n_a + setup.n_digital)))
+    ch_seed = derive_seed(config.seed, point_index, 1)
+    states = ChannelState.for_blocks(snr_db, config.channel, ch_seed, t0, t1)
+    for i, state in enumerate(states):
         h[i] = state.h
-        if setup.n_analog:
-            w_a[i] = _complex_noise(state.rng, setup.n_analog, noise_var)
-        if setup.n_digital:
-            w_d[i] = _complex_noise(state.rng, setup.n_digital, noise_var)
+        state.rng.standard_normal(out=raw[i])
+    noise_var = 10.0 ** (-snr_db / 10.0)
+    noise = _complex_noise(raw, noise_var)
+    w_a, w_d = noise[:, :n_a], noise[:, n_a:]
     return TrialDraws(samples, labels, h, w_a, w_d, noise_var)
 
 

@@ -1,9 +1,10 @@
 """Synthetic source generators and PGM ingestion.
 
 gen_blocks returns a batch of blocks, but block t of a stream draws from its
-own generator seeded by (spec.seed, t), so any range of blocks equals the same
-rows of a longer range: trials can run on any number of workers without
-changing results. load_pgm returns an image's 8x8 tiles as one (B, 64) array.
+own generator, default_rng((spec.seed, t)), so any range of blocks equals the
+same rows of a longer range: trials can run on any number of workers without
+changing results. A batch's generators are seeded together (streams.py).
+load_pgm returns an image's 8x8 tiles as one (B, 64) array.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import FormatError, ParameterError
+from .streams import default_rngs
 
 # Class-mean constants are shared by every experiment (they play the role of
 # pre-trained task weights), so they hang off a fixed seed instead of the
@@ -67,8 +69,8 @@ def gen_blocks(spec: SourceSpec, t0: int, t1: int) -> tuple[np.ndarray, np.ndarr
     """Blocks t0..t1-1 of a synthetic stream: samples (T, n) and class
     labels (T,), -1 for the label-free AR(1) source.
 
-    Block t draws from its own generator seeded by (spec.seed, t): first the
-    label (class mixture only), then n unit normals. A mixture block is its
+    Block t draws from its own generator, default_rng((spec.seed, t)): first
+    the label (class mixture only), then n unit normals. A mixture block is its
     class mean plus those normals. Image streams are built via load_pgm instead.
     """
     if spec.kind not in ("gauss_markov", "class_mixture"):
@@ -77,11 +79,10 @@ def gen_blocks(spec: SourceSpec, t0: int, t1: int) -> tuple[np.ndarray, np.ndarr
     mixture = spec.kind == "class_mixture"
     w = np.empty((t1 - t0, spec.n))
     labels = np.full(t1 - t0, -1, dtype=np.int64)
-    for i, t in enumerate(range(t0, t1)):
-        rng = np.random.default_rng((spec.seed, t))
+    for i, rng in enumerate(default_rngs((spec.seed, t) for t in range(t0, t1))):
         if mixture:
             labels[i] = rng.integers(spec.class_count)
-        w[i] = rng.standard_normal(spec.n)
+        rng.standard_normal(out=w[i])
     if mixture:
         return class_means(spec.n, spec.class_count)[labels] + w, labels
     # AR(1): x[i] = rho*x[i-1] + sqrt(1-rho^2)*w[i], unit marginal variance;

@@ -27,10 +27,8 @@ def test_awgn_noise_variance_at_0db():
 
 
 def test_rayleigh_unit_mean_square_gain():
-    gains = [
-        abs(ChannelState.rayleigh(10.0, seed=3, block_index=t).h) ** 2
-        for t in range(100_000)
-    ]
+    states = ChannelState.for_blocks(10.0, "rayleigh", 3, 0, 100_000)
+    gains = [abs(state.h) ** 2 for state in states]
     assert 0.98 <= np.mean(gains) <= 1.02
 
 

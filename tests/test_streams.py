@@ -1,0 +1,122 @@
+"""Batched stream seeding against np.random.default_rng.
+
+default_rngs must equal default_rng entropy by entropy, and gen_blocks and
+ChannelState.for_blocks must equal the per-block loops they replaced, which
+built one default_rng((seed, t)) or default_rng(seed ^ t) per block. Those
+loops live on here only, as oracles.
+"""
+
+import numpy as np
+import pytest
+
+from datosc.channel import ChannelState, transmit
+from datosc.sources import SourceSpec, class_means, gen_blocks
+from datosc.streams import default_rngs
+
+_MASK64 = (1 << 64) - 1
+
+RANDOM_INTS = [
+    int(v) for v in np.random.default_rng(0x57EA).integers(0, 2**64 - 1, 12, dtype=np.uint64)
+]
+ENTROPIES = [
+    0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**130 + 0x1234_5678_9ABC,  # the last: 5 words
+    *RANDOM_INTS,
+    *[(seed, t) for seed in (0, 7, 2**63 + 5, 2**130) for t in (0, 1, 2**32 - 1, 2**32, 2**33)],
+]
+
+
+def _assert_equal_streams(gen, ref, entropy):
+    assert gen.bit_generator.state == ref.bit_generator.state, entropy
+    assert np.array_equal(gen.standard_normal(7), ref.standard_normal(7)), entropy
+    assert np.array_equal(gen.integers(0, 1000, 5), ref.integers(0, 1000, 5)), entropy
+    assert np.array_equal(gen.random(3), ref.random(3)), entropy
+
+
+def test_default_rngs_equal_default_rng():
+    """One mixed batch (1 to 7 entropy words), and each entropy alone."""
+    gens = list(default_rngs(ENTROPIES))
+    assert len(gens) == len(ENTROPIES)
+    for entropy, gen in zip(ENTROPIES, gens):
+        _assert_equal_streams(gen, np.random.default_rng(entropy), entropy)
+    for entropy in ENTROPIES:
+        (gen,) = default_rngs([entropy])
+        _assert_equal_streams(gen, np.random.default_rng(entropy), entropy)
+
+
+@pytest.mark.parametrize("entropy", [-1, (3, -1)])
+def test_negative_entropy_raises_like_default_rng(entropy):
+    with pytest.raises(ValueError) as ref:
+        np.random.default_rng(entropy)
+    with pytest.raises(ValueError) as got:
+        default_rngs([5, entropy])
+    assert str(got.value) == str(ref.value)
+
+
+def test_empty_batch_yields_nothing_and_batches_are_lazy():
+    assert list(default_rngs([])) == []
+    rngs = default_rngs(range(3))
+    assert iter(rngs) is rngs
+
+
+def _reference_blocks(spec, t0, t1):
+    """gen_blocks as one default_rng((seed, t)) per block, AR(1) per block."""
+    samples = np.empty((t1 - t0, spec.n))
+    labels = np.full(t1 - t0, -1, dtype=np.int64)
+    for i, t in enumerate(range(t0, t1)):
+        rng = np.random.default_rng((spec.seed, t))
+        if spec.kind == "class_mixture":
+            labels[i] = rng.integers(spec.class_count)
+            samples[i] = class_means(spec.n, spec.class_count)[labels[i]] + rng.standard_normal(spec.n)
+            continue
+        w = rng.standard_normal(spec.n)
+        scale = np.sqrt(1.0 - spec.rho**2)
+        samples[i, 0] = w[0]
+        for j in range(1, spec.n):
+            samples[i, j] = spec.rho * samples[i, j - 1] + scale * w[j]
+    return samples, labels
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SourceSpec(kind="gauss_markov", n=24, rho=0.9, seed=0xA5A5_0000_1234_5678),
+        SourceSpec(kind="class_mixture", n=16, class_count=3, seed=2**63 + 11),
+    ],
+    ids=["ar1", "mixture"],
+)
+def test_gen_blocks_match_one_default_rng_per_block(spec):
+    samples, labels = gen_blocks(spec, 9, 45)
+    ref_samples, ref_labels = _reference_blocks(spec, 9, 45)
+    assert np.array_equal(samples, ref_samples)
+    assert np.array_equal(labels, ref_labels)
+
+
+SEED = 2**64 - 0x1F3
+
+
+@pytest.mark.parametrize("fading", ["awgn", "rayleigh"])
+def test_for_blocks_match_one_default_rng_per_block(fading):
+    x = np.exp(1j * np.arange(6.0))
+    states = list(ChannelState.for_blocks(7.0, fading, SEED, 3, 40))
+    assert len(states) == 37
+    for t, state in zip(range(3, 40), states):
+        rng = np.random.default_rng((SEED ^ t) & _MASK64)
+        h = 1.0 + 0.0j
+        if fading == "rayleigh":
+            re, im = rng.standard_normal(2)
+            h = complex(re, im) / np.sqrt(2.0)
+        assert state.h == h
+        assert state.noise_var == 10.0 ** (-0.7)
+        assert state.rng.bit_generator.state == rng.bit_generator.state
+        noise = rng.standard_normal(2 * x.size) * np.sqrt(state.noise_var / 2.0)
+        assert np.array_equal(transmit(x, state), h * x + (noise[0::2] + 1j * noise[1::2]))
+        assert state.rng.bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("fading", ["awgn", "rayleigh"])
+def test_for_block_is_the_one_block_case(fading):
+    one = ChannelState.for_block(3.0, fading, SEED, 17)
+    (batch,) = ChannelState.for_blocks(3.0, fading, SEED, 17, 18)
+    assert (one.h, one.noise_var) == (batch.h, batch.noise_var)
+    assert one.rng.bit_generator.state == batch.rng.bit_generator.state
+    assert list(ChannelState.for_blocks(3.0, fading, SEED, 17, 17)) == []
