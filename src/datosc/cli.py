@@ -1,22 +1,28 @@
-"""Command-line front end: sweep, calibrate-fer, seu, detect."""
+"""Command-line front end: sweep, calibrate-fer, seu, detect.
+
+The front end alone reads config files and writes to the terminal. The
+library takes typed settings; run_sweep and calibrate_fer report each point
+to the `datosc` logger, which main prints to stdout while a command runs.
+"""
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
+from dataclasses import dataclass, fields
+from typing import Optional, get_type_hints
 
 import numpy as np
 
 from .channel import ChannelState
+from .errors import ConfigError
 from .harness import (
-    SWEEP_KEYS,
     ExperimentConfig,
     calibrate_fer,
-    config_from_values,
     derive_seed,
     detect_effects,
-    parse_config_text,
     read_sweep_csv,
     run_sweep,
 )
@@ -30,6 +36,92 @@ from .seu import (
 )
 
 
+def parse_snr_spec(text: str) -> tuple:
+    """Grid spec: 'a:b:step' (inclusive), a comma list, or a single value.
+    A spec that yields no point is an error."""
+    text = text.strip()
+    if ":" in text:
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ConfigError(f"bad snr range {text!r}, expected a:b:step")
+        a, b, step = (float(p) for p in parts)
+        if step <= 0:
+            raise ConfigError("snr step must be positive")
+        count = int(np.floor((b - a) / step + 1e-9)) + 1
+        grid = tuple(float(a + i * step) for i in range(max(count, 0)))
+    else:
+        grid = tuple(float(p) for p in text.split(",") if p.strip())
+    if not grid:
+        raise ConfigError(f"snr {text!r} gives an empty grid")
+    return grid
+
+
+@dataclass(frozen=True)
+class SeuSettings:
+    """The config keys `datosc seu` reads, with their defaults."""
+
+    seed: int = 12345
+    trials: int = 1  # sessions
+    float_count: int = 256
+    int_count: int = 1024
+    int_bits: int = 4
+    pattern: str = "R23"
+    channel: str = "awgn"
+    snr: tuple = (10.0,)  # sessions run at its first value
+    float_noise_std: float = 0.1
+    flip_prob: float = 0.01
+    p_hat: Optional[float] = None  # max(flip_prob, 1e-3) when unset
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ConfigError(f"seu needs trials >= 1 sessions, got {self.trials}")
+        if self.p_hat is None:
+            object.__setattr__(self, "p_hat", max(self.flip_prob, 1e-3))
+
+
+# ExperimentConfig fields whose config key differs from the field name
+_SWEEP_KEY = {
+    "lam": "lambda",
+    "snr_grid": "snr",
+    "source_kind": "source",
+    "class_count": "classes",
+    "quant_bits": "bits",
+}
+# the keys a sweep reads, each mapped to its ExperimentConfig field
+_SWEEP_FIELDS = {_SWEEP_KEY.get(f.name, f.name): f.name for f in fields(ExperimentConfig)}
+_SEU_KEYS = tuple(f.name for f in fields(SeuSettings))
+_CALIBRATE_KEYS = ("channel", "trials", "seed", "out")
+
+# each key is cast to its field's type; these fields' types are not casts
+_CASTS = {
+    **get_type_hints(SeuSettings),
+    **{key: get_type_hints(ExperimentConfig)[name] for key, name in _SWEEP_FIELDS.items()},
+    "snr": parse_snr_spec,
+    "image": str,
+    "p_hat": float,
+}
+
+
+def parse_config_text(text: str) -> dict:
+    """Flat key=value lines with '#' comments; unknown keys are errors."""
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in _CASTS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        try:
+            values[key] = _CASTS[key](val)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from None
+    return values
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--seed", type=int)
@@ -37,23 +129,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trials", type=int)
 
 
-def _experiment_config(args) -> ExperimentConfig:
-    overrides = {
-        "seed": args.seed,
-        "out": args.out,
-        "trials": args.trials,
-        "scheme": args.scheme,
-        "lambda": args.lam,
-        "snr": args.snr,
-    }
-    values = _config_values(args, SWEEP_KEYS)
-    values.update({key: val for key, val in overrides.items() if val is not None})
-    return config_from_values(values)
-
-
-def _config_values(args, reads: tuple[str, ...]) -> dict:
-    """Config-file values for a subcommand that reads only the keys in reads;
-    one stderr line names every other key the file sets."""
+def _config_values(args, reads) -> dict:
+    """The values of the keys in reads that args.config sets; one stderr
+    line names every other key the file sets."""
     values = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
@@ -65,12 +143,27 @@ def _config_values(args, reads: tuple[str, ...]) -> dict:
             + ", ".join(ignored),
             file=sys.stderr,
         )
-    return values
+    return {key: val for key, val in values.items() if key in reads}
+
+
+def _flags(args, keys) -> dict:
+    """The flags among keys that the command line set."""
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+
+
+def _experiment_config(args) -> ExperimentConfig:
+    values = _config_values(args, _SWEEP_FIELDS)
+    values.update(_flags(args, ("seed", "out", "trials", "scheme")))
+    if args.lam is not None:
+        values["lambda"] = args.lam
+    if args.snr is not None:
+        values["snr"] = parse_snr_spec(args.snr)
+    return ExperimentConfig(**{_SWEEP_FIELDS[key]: val for key, val in values.items()})
 
 
 def cmd_sweep(args) -> int:
     cfg = _experiment_config(args)
-    rows = run_sweep(cfg, verbose=True)
+    rows = run_sweep(cfg)
     print(f"wrote {len(rows)} rows to {cfg.out}")
     return 0
 
@@ -78,61 +171,48 @@ def cmd_sweep(args) -> int:
 def cmd_calibrate_fer(args) -> int:
     """calibrate_fer gets only the keys a flag or the config file set, so its
     signature holds the defaults."""
-    values = _config_values(args, ("channel", "trials", "seed", "out"))
-    flags = {"trials": args.trials, "seed": args.seed, "out": args.out}
-    values.update({key: val for key, val in flags.items() if val is not None})
-    table = calibrate_fer(
-        **{key: values[key] for key in ("channel", "trials", "seed") if key in values},
-        verbose=True,
-    )
-    out = values.get("out", "fer_table.csv")
+    values = _config_values(args, _CALIBRATE_KEYS)
+    values.update(_flags(args, ("trials", "seed", "out")))
+    out = values.pop("out", "fer_table.csv")
+    table = calibrate_fer(**values)
     table.save_csv(out)
     print(f"wrote calibration table to {out}")
     return 0
 
 
 def cmd_seu(args) -> int:
-    values = _config_values(args, (
-        "seed", "trials", "float_count", "int_count", "int_bits", "pattern", "channel",
-        "snr", "float_noise_std", "flip_prob", "p_hat",
-    ))
-    seed = args.seed if args.seed is not None else values.get("seed", 12345)
-    sessions = args.trials or values.get("trials", 1)
-    float_count = values.get("float_count", 256)
-    int_count = values.get("int_count", 1024)
-    int_bits = values.get("int_bits", 4)
-    pattern = values.get("pattern", "R23")
-    channel = values.get("channel", "awgn")
-    snr_db = args.snr if args.snr is not None else float(values.get("snr", (10.0,))[0])
-    spec = DriftSpec(
-        float_noise_std=values.get("float_noise_std", 0.1),
-        bit_flip_prob=values.get("flip_prob", 0.01),
-    )
-    p_hat = values.get("p_hat", max(spec.bit_flip_prob, 1e-3))
+    values = _config_values(args, _SEU_KEYS)
+    values.update(_flags(args, ("seed", "trials")))
+    if args.snr is not None:
+        values["snr"] = (args.snr,)
+    cfg = SeuSettings(**values)
+    spec = DriftSpec(float_noise_std=cfg.float_noise_std, bit_flip_prob=cfg.flip_prob)
 
     # parameters and channels draw from separately derived streams, as in a sweep
-    rng = np.random.default_rng(derive_seed(seed, 0))
-    states = ChannelState.for_blocks(snr_db, channel, derive_seed(seed, 1), 0, sessions)
+    rng = np.random.default_rng(derive_seed(cfg.seed, 0))
+    states = ChannelState.for_blocks(
+        cfg.snr[0], cfg.channel, derive_seed(cfg.seed, 1), 0, cfg.trials
+    )
     ok_count = 0
     all_frames = []
     overhead = 0.0
     for s, state in enumerate(states):
         params = ModelParams(
-            floats=rng.standard_normal(float_count),
-            ints=rng.integers(0, 1 << int_bits, int_count),
-            int_bits=int_bits,
+            floats=rng.standard_normal(cfg.float_count),
+            ints=rng.integers(0, 1 << cfg.int_bits, cfg.int_count),
+            int_bits=cfg.int_bits,
         )
         outdated = drift(params, spec, seed=int(rng.integers(2**63)))
         est, _ = seu_send_floats(
-            params.floats, np.ones(float_count), 1.0, state
+            params.floats, np.ones(cfg.float_count), 1.0, state
         )
         result = seu_update_ints(
             params.ints,
             outdated.ints,
-            int_bits,
-            pattern,
+            cfg.int_bits,
+            cfg.pattern,
             state,
-            p_hat=p_hat,
+            p_hat=cfg.p_hat,
         )
         ok_count += int(
             result.crc_ok and np.array_equal(result.corrected_ints, params.ints)
@@ -148,7 +228,7 @@ def cmd_seu(args) -> int:
     if args.out:
         write_session_log(args.out, all_frames)
         print(f"wrote session log to {args.out}")
-    print(f"update success rate: {ok_count}/{sessions} (parity overhead {overhead:.4f})")
+    print(f"update success rate: {ok_count}/{cfg.trials} (parity overhead {overhead:.4f})")
     return 0
 
 
@@ -193,7 +273,16 @@ def main(argv=None) -> int:
     p_det.set_defaults(fn=cmd_detect)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    report = logging.StreamHandler(sys.stdout)
+    logger = logging.getLogger("datosc")
+    level = logger.level
+    logger.addHandler(report)
+    logger.setLevel(logging.INFO)
+    try:
+        return args.fn(args)
+    finally:
+        logger.removeHandler(report)
+        logger.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ regardless of how trials are chunked over workers.
 from __future__ import annotations
 
 import csv
+import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
 from typing import Optional, get_type_hints
@@ -29,6 +30,9 @@ CHANNELS = ("awgn", "rayleigh")
 CLIFF_FACTOR = 5.0
 SATURATION_REL = 0.05
 GRACEFUL_FACTOR = 0.8
+
+# run_sweep and calibrate_fer report each point here at INFO
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -105,118 +109,6 @@ class SweepRow:
 
 # CSV columns follow SweepRow's field order, so reordering fields changes the format
 SWEEP_HEADER = [f.name for f in fields(SweepRow)]
-
-
-# ---------------------------------------------------------------------------
-# config file parsing
-# ---------------------------------------------------------------------------
-
-def parse_snr_spec(text: str) -> tuple:
-    """Grid spec: 'a:b:step' (inclusive), a comma list, or a single value."""
-    text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"bad snr range {text!r}, expected a:b:step")
-        a, b, step = (float(p) for p in parts)
-        if step <= 0:
-            raise ConfigError("snr step must be positive")
-        count = int(np.floor((b - a) / step + 1e-9)) + 1
-        return tuple(float(a + i * step) for i in range(max(count, 0)))
-    return tuple(float(p) for p in text.split(",") if p.strip())
-
-
-_CONFIG_CASTS = {
-    "scheme": str,
-    "channel": str,
-    "snr": parse_snr_spec,
-    "trials": int,
-    "lambda": float,
-    "seed": int,
-    "out": str,
-    "workers": int,
-    "source": str,
-    "n": int,
-    "rho": float,
-    "classes": int,
-    "image": str,
-    "k": int,
-    "bits": int,
-    "pattern": str,
-    "modulation": str,
-    "total_uses": int,
-    "total_power": float,
-    "p_a_fraction": float,
-}
-
-# keys only the seu subcommand reads; a sweep config skips them
-_SESSION_CASTS = {
-    "float_count": int,
-    "int_count": int,
-    "int_bits": int,
-    "flip_prob": float,
-    "float_noise_std": float,
-    "p_hat": float,
-}
-
-# the keys a sweep config reads
-SWEEP_KEYS = tuple(_CONFIG_CASTS)
-
-_KEY_TO_FIELD = {
-    "lambda": "lam",
-    "snr": "snr_grid",
-    "source": "source_kind",
-    "classes": "class_count",
-    "bits": "quant_bits",
-}
-
-
-def parse_config_text(text: str) -> dict:
-    """Flat key=value lines with '#' comments; unknown keys are errors."""
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        values[key] = _cast(key, val, f"line {lineno}: ")
-    return values
-
-
-def _cast(key: str, text: str, where: str = ""):
-    cast = _CONFIG_CASTS.get(key) or _SESSION_CASTS.get(key)
-    if cast is None:
-        raise ConfigError(f"{where}unknown key {key!r}")
-    try:
-        return cast(text)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{where}bad value for {key}: {exc}") from None
-
-
-def config_from_values(values: dict) -> ExperimentConfig:
-    """Validated ExperimentConfig from config-file keys (or field names).
-
-    String values are cast as a config file's would be; None values and the
-    session-only keys are skipped.
-    """
-    fields = {}
-    for key, val in values.items():
-        if val is None or key in _SESSION_CASTS:
-            continue
-        if isinstance(val, str) and key in _CONFIG_CASTS:
-            val = _cast(key, val)
-        fields[_KEY_TO_FIELD.get(key, key)] = val
-    try:
-        cfg = ExperimentConfig(**fields)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
-    cfg.validate()
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -532,14 +424,20 @@ def run_point(
 ) -> SweepRow:
     """One sweep point: per-trial pipeline runs and Monte-Carlo aggregation.
 
-    setup defaults to build_link(config). With several workers the point
-    opens its own pool; run_sweep runs all its points through one.
+    point_index defaults to snr_db's index on config.snr_grid, and an SNR
+    off the grid needs one. setup defaults to build_link(config). With
+    several workers the point opens its own pool; run_sweep runs all its
+    points through one.
     """
-    if setup is None:
-        setup = build_link(config)
     if point_index is None:
         grid = list(config.snr_grid)
-        point_index = grid.index(snr_db) if snr_db in grid else 0
+        if snr_db not in grid:
+            raise ParameterError(
+                f"snr {snr_db} dB is off the grid {config.snr_grid}; pass its point_index"
+            )
+        point_index = grid.index(snr_db)
+    if setup is None:
+        setup = build_link(config)
     (row,) = _run_points(config, setup, [(point_index, snr_db)])
     return row
 
@@ -561,18 +459,17 @@ def rows_to_csv(rows: list[SweepRow], path) -> None:
             fh.write(",".join(_fmt(v) for v in astuple(r)) + "\n")
 
 
-def run_sweep(config: ExperimentConfig, verbose: bool = False) -> list[SweepRow]:
+def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
     """One SweepRow per grid point, in grid order; writes config.out."""
     config.validate()
     setup = build_link(config)
     rows = []
     for row in _run_points(config, setup, list(enumerate(config.snr_grid))):
         rows.append(row)
-        if verbose:
-            print(
-                f"[{config.scheme}] SNR {row.snr_db:5.1f} dB  data_mse {row.data_mse:.4g}"
-                f"  feature_mse {row.feature_mse:.4g}  fer {row.fer:.3f}"
-            )
+        log.info(
+            "[%s] SNR %5.1f dB  data_mse %.4g  feature_mse %.4g  fer %.3f",
+            config.scheme, row.snr_db, row.data_mse, row.feature_mse, row.fer,
+        )
     rows_to_csv(rows, config.out)
     return rows
 
@@ -641,7 +538,6 @@ def calibrate_fer(
     snr_grid=tuple(float(s) for s in range(0, 25, 2)),
     trials: int = 2000,
     seed: int = 0xFE12,
-    verbose: bool = False,
 ) -> FerTable:
     """Measure decode-failure rates of the hybrid pipeline cell by cell.
 
@@ -674,7 +570,6 @@ def calibrate_fer(
                 )
                 p_f = run_point(cfg, snr, 0, equal).fer
                 rows.append((pattern, bits, snr, p_f, trials, seed))
-                if verbose:
-                    print(f"pattern {pattern} B={bits} snr {snr:5.1f}: p_f {p_f:.4f}")
+                log.info("pattern %s B=%s snr %5.1f: p_f %.4f", pattern, bits, snr, p_f)
                 cell_index += 1
     return FerTable(rows)

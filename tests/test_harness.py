@@ -8,16 +8,15 @@ import numpy as np
 import pytest
 
 import datosc.harness as H
+from datosc import cli
+from datosc.cli import parse_config_text, parse_snr_spec
 from datosc.codec import analyze, selection_indices
 from datosc.errors import ConfigError, ParameterError
 from datosc.harness import (
     ExperimentConfig,
     SweepRow,
     calibrate_fer,
-    config_from_values,
     detect_effects,
-    parse_config_text,
-    parse_snr_spec,
     read_sweep_csv,
     run_point,
     run_sweep,
@@ -70,16 +69,12 @@ def test_unknown_key_is_error():
 
 def _cli_sweep_configs(monkeypatch) -> list:
     """The ExperimentConfigs `datosc sweep` would run, collected in place of running them."""
-    from datosc import cli
-
     seen = []
-    monkeypatch.setattr(cli, "run_sweep", lambda cfg, verbose: seen.append(cfg) or [])
+    monkeypatch.setattr(cli, "run_sweep", lambda cfg: seen.append(cfg) or [])
     return seen
 
 
 def test_config_file_with_overrides(tmp_path, monkeypatch):
-    from datosc import cli
-
     seen = _cli_sweep_configs(monkeypatch)
     path = tmp_path / "exp.cfg"
     path.write_text("scheme=analog\ntrials=300\nseed=5\n")
@@ -92,8 +87,6 @@ def test_config_file_with_overrides(tmp_path, monkeypatch):
 
 
 def test_removed_keys_are_unknown(tmp_path, monkeypatch):
-    from datosc import cli
-
     seen = _cli_sweep_configs(monkeypatch)
     for line in ("floor_threshold=0.05", "fer_table=fer.csv"):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -105,14 +98,29 @@ def test_removed_keys_are_unknown(tmp_path, monkeypatch):
     assert seen == []
 
 
-def test_session_keys_do_not_reach_the_sweep_config():
-    cfg = config_from_values({"trials": "300", "p_hat": 0.2, "int_bits": "8"})
-    assert cfg == ExperimentConfig(trials=300)
+def test_session_keys_do_not_reach_the_sweep_config(tmp_path, monkeypatch):
+    seen = _cli_sweep_configs(monkeypatch)
+    path = tmp_path / "exp.cfg"
+    path.write_text("trials=300\np_hat=0.2\nint_bits=8\n")
+    cli.main(["sweep", "--config", str(path)])
+    assert seen == [ExperimentConfig(trials=300)]
+
+
+def test_cli_rejects_an_empty_snr_grid(tmp_path):
+    """An SNR spec with no point is a config error naming snr, from a flag
+    or a file, for sweep and seu alike."""
+    out = str(tmp_path / "empty.csv")
+    with pytest.raises(ConfigError, match="snr"):
+        cli.main(["sweep", "--snr", "20:0:2", "--trials", "100", "--out", out])
+    assert not os.path.exists(out)
+    path = tmp_path / "empty.cfg"
+    path.write_text("snr=\n")
+    for command in ("sweep", "seu"):
+        with pytest.raises(ConfigError, match="snr"):
+            cli.main([command, "--config", str(path), "--out", out])
 
 
 def test_cli_flags_and_config_file_give_the_same_config(tmp_path, monkeypatch):
-    from datosc import cli
-
     seen = _cli_sweep_configs(monkeypatch)
     path = tmp_path / "exp.cfg"
     path.write_text(
@@ -130,8 +138,6 @@ def test_cli_flags_and_config_file_give_the_same_config(tmp_path, monkeypatch):
 
 
 def test_seu_reads_snr_flag(capsys):
-    from datosc import cli
-
     mse = {}
     for snr in ("300", "-10"):
         cli.main(["seu", "--snr", snr, "--trials", "1", "--seed", "3"])
@@ -143,8 +149,6 @@ def test_seu_reads_snr_flag(capsys):
 def test_seu_parameters_and_channel_draw_from_separate_streams(monkeypatch, capsys):
     """Session 0's channel noise is not a rescaled copy of its float
     parameters: the two streams come from different derived seeds."""
-    from datosc import cli
-
     seen = []
     send = cli.seu_send_floats
 
@@ -161,11 +165,19 @@ def test_seu_parameters_and_channel_draw_from_separate_streams(monkeypatch, caps
     assert not np.allclose(floats, noise)
 
 
+def test_seu_rejects_a_session_count_below_one(tmp_path, monkeypatch):
+    """--trials is passed on whenever it is set, so 0 is not read as unset."""
+    monkeypatch.setattr(cli, "seu_update_ints", lambda *a, **kw: pytest.fail("it ran"))
+    path = tmp_path / "seu.cfg"
+    path.write_text("trials=0\n")
+    for argv in (["--trials", "0"], ["--trials", "-1"], ["--config", str(path)]):
+        with pytest.raises(ConfigError, match="trials"):
+            cli.main(["seu", "--seed", "3"] + argv)
+
+
 def test_session_commands_name_config_keys_they_do_not_read(tmp_path, capsys, monkeypatch):
     """seu and calibrate-fer name every config key they ignore on one stderr
     line; what they print on stdout and write is unchanged."""
-    from datosc import cli
-
     base = tmp_path / "base.cfg"
     base.write_text("snr=0\nint_count=64\nfloat_count=8\n")
     extra = tmp_path / "extra.cfg"
@@ -196,8 +208,6 @@ def test_session_commands_name_config_keys_they_do_not_read(tmp_path, capsys, mo
 def test_sweep_names_session_keys_it_does_not_read(tmp_path, capsys):
     """A sweep config that sets session-only keys writes the same CSV and
     stdout as one without them, plus one stderr line naming them."""
-    from datosc import cli
-
     runs = {}
     for name, extra in (("base", ""), ("extra", "int_count=5\nflip_prob=0.3\n")):
         cfg = tmp_path / f"{name}.cfg"
@@ -218,7 +228,6 @@ def test_calibrate_fer_cli_passes_only_the_read_keys_it_was_given(tmp_path, monk
     """calibrate-fer hands calibrate_fer the read keys a flag or the config
     file set, flags first; unread config keys never reach the call, and
     unset keys take calibrate_fer's own defaults."""
-    from datosc import cli
     from datosc.allocator import FerTable
 
     calls = []
@@ -231,9 +240,9 @@ def test_calibrate_fer_cli_passes_only_the_read_keys_it_was_given(tmp_path, monk
     cli.main(["calibrate-fer", "--config", str(cfg), "--out", out])
     cli.main(["calibrate-fer", "--out", out])
     assert calls == [
-        {"channel": "awgn", "trials": 300, "seed": 9, "verbose": True},
-        {"channel": "awgn", "trials": 50, "seed": 4, "verbose": True},
-        {"verbose": True},
+        {"channel": "awgn", "trials": 300, "seed": 9},
+        {"channel": "awgn", "trials": 50, "seed": 4},
+        {},
     ]
 
 
@@ -241,8 +250,6 @@ def test_calibrate_fer_cli_passes_only_the_read_keys_it_was_given(tmp_path, monk
     "flags", [["--scheme", "da"], ["--snr", "10"], ["--lambda", "0.5"]]
 )
 def test_calibrate_fer_rejects_flags_it_does_not_read(flags, tmp_path, monkeypatch):
-    from datosc import cli
-
     monkeypatch.setattr(cli, "calibrate_fer", lambda **kw: pytest.fail("it ran"))
     with pytest.raises(SystemExit):
         cli.main(["calibrate-fer", "--out", str(tmp_path / "fer.csv")] + flags)
@@ -295,6 +302,13 @@ def test_analog_saturates_at_discarded_energy():
     mask[kept] = False
     floors = np.sum(analyze(samples)[:, mask] ** 2, axis=1) / 64
     assert abs(row.data_mse / np.mean(floors) - 1.0) < 0.01
+
+
+def test_off_grid_snr_needs_a_point_index():
+    """An SNR off the grid has no point index to seed its streams from."""
+    cfg = ExperimentConfig(trials=100, snr_grid=(0.0, 10.0), scheme="analog")
+    with pytest.raises(ParameterError, match="grid"):
+        run_point(cfg, 5.0)
 
 
 def test_infeasible_plan_fails_before_trials():
@@ -429,6 +443,24 @@ def test_failing_chunk_stops_the_sweep_and_its_workers(tmp_path, monkeypatch):
     ran = [f for f in os.listdir(tmp_path) if f.startswith("ran-")]
     # the queued chunks were cancelled: at most a pool's in-flight window ran
     assert len(ran) < len(cfg.snr_grid) * 3 // 2
+
+
+def test_cli_alone_prints_each_sweep_point(tmp_path, capsys):
+    """run_sweep reports to the datosc logger, which only the CLI prints."""
+    cfg = ExperimentConfig(
+        trials=100, snr_grid=(10.0,), scheme="analog", out=str(tmp_path / "a.csv")
+    )
+    (row,) = run_sweep(cfg)
+    assert capsys.readouterr().out == ""
+    cli.main(["sweep", "--scheme", "analog", "--snr", "10", "--trials", "100",
+              "--out", cfg.out])
+    assert capsys.readouterr().out == (
+        f"[analog] SNR  10.0 dB  data_mse {row.data_mse:.4g}"
+        f"  feature_mse {row.feature_mse:.4g}  fer {row.fer:.3f}\n"
+        f"wrote 1 rows to {cfg.out}\n"
+    )
+    run_sweep(cfg)
+    assert capsys.readouterr().out == ""
 
 
 def test_sweep_rerun_reproduces_bytes(tmp_path):
