@@ -4,9 +4,12 @@ Conventions: snr_db is the average received SNR per complex channel use
 under unit average transmit power and E[|h|^2] = 1, so noise_var =
 10^(-snr_db/10) per complex use (noise_var/2 per real dimension). The
 receiver knows h exactly. Each block consumes its own RNG stream,
-default_rng(seed XOR block_index), with draws ordered (h, then noise per
-transmit call), so parallel trial execution reproduces serial results bit
-for bit. for_blocks seeds a range of blocks' streams together (streams.py).
+default_rng(seed XOR block_index), h first, then noise, so parallel trial
+execution reproduces serial results bit for bit. for_blocks seeds a range
+of blocks' streams together (streams.py) and yields a state whose rng each
+transmit call draws noise from. draw_blocks draws a range of blocks' gains
+and noise in one standard_normal call per block; its values equal those of
+for_blocks followed by one transmit call per block.
 """
 
 from __future__ import annotations
@@ -39,11 +42,12 @@ class ChannelState:
         hashed (harness.derive_seed): a raw seed that also seeds another
         stream would collide with it at block 0.
         """
-        if fading not in ("awgn", "rayleigh"):
-            raise ParameterError(f"unknown fading kind {fading!r}")
+        _check_fading(fading)
         noise_var = 10.0 ** (-snr_db / 10.0)
-        rngs = default_rngs((seed ^ t) & _SEED_MASK for t in range(t0, t1))
-        return (cls(noise_var=noise_var, h=_gain(rng, fading), rng=rng) for rng in rngs)
+        return (
+            cls(noise_var=noise_var, h=_gain(rng, fading), rng=rng)
+            for rng in _block_rngs(seed, t0, t1)
+        )
 
     @classmethod
     def for_block(
@@ -63,12 +67,45 @@ class ChannelState:
         return cls.for_block(snr_db, "rayleigh", seed, block_index)
 
 
+def draw_blocks(
+    snr_db: float, fading: str, seed: int, t0: int, t1: int, uses: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gains h (T,) and noise (T, uses) of blocks t0..t1-1: the values that
+    for_blocks and then one transmit call of `uses` symbols per block give.
+
+    Each block's stream yields h's two normals (Rayleigh only) and its noise
+    normals in one standard_normal call, which draws them in that order.
+    """
+    _check_fading(fading)
+    lead = 2 if fading == "rayleigh" else 0
+    raw = np.empty((t1 - t0, lead + 2 * uses))
+    for row, rng in zip(raw, _block_rngs(seed, t0, t1)):
+        rng.standard_normal(out=row)
+    h = _rayleigh(raw[:, :2]) if lead else np.ones(len(raw), dtype=np.complex128)
+    return h, _complex_noise(raw[:, lead:], 10.0 ** (-snr_db / 10.0))
+
+
+def _check_fading(fading: str) -> None:
+    if fading not in ("awgn", "rayleigh"):
+        raise ParameterError(f"unknown fading kind {fading!r}")
+
+
+def _block_rngs(seed: int, t0: int, t1: int):
+    """Block t's stream, default_rng(seed ^ t), for t in t0..t1-1."""
+    return default_rngs((seed ^ t) & _SEED_MASK for t in range(t0, t1))
+
+
 def _gain(rng: np.random.Generator, fading: str) -> complex:
     """h: 1 for AWGN; unit mean-square complex Gaussian for Rayleigh."""
     if fading == "awgn":
         return 1.0 + 0.0j
-    re, im = rng.standard_normal(2)
-    return complex(re, im) / np.sqrt(2.0)
+    return complex(_rayleigh(rng.standard_normal((1, 2)))[0])
+
+
+def _rayleigh(pairs: np.ndarray) -> np.ndarray:
+    """Unit mean-square complex gains from unit normals (T, 2) read as
+    (re, im): each part divided by sqrt(2), (T,) complex."""
+    return (pairs / np.sqrt(2.0)).view(np.complex128)[:, 0]
 
 
 @dataclass(frozen=True)

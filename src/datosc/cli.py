@@ -67,7 +67,7 @@ class SeuSettings:
     int_bits: int = 4
     pattern: str = "R23"
     channel: str = "awgn"
-    snr: tuple = (10.0,)  # sessions run at its first value
+    snr: tuple = (10.0,)  # one point: every session runs at it
     float_noise_std: float = 0.1
     flip_prob: float = 0.01
     p_hat: Optional[float] = None  # max(flip_prob, 1e-3) when unset
@@ -75,6 +75,8 @@ class SeuSettings:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError(f"seu needs trials >= 1 sessions, got {self.trials}")
+        if len(self.snr) != 1:
+            raise ConfigError(f"seu runs at one snr point, got {len(self.snr)}: {self.snr}")
         if self.p_hat is None:
             object.__setattr__(self, "p_hat", max(self.flip_prob, 1e-3))
 

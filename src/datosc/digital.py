@@ -361,26 +361,53 @@ def side_info_llrs(est: np.ndarray, err_var: np.ndarray, spec: QuantizerSpec) ->
     versus 1. Output is flattened MSB-first per coefficient, shaped like the
     quantized bitstream. CRC and tail positions are not covered here: the
     decoder gives them zero prior on its own.
-    """
-    mu = np.asarray(est, dtype=np.float64)
-    sigma = np.sqrt(np.maximum(np.asarray(err_var, dtype=np.float64), 1e-300))
-    levels = spec.levels
-    edges = -spec.clips[..., None] + np.arange(1, levels) * spec.deltas[..., None]
-    z = (edges - mu[..., None]) / sigma[..., None]
-    cdf = ndtr(z)
-    probs = np.empty(mu.shape + (levels,))
-    probs[..., 0] = cdf[..., 0]
-    probs[..., 1:-1] = np.diff(cdf, axis=-1)
-    probs[..., -1] = 1.0 - cdf[..., -1]
 
-    cell_bits = cells_to_bits(np.arange(levels)[:, None], spec.bits).astype(bool)  # (levels, B)
+    A coefficient whose (est, err_var) is the same in every row, such as one
+    the analog branch does not carry, is computed once and broadcast; its
+    LLRs equal those of a row-by-row call.
+    """
+    mu, var = np.broadcast_arrays(
+        np.asarray(est, dtype=np.float64), np.asarray(err_var, dtype=np.float64)
+    )
+    n = mu.shape[-1]
+    mu_rows, var_rows = mu.reshape(-1, n), var.reshape(-1, n)
+    const = np.all(mu_rows == mu_rows[:1], axis=0) & np.all(var_rows == var_rows[:1], axis=0)
+    edges = -spec.clips[..., None] + np.arange(1, spec.levels) * spec.deltas[..., None]
+    edges = np.broadcast_to(edges, (n, spec.levels - 1))
+    # the shared columns first, computed on row 0 only, then the others
+    order = np.argsort(~const, kind="stable")
+    split = int(const.sum())
+    shared, per_row = (
+        _bit_llrs(mu_rows[rows][:, cols], var_rows[rows][:, cols], edges[cols], spec.bits)
+        for rows, cols in ((slice(0, 1), order[:split]), (slice(None), order[split:]))
+    )
+    shared = np.broadcast_to(shared, (len(mu_rows),) + shared.shape[1:])
+    out = np.concatenate([shared, per_row], axis=1).take(np.argsort(order), axis=1)
+    return out.reshape(*mu.shape[:-1], n * spec.bits)
+
+
+def _bit_llrs(mu: np.ndarray, var: np.ndarray, edges: np.ndarray, bits: int) -> np.ndarray:
+    """(R, m, bits) LLRs of the beliefs (R, m) on quantizers with inner cell
+    edges (m, levels - 1)."""
+    sigma = np.sqrt(np.maximum(var, 1e-300))
+    levels = edges.shape[-1] + 1
+    # the CDF at every cell edge, with 0 and 1 as the open ends' edges; a
+    # cell's probability is the difference of its two edges' CDFs
+    cdf = np.empty(mu.shape + (levels + 1,))
+    cdf[..., 0], cdf[..., -1] = 0.0, 1.0
+    inner = cdf[..., 1:-1]
+    np.subtract(edges, mu[..., None], out=inner)
+    inner /= sigma[..., None]
+    ndtr(inner, out=inner)
+    probs = np.diff(cdf, axis=-1)
+
+    cell_bits = cells_to_bits(np.arange(levels)[:, None], bits).astype(bool)  # (levels, B)
     with np.errstate(divide="ignore"):
         p1 = probs @ cell_bits            # (..., B)
         p0 = probs @ (~cell_bits)
         llrs = np.log(p0) - np.log(p1)
     llrs = np.nan_to_num(llrs, nan=0.0, posinf=LLR_CLIP, neginf=-LLR_CLIP)
-    out = llr_clip(llrs)
-    return out.reshape(*mu.shape[:-1], mu.shape[-1] * spec.bits)
+    return llr_clip(llrs)
 
 
 # ---------------------------------------------------------------------------
@@ -403,33 +430,55 @@ def viterbi_decode(sys_llrs: np.ndarray, parity_llrs: np.ndarray) -> np.ndarray:
     batch, length = sys_l.shape
     if length < TAIL_BITS:
         raise ParameterError("trellis shorter than its tail")
-    branch_u, branch_p = _branches(UPLINK)
+    branch_u = _branches(UPLINK)[0]
     half = branch_u.shape[1]
-    sign_u = (1.0 - 2.0 * branch_u)[..., None]  # (b, r, a, 1)
-    sign_p = (1.0 - 2.0 * branch_p)[..., None]
-
-    # time-major with the batch axis last
-    pm = np.full((2 * half, batch), _NEG_METRIC)
+    states = 2 * half
+    # A candidate is (pm + s) + p with a sign on s and on p. A +-1 product is
+    # an exact negation, so each step adds or subtracts, in that order; the
+    # order fixes how each candidate rounds, and so which of two near-equal
+    # ones wins. Row u*states + state of ext holds pm[state] + s for input
+    # bit u = 0 and pm[state] - s for u = 1; candidates (b, a, r) gather
+    # their rows from it, and those whose parity bit a ^ b is 0 add p.
+    b, r, _ = np.indices(branch_u.shape)
+    gather = (branch_u * states + half * b + r).transpose(0, 2, 1).ravel()
+    # time-major with the batch axis last, so that each step reads contiguous
+    # LLR rows; every buffer is allocated once
+    steps = zip(np.ascontiguousarray(sys_l.T), np.ascontiguousarray(par_l.T))
+    pm = np.full((states, batch), _NEG_METRIC)
     pm[0] = 0.0
-    decisions = np.empty((length, 2 * half, batch), dtype=np.uint8)
-    for t, (s_llr, p_llr) in enumerate(zip(sys_l.T, par_l.T)):
-        # the systematic term is added before the parity term; the order fixes
-        # how each candidate rounds, and so which of two near-equal ones wins
-        cand = pm.reshape(2, half, 1, batch) + sign_u * s_llr
-        cand += sign_p * p_llr
-        np.greater(cand[1], cand[0], out=decisions[t].reshape(half, 2, batch))
-        pm = np.maximum(cand[0], cand[1]).reshape(2 * half, batch)
+    ext = np.empty((2 * states, batch))
+    cand = np.empty((2, 2, half, batch))
+    groups = cand.reshape(4, half, batch)
+    plus, minus = groups[::3], groups[1:3]  # (b, a) with a ^ b = 0, and = 1
+    pm_by_ar = pm.reshape(half, 2, batch).transpose(1, 0, 2)  # next state 2r + a
+    decisions = np.empty((length, states, batch), dtype=np.uint8)
+    decisions_by_ar = decisions.reshape(length, half, 2, batch).transpose(0, 2, 1, 3)
+    for t, (s_llr, p_llr) in enumerate(steps):
+        np.add(pm, s_llr, out=ext[:states])
+        np.subtract(pm, s_llr, out=ext[states:])
+        np.take(ext, gather, axis=0, out=cand.reshape(-1, batch))
+        np.add(plus, p_llr, out=plus)
+        np.subtract(minus, p_llr, out=minus)
+        np.greater(cand[1], cand[0], out=decisions_by_ar[t])
+        np.maximum(cand[0], cand[1], out=pm_by_ar)
         if t >= length - TAIL_BITS:
             pm[1::2] = _NEG_METRIC  # termination admits register input a = 0 only
 
-    bits = np.empty((length, batch), dtype=np.uint8)
-    state = np.zeros(batch, dtype=np.int64)
+    # decision b at state s: decided bit bit_of[b, s], predecessor prev_of[b, s]
+    b, s = np.indices((2, states))
+    bit_of = branch_u[b, s >> 1, s & 1].ravel().astype(np.uint8)
+    prev_of = (half * b + (s >> 1)).ravel()
+    flat = decisions.reshape(length, states * batch)
     cols = np.arange(batch)
+    bits = np.empty((length, batch), dtype=np.uint8)
+    state = np.zeros(batch, dtype=np.intp)
+    pos = np.empty(batch, dtype=np.intp)
     for t in range(length - 1, -1, -1):
-        b = decisions[t, state, cols]
-        r = state >> 1
-        bits[t] = branch_u[b, r, state & 1]
-        state = half * b + r
+        np.multiply(state, batch, out=pos)
+        pos += cols
+        code = flat[t].take(pos) * states + state
+        np.take(bit_of, code, out=bits[t])
+        np.take(prev_of, code, out=state)
     return np.ascontiguousarray(bits.T)
 
 

@@ -20,7 +20,7 @@ from . import analog as ana
 from . import codec
 from . import digital as dig
 from .allocator import PATTERNS, QUANT_BITS_GRID, FerTable, digital_uses
-from .channel import ChannelBudget, ChannelState, _complex_noise
+from .channel import ChannelBudget, draw_blocks
 from .errors import ConfigError, ParameterError
 from .sources import SourceSpec, gen_blocks, load_pgm
 
@@ -76,6 +76,10 @@ class ExperimentConfig:
             raise ParameterError(f"k must lie in [1, {self.n}]")
         if self.source_kind == "image_blocks" and self.n != 64:
             raise ParameterError(f"an image source cuts 8x8 tiles, so needs n=64, got n={self.n}")
+        if self.image is not None and self.source_kind != "image_blocks":
+            raise ParameterError(
+                f"image is read by the image_blocks source only, not by {self.source_kind!r}"
+            )
         if self.workers < 1:
             raise ParameterError("workers must be >= 1")
 
@@ -237,17 +241,10 @@ def draw_trials(
 
     # Each trial draws h, then the analog noise, then the digital noise.
     n_a = setup.n_analog
-    h = np.empty(count, dtype=np.complex128)
-    raw = np.empty((count, 2 * (n_a + setup.n_digital)))
     ch_seed = derive_seed(config.seed, point_index, 1)
-    states = ChannelState.for_blocks(snr_db, config.channel, ch_seed, t0, t1)
-    for i, state in enumerate(states):
-        h[i] = state.h
-        state.rng.standard_normal(out=raw[i])
+    h, noise = draw_blocks(snr_db, config.channel, ch_seed, t0, t1, n_a + setup.n_digital)
     noise_var = 10.0 ** (-snr_db / 10.0)
-    noise = _complex_noise(raw, noise_var)
-    w_a, w_d = noise[:, :n_a], noise[:, n_a:]
-    return TrialDraws(samples, labels, h, w_a, w_d, noise_var)
+    return TrialDraws(samples, labels, h, noise[:, :n_a], noise[:, n_a:], noise_var)
 
 
 def analog_stage(
@@ -344,7 +341,10 @@ def run_chunk(
 
 
 # Trials per run_chunk call at most, so a point's working set stays bounded
-# (Viterbi decisions alone take 1 byte per trellis state and step).
+# (Viterbi decisions alone take 1 byte per trellis state and step). The chunk
+# size changes no value: each trial draws from its own streams, and every
+# stage gives a trial the bits it would give it alone (side_info_llrs computes
+# a coefficient shared by all rows once, with the bits of a per-row call).
 MAX_CHUNK_TRIALS = 4096
 
 

@@ -24,22 +24,29 @@ _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_INTS = (int, np.integer)
 
 
 def _words(entropy) -> list[int]:
     """An entropy as SeedSequence reads it: the little-endian 32-bit words of
     a non-negative int, or the words of each item of a sequence in turn."""
-    if isinstance(entropy, (int, np.integer)):
-        n = int(entropy)
-        if n < 0:
-            raise ValueError("expected non-negative integer")
-        words = []
-        while True:
-            words.append(n & _MASK32)
-            n >>= 32
-            if not n:
-                return words
-    return [w for item in entropy for w in _words(item)]
+    if isinstance(entropy, _INTS):
+        return _int_words(int(entropy))
+    words = []
+    for item in entropy:
+        words += _int_words(int(item)) if isinstance(item, _INTS) else _words(item)
+    return words
+
+
+def _int_words(n: int) -> list[int]:
+    """The words of a non-negative int; at least one, so 0 is [0]."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    if n >> 32 == 0:
+        return [n]
+    if n >> 64 == 0:
+        return [n & _MASK32, n >> 32]
+    return [(n >> shift) & _MASK32 for shift in range(0, n.bit_length(), 32)]
 
 
 @lru_cache(maxsize=None)

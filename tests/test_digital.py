@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import erfc
+from scipy.special import erfc, ndtr
 from scipy.stats import norm
 
 from datosc.allocator import digital_uses
@@ -345,6 +345,60 @@ def test_side_llrs_match_quadrature_oracle():
         assert np.max(np.abs(got - want)) < 1e-6
 
 
+def _side_llrs_every_column(est, err_var, spec):
+    """side_info_llrs as it was: every coefficient of every row computed,
+    constant columns included."""
+    mu = np.asarray(est, dtype=np.float64)
+    sigma = np.sqrt(np.maximum(np.asarray(err_var, dtype=np.float64), 1e-300))
+    levels = spec.levels
+    edges = -spec.clips[..., None] + np.arange(1, levels) * spec.deltas[..., None]
+    cdf = ndtr((edges - mu[..., None]) / sigma[..., None])
+    probs = np.empty(mu.shape + (levels,))
+    probs[..., 0] = cdf[..., 0]
+    probs[..., 1:-1] = np.diff(cdf, axis=-1)
+    probs[..., -1] = 1.0 - cdf[..., -1]
+    cell_bits = cells_to_bits(np.arange(levels)[:, None], spec.bits).astype(bool)
+    with np.errstate(divide="ignore"):
+        llrs = np.log(probs @ ~cell_bits) - np.log(probs @ cell_bits)
+    llrs = llr_clip(np.nan_to_num(llrs, nan=0.0, posinf=LLR_CLIP, neginf=-LLR_CLIP))
+    return llrs.reshape(*mu.shape[:-1], mu.shape[-1] * spec.bits)
+
+
+def _beliefs(rng, rows, n, constant):
+    """Beliefs whose columns in `constant` are the same in every row. Some
+    columns carry a sharp variance, some an estimate far outside the clip,
+    and some one estimate in every row with a variance that differs."""
+    est = rng.normal(0.0, 1.5, (rows, n))
+    err = rng.uniform(1e-4, 2.0, (rows, n))
+    err[:, ::7] = 1e-18
+    est[:, 3::11] = 40.0
+    est[:, 5::11] = 0.3
+    est[:, constant] = est[0, constant]
+    err[:, constant] = err[0, constant]
+    return est, err
+
+
+@pytest.mark.parametrize("bits", [1, 4, 8])
+@pytest.mark.parametrize("constant", ["none", "some", "all"])
+@pytest.mark.parametrize("rows", [1, 300])
+def test_side_llrs_equal_every_column_and_row_by_row(bits, constant, rows):
+    """Constant columns are computed once; the LLRs keep every bit of the
+    all-column form and of a call per row, and a 1-D input is one row."""
+    rng = np.random.default_rng(bits * 100 + rows)
+    n = 24
+    cols = {"none": np.zeros(n, bool), "some": np.arange(n) % 3 == 1, "all": np.ones(n, bool)}
+    est, err = _beliefs(rng, rows, n, cols[constant])
+    if constant == "none" and rows > 1:
+        err[:, 0] = err[0, 0]
+        est[1:, 0] = np.nextafter(est[0, 0], np.inf)  # differs by one ulp only
+    spec = QuantizerSpec.from_prior_vars(rng.uniform(0.1, 3.0, n), bits)
+    got = side_info_llrs(est, err, spec)
+    assert got.shape == (rows, n * bits)
+    assert np.array_equal(got.view(np.uint64), _side_llrs_every_column(est, err, spec).view(np.uint64))
+    for row, e, v in zip(got, est, err):
+        assert np.array_equal(row.view(np.uint64), side_info_llrs(e, v, spec).view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # Viterbi and DSC decoding
 # ---------------------------------------------------------------------------
@@ -422,6 +476,54 @@ def _viterbi_reference(sys_llrs, par_llrs):
         state, u = back[state]
         bits.append(u)
     return np.array(bits[::-1], dtype=np.uint8)
+
+
+def _viterbi_per_step(sys_llrs, par_llrs):
+    """viterbi_decode as it was: each step multiplies +-1 sign tables into
+    new candidate arrays, and the traceback indexes the decisions per state."""
+    branch_u, branch_p = _branches(UPLINK)
+    half = branch_u.shape[1]
+    sign_u = (1.0 - 2.0 * branch_u)[..., None]
+    sign_p = (1.0 - 2.0 * branch_p)[..., None]
+    batch, length = sys_llrs.shape
+    pm = np.full((2 * half, batch), _NEG_METRIC)
+    pm[0] = 0.0
+    decisions = np.empty((length, 2 * half, batch), dtype=np.uint8)
+    for t, (s_llr, p_llr) in enumerate(zip(sys_llrs.T, par_llrs.T)):
+        cand = pm.reshape(2, half, 1, batch) + sign_u * s_llr
+        cand += sign_p * p_llr
+        np.greater(cand[1], cand[0], out=decisions[t].reshape(half, 2, batch))
+        pm = np.maximum(cand[0], cand[1]).reshape(2 * half, batch)
+        if t >= length - TAIL_BITS:
+            pm[1::2] = _NEG_METRIC
+    bits = np.empty((length, batch), dtype=np.uint8)
+    state = np.zeros(batch, dtype=np.int64)
+    cols = np.arange(batch)
+    for t in range(length - 1, -1, -1):
+        b = decisions[t, state, cols]
+        r = state >> 1
+        bits[t] = branch_u[b, r, state & 1]
+        state = half * b + r
+    return bits.T
+
+
+_LLR_KINDS = ("gaussian", "integer", "clipped")
+
+
+@pytest.mark.parametrize("llrs", _LLR_KINDS)
+@pytest.mark.parametrize("shape", [(1, 274), (2000, 274)], ids=["frame", "batch"])
+def test_viterbi_equals_per_step_oracle(llrs, shape):
+    """The in-place step keeps the per-step form's decisions bit for bit,
+    ties and punctured (zero) parity included."""
+    rng = np.random.default_rng([_LLR_KINDS.index(llrs), shape[0]])
+    if llrs == "gaussian":
+        sys_l, par_l = rng.normal(0.0, 4.0, (2,) + shape)
+    elif llrs == "integer":
+        sys_l, par_l = rng.integers(-3, 4, (2,) + shape).astype(np.float64)
+    else:
+        sys_l, par_l = llr_clip(rng.normal(0.0, 25.0, (2,) + shape))
+    par_l[:, rng.random(shape[1]) < 0.5] = 0.0
+    assert np.array_equal(viterbi_decode(sys_l, par_l), _viterbi_per_step(sys_l, par_l))
 
 
 def test_viterbi_ties_match_reference():

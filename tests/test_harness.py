@@ -175,6 +175,15 @@ def test_seu_rejects_a_session_count_below_one(tmp_path, monkeypatch):
             cli.main(["seu", "--seed", "3"] + argv)
 
 
+def test_seu_rejects_an_snr_grid_of_several_points(tmp_path, monkeypatch):
+    """Every session runs at one SNR, so a grid is an error, not its first point."""
+    monkeypatch.setattr(cli, "seu_update_ints", lambda *a, **kw: pytest.fail("it ran"))
+    path = tmp_path / "seu.cfg"
+    path.write_text("snr=12:20:4\n")
+    with pytest.raises(ConfigError, match="snr"):
+        cli.main(["seu", "--config", str(path)])
+
+
 def test_session_commands_name_config_keys_they_do_not_read(tmp_path, capsys, monkeypatch):
     """seu and calibrate-fer name every config key they ignore on one stderr
     line; what they print on stdout and write is unchanged."""
@@ -271,6 +280,8 @@ def test_validation_rules():
         ExperimentConfig(scheme="hybrid").validate()
     with pytest.raises(ParameterError, match="lambda"):
         ExperimentConfig(lam=1.0).validate()
+    with pytest.raises(ParameterError, match="image"):
+        ExperimentConfig(source_kind="gauss_markov", image="tiles.pgm").validate()
 
 
 # ---------------------------------------------------------------------------

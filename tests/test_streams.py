@@ -2,14 +2,17 @@
 
 default_rngs must equal default_rng entropy by entropy, and gen_blocks and
 ChannelState.for_blocks must equal the per-block loops they replaced, which
-built one default_rng((seed, t)) or default_rng(seed ^ t) per block. Those
-loops live on here only, as oracles.
+built one default_rng((seed, t)) or default_rng(seed ^ t) per block.
+draw_trials must equal a loop over for_blocks states that takes each
+block's h and then one noise draw from its rng. Those loops live on here
+only, as oracles.
 """
 
 import numpy as np
 import pytest
 
-from datosc.channel import ChannelState, transmit
+import datosc.harness as H
+from datosc.channel import ChannelState, _gain, draw_blocks, transmit
 from datosc.sources import SourceSpec, class_means, gen_blocks
 from datosc.streams import default_rngs
 
@@ -120,3 +123,60 @@ def test_for_block_is_the_one_block_case(fading):
     assert (one.h, one.noise_var) == (batch.h, batch.noise_var)
     assert one.rng.bit_generator.state == batch.rng.bit_generator.state
     assert list(ChannelState.for_blocks(3.0, fading, SEED, 17, 17)) == []
+
+
+def _bits(values):
+    """The float bits of a real or complex array, so that -0.0 != 0.0."""
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+def test_gain_equals_the_chunk_formula_and_the_complex_quotient():
+    """h = (re, im) / sqrt(2) part by part, as _gain and draw_blocks form it,
+    has the bits of complex(re, im) / sqrt(2) on 3,000 blocks."""
+    h, _ = draw_blocks(0.0, "rayleigh", SEED, 0, 3000, 0)
+    rngs = default_rngs((SEED ^ t) & _MASK64 for t in range(3000))
+    gains = [_gain(rng, "rayleigh") for rng in rngs]
+    quotients = []
+    for t in range(3000):
+        re, im = np.random.default_rng((SEED ^ t) & _MASK64).standard_normal(2)
+        quotients.append(complex(re, im) / np.sqrt(2.0))
+    assert np.array_equal(_bits(h), _bits(np.array(gains)))
+    assert np.array_equal(_bits(h), _bits(np.array(quotients)))
+
+
+def _reference_draws(config, setup, snr_db, point_index, t0, t1):
+    """draw_trials' channel draws as a loop over for_blocks states: h, then
+    one standard_normal call on the state's rng for both partitions."""
+    uses = setup.n_analog + setup.n_digital
+    seed = H.derive_seed(config.seed, point_index, 1)
+    h, noise = [], []
+    for state in ChannelState.for_blocks(snr_db, config.channel, seed, t0, t1):
+        h.append(state.h)
+        raw = state.rng.standard_normal(2 * uses)
+        noise.append((raw * np.sqrt(state.noise_var / 2.0)).view(np.complex128))
+    return np.array(h), np.array(noise).reshape(t1 - t0, uses)
+
+
+@pytest.fixture(scope="module")
+def tile_image(tmp_path_factory):
+    path = tmp_path_factory.mktemp("img") / "tiles.pgm"
+    rng = np.random.default_rng(0x7113)
+    path.write_bytes(b"P5\n24 16\n255\n" + rng.integers(0, 256, 24 * 16, dtype=np.uint8).tobytes())
+    return str(path)
+
+
+@pytest.mark.parametrize("channel", ["awgn", "rayleigh"])
+@pytest.mark.parametrize("source", ["gauss_markov", "image_blocks"])
+@pytest.mark.parametrize("scheme", ["analog", "digital", "da"])
+def test_draw_trials_equal_one_state_per_trial(channel, source, scheme, tile_image):
+    image = tile_image if source == "image_blocks" else None
+    cfg = H.ExperimentConfig(
+        scheme=scheme, channel=channel, source_kind=source, image=image, seed=0xD7A5
+    )
+    setup = H.build_link(cfg)
+    draws = H.draw_trials(cfg, setup, 5.0, 2, 13, 77)
+    h, noise = _reference_draws(cfg, setup, 5.0, 2, 13, 77)
+    assert np.array_equal(_bits(draws.h), _bits(h))
+    assert np.array_equal(_bits(draws.w_a), _bits(noise[:, : setup.n_analog]))
+    assert np.array_equal(_bits(draws.w_d), _bits(noise[:, setup.n_analog :]))
+    assert draws.noise_var == 10.0 ** (-0.5)
