@@ -80,6 +80,7 @@ class AllocatorContext:
     modulation: str = "qpsk"
     channel: str = "rayleigh"
     _kept_cache: dict = field(default_factory=dict, repr=False)
+    _cell_mse_cache: dict = field(default_factory=dict, repr=False)
 
     def kept_indices(self, k: int) -> np.ndarray:
         if k not in self._kept_cache:
@@ -87,6 +88,13 @@ class AllocatorContext:
                 self.n, k, self.prior_vars, self.task
             )
         return self._kept_cache[k]
+
+    def cell_mse(self, bits: int) -> np.ndarray:
+        """High-rate MSE delta^2/12 of each coefficient's B-bit quantizer cell."""
+        if bits not in self._cell_mse_cache:
+            deltas = QuantizerSpec.from_prior_vars(self.prior_vars, bits).deltas
+            self._cell_mse_cache[bits] = deltas ** 2 / 12.0
+        return self._cell_mse_cache[bits]
 
     def kept_priors(self, k: int) -> np.ndarray:
         return self.prior_vars[self.kept_indices(k)]
@@ -233,10 +241,22 @@ def _analog_model(k: int, n_analog: int, powers: np.ndarray, snr_db: float,
     return _AnalogModel(errors, mean_err, feature, data)
 
 
-def _digital_distortion(model: _AnalogModel, at: np.ndarray, layouts, power_digital,
-                        snr_db: float, ctx: AllocatorContext, fer: FerTable) -> np.ndarray:
+def _fail_probs(layouts, power_digital, snr_db: float, fer: FerTable) -> np.ndarray:
+    """p_f (L, P) of layout l at the digital powers power_digital[l], looked
+    up at the digital partition's effective per-use SNR; 1 for the
+    digital-off layout, whose output is always the fallback."""
+    p_f = np.ones(np.shape(power_digital))
+    for row, layout in enumerate(layouts):
+        if layout.n_digital:
+            eff_snr = snr_db + 10.0 * np.log10(power_digital[row] / layout.n_digital)
+            p_f[row] = fer.lookup(layout.pattern, layout.quant_bits, eff_snr)
+    return p_f
+
+
+def _digital_distortion(model: _AnalogModel, at: np.ndarray, layouts, p_f: np.ndarray,
+                        ctx: AllocatorContext) -> np.ndarray:
     """model_digital_distortion (L, P) of layout l with the analog power of
-    model row at[l, j] and digital power power_digital[l, j].
+    model row at[l, j] and the failure probability p_f[l, j].
 
     The capped error depends on B and the analog power, not on the pattern,
     so it is computed once per B for the powers its layouts use. The final
@@ -249,17 +269,13 @@ def _digital_distortion(model: _AnalogModel, at: np.ndarray, layouts, power_digi
     rows = [row for row, layout in enumerate(layouts) if layout.n_digital]
     if not rows:
         return out
-    n_digital = np.array([[layouts[row].n_digital] for row in rows])
-    eff_snr = snr_db + 10.0 * np.log10(power_digital[rows] / n_digital)
-    p_f = np.array([
-        fer.lookup(layouts[row].pattern, layouts[row].quant_bits, snr)
-        for row, snr in zip(rows, eff_snr)
-    ])
+    p_f, at = p_f[rows], at[rows]
+    row_bits = [layouts[row].quant_bits for row in rows]
     awgn = ctx.channel == "awgn"
     capped = np.empty(at.shape if awgn else at.shape + (len(FADE_NODES),))
-    for bits in {layouts[row].quant_bits for row in rows}:
-        cell_mse = QuantizerSpec.from_prior_vars(ctx.prior_vars, bits).deltas ** 2 / 12.0
-        same = [row for row in rows if layouts[row].quant_bits == bits]
+    for bits in set(row_bits):
+        cell_mse = ctx.cell_mse(bits)
+        same = [i for i, other in enumerate(row_bits) if other == bits]
         # the model rows these layouts use, ascending, without np.unique's cost
         used = np.flatnonzero(np.bincount(at[same].ravel(), minlength=len(model.data)))
         if awgn:
@@ -267,15 +283,14 @@ def _digital_distortion(model: _AnalogModel, at: np.ndarray, layouts, power_digi
         else:
             per_power = np.mean(np.minimum(cell_mse, model.errors[used]), axis=-1)
         capped[same] = per_power[np.searchsorted(used, at[same])]
-    capped = capped[rows]
     if awgn:
-        out[rows] = (1.0 - p_f) * capped + p_f * model.data[at[rows]]
+        out[rows] = (1.0 - p_f) * capped + p_f * model.data[at]
         return out
     fallback = np.mean(model.errors, axis=-1)                           # (U, nodes)
     depth = -np.log1p(-np.minimum(p_f, 1.0 - 1e-12))
     fail = FADE_NODES < depth[..., None]                                # deepest fades
-    per_fade = np.where(fail, fallback[at[rows]], capped)               # (rows, P, nodes)
-    flat = per_fade.reshape(-1, len(FADE_NODES))
+    np.copyto(capped, fallback[at], where=fail)                         # failures fall back
+    flat = capped.reshape(-1, len(FADE_NODES))
     out[rows] = np.reshape([FADE_WEIGHTS @ fades for fades in flat], p_f.shape)
     return out
 
@@ -306,8 +321,9 @@ def model_digital_distortion(
     digital-off plan gets the fallback distortion.
     """
     model = _plan_model(plan, snr_db, ctx)
-    at, power_digital = np.zeros((1, 1), dtype=np.intp), np.array([[plan.power_digital]])
-    return float(_digital_distortion(model, at, [plan], power_digital, snr_db, ctx, fer)[0, 0])
+    at = np.zeros((1, 1), dtype=np.intp)
+    p_f = _fail_probs([plan], np.array([[plan.power_digital]]), snr_db, fer)
+    return float(_digital_distortion(model, at, [plan], p_f, ctx)[0, 0])
 
 
 def system_distortion(
@@ -364,6 +380,38 @@ def _layouts(budget: ChannelBudget, ctx: AllocatorContext):
                     yield _Layout(k, n_a, bits, pattern, n_d)
 
 
+# The FER table's log-linear interpolation can break p_f's monotonicity in
+# SNR at its knots by a few units in the last place. A bound therefore reads
+# p_f lowered by this relative margin, and a search prunes a layout only when
+# its bound exceeds the incumbent by the same margin.
+_BOUND_MARGIN = 1e-9
+
+
+def _power_grid(p_total: float) -> np.ndarray:
+    """Exhaustive's analog power grid; it spans _refined's whole bracket."""
+    return np.linspace(POWER_SHARE_LO * p_total, POWER_SHARE_HI * p_total, POWER_GRID_POINTS)
+
+
+def _split_powers(layouts, points, p_total: float) -> np.ndarray:
+    """Analog powers (L, P) of one k's layouts at the grid points; the
+    digital-off layout has a single split and sits at p_total throughout."""
+    digital = np.array([[layout.n_digital > 0] for layout in layouts])
+    return np.where(digital, points, p_total)
+
+
+def _shared_model(layouts, powers: np.ndarray, snr_db, ctx) -> tuple[_AnalogModel, np.ndarray]:
+    """The analog model of one k's layouts at the distinct powers among
+    powers, and the model row of each power."""
+    unique, at = np.unique(powers, return_inverse=True)
+    model = _analog_model(layouts[0].k, layouts[0].n_analog, unique, snr_db, ctx)
+    return model, at.reshape(powers.shape)
+
+
+def _system(model, at, layouts, p_f, lam, ctx) -> np.ndarray:
+    """System distortion (L, P) at model rows at and failure probabilities p_f."""
+    return lam * model.feature[at] + (1.0 - lam) * _digital_distortion(model, at, layouts, p_f, ctx)
+
+
 def _costs(layouts, powers, p_total, snr_db, lam, ctx, fer) -> np.ndarray:
     """Modelled system distortion (L, P) of the L layouts of one k, layout l
     at the analog powers powers[l] and the rest of p_total on digital.
@@ -373,24 +421,57 @@ def _costs(layouts, powers, p_total, snr_db, lam, ctx, fer) -> np.ndarray:
     distinct power and shared by every layout at that power.
     """
     powers = np.asarray(powers, dtype=np.float64)
-    unique, at = np.unique(powers, return_inverse=True)
-    at = at.reshape(powers.shape)
-    model = _analog_model(layouts[0].k, layouts[0].n_analog, unique, snr_db, ctx)
-    d_d = _digital_distortion(model, at, layouts, p_total - powers, snr_db, ctx, fer)
-    return lam * model.feature[at] + (1.0 - lam) * d_d
+    model, at = _shared_model(layouts, powers, snr_db, ctx)
+    p_f = _fail_probs(layouts, p_total - powers, snr_db, fer)
+    return _system(model, at, layouts, p_f, lam, ctx)
 
 
-def _scan(layouts, points, p_total, snr_db, lam, ctx, fer) -> np.ndarray:
-    """Costs (L, P) of one k's layouts on a grid of analog powers; the
-    digital-off layout has a single split and sits at p_total throughout.
+def _scan(layouts, points, p_total, snr_db, lam, ctx, fer) -> tuple[np.ndarray, np.ndarray]:
+    """Costs (L, P) of one k's layouts on an ascending grid of analog powers,
+    and bounds (L, P - 1): bounds[l, i] is at most layout l's cost at any
+    analog power in [points[i], points[i + 1]], up to rounding in the last
+    place. The digital-off layout sits at p_total throughout.
+
+    Why the bound holds: across the interval the analog errors (feature,
+    fallback, capped) are non-increasing in analog power, since every step
+    of their chain is monotone under rounding, so they are at least their
+    values at points[i + 1]. p_f is non-decreasing, since the digital power
+    falls and the table's envelope is non-increasing in SNR. d_d is
+    non-increasing in the errors and non-decreasing in p_f: under Rayleigh
+    fading the nodes that fail at a lower p_f fail at a higher one too, and a
+    failing node costs its fallback, never less than its capped error; over
+    AWGN d_d = (1 - p_f) * capped + p_f * data with data >= capped. So the
+    bound is the cost formula with the errors of points[i + 1] and the p_f
+    of points[i].
+
     The grid is scored _SCAN_POINTS points per call, so a call holds analog
-    error arrays of at most (_SCAN_POINTS + 1, nodes, n) doubles."""
-    digital = np.array([[layout.n_digital > 0] for layout in layouts])
-    powers = np.where(digital, points, p_total)
-    return np.hstack([
-        _costs(layouts, powers[:, i:i + _SCAN_POINTS], p_total, snr_db, lam, ctx, fer)
-        for i in range(0, len(points), _SCAN_POINTS)
-    ])
+    error arrays of at most (_SCAN_POINTS + 1, nodes, n) doubles; the p_f of
+    a call's last point is carried to the next call's first interval.
+    """
+    powers = _split_powers(layouts, points, p_total)
+    costs, bounds = [], []
+    p_f = np.empty((len(layouts), 0))
+    for i in range(0, len(points), _SCAN_POINTS):
+        chunk = powers[:, i:i + _SCAN_POINTS]
+        model, at = _shared_model(layouts, chunk, snr_db, ctx)
+        carried, p_f = p_f[:, -1:], _fail_probs(layouts, p_total - chunk, snr_db, fer)
+        left = np.hstack([carried, p_f[:, :-1]])          # p_f at each interval's left end
+        right = at[:, at.shape[1] - left.shape[1]:]       # model row of its right end
+        values = _system(model, np.hstack([at, right]), layouts,
+                         np.hstack([p_f, (1.0 - _BOUND_MARGIN) * left]), lam, ctx)
+        costs.append(values[:, :at.shape[1]])
+        bounds.append(values[:, at.shape[1]:])
+    return np.hstack(costs), np.hstack(bounds)
+
+
+def _unpruned(layouts, bounds, entries) -> list:
+    """The layouts whose bound does not exceed the lowest cost among the
+    entries by more than _BOUND_MARGIN: only these can still win."""
+    incumbent = min((entry[0] for entry in entries), default=np.inf)
+    return [
+        layout for layout, bound in zip(layouts, bounds)
+        if bound <= incumbent * (1.0 + _BOUND_MARGIN)
+    ]
 
 
 def _refined(layouts, p_total, snr_db, lam, ctx, fer) -> tuple[np.ndarray, np.ndarray]:
@@ -465,9 +546,16 @@ def allocate_greedy(
     that reserves the analog rate the task needs before any digital
     spending, and larger k stay admissible. Step 2, per admissible k, picks
     the (B, pattern) tuple (or digital-off) minimizing the modelled system
-    distortion over a coarse power scan; step 3 refines the winning tuple's
+    distortion over a coarse power scan; step 3 refines each digital pick's
     power split by golden-section search. Returns the best plan found, so
     the search stays a strict subset of allocate_exhaustive.
+
+    Picks are refined in ascending k once every digital-off pick is an
+    entry. A pick is skipped when a lower bound on its cost over the whole
+    bracket (from _scan on exhaustive's power grid) exceeds the lowest entry
+    already held: its refined cost would exceed that entry's, so it could
+    not be returned and the plan is the one refining every pick gives. With
+    no entry held, the pick is refined without computing its bound.
     """
     p_total = budget.power_total
     args = (p_total, snr_db, lam, ctx, fer)
@@ -476,18 +564,24 @@ def allocate_greedy(
     # use-proportional split mis-ranks tuples whose optimum sits at an
     # extreme split)
     coarse = np.linspace(0.2, 0.8, 5) * p_total
-    entries = []
+    entries, picks = [], []
     for k, group in groupby(_layouts(budget, ctx), key=lambda layout: layout.k):
         if k < k_floor:
             continue
         layouts = list(group)
-        costs = _scan(layouts, coarse, *args).min(axis=1)
+        costs = _costs(layouts, _split_powers(layouts, coarse, p_total), *args).min(axis=1)
         pick = layouts[int(np.argmin(costs))]
         if pick.n_digital:
-            (cost,), (p_a,) = _refined([pick], *args)
-            entries.append(_entry(cost, pick, p_a))
+            picks.append(pick)
         else:
             entries.append(_entry(costs.min(), pick, p_total))
+    for pick in picks:
+        if entries and not _unpruned(
+            [pick], _scan([pick], _power_grid(p_total), *args)[1].min(axis=1), entries
+        ):
+            continue
+        (cost,), (p_a,) = _refined([pick], *args)
+        entries.append(_entry(cost, pick, p_a))
     return _best(entries, p_total, lam, ctx)[1]
 
 
@@ -500,30 +594,40 @@ def allocate_exhaustive(
 ) -> AllocationPlan:
     """Full grid search over (k, B, pattern, power split).
 
-    Every tuple is scored on the 21-point power grid and with the same
-    golden-section refinement the greedy search uses, so the exhaustive cost
-    is never above the greedy cost. Ties break lexicographically on
-    (k, B, pattern, P_a); digital-off sorts as B=0.
+    Every tuple is scored on the 21-point power grid, and every tuple that
+    can still win gets the same golden-section refinement the greedy search
+    uses, so the exhaustive cost is never above the greedy cost. Ties break
+    lexicographically on (k, B, pattern, P_a); digital-off sorts as B=0.
+
+    The grid scan also gives each digital tuple a lower bound on its cost
+    over the whole refinement bracket. Once every k is scanned, the tuples
+    of each k, in ascending k, are refined in lockstep, except those whose
+    bound exceeds the lowest entry held so far (each tuple's best grid
+    point, the digital-off plans and the refinements already done): a
+    skipped tuple's refined cost would exceed that entry's, so the plan is
+    the one refining every tuple gives.
     """
     p_total = budget.power_total
     args = (p_total, snr_db, lam, ctx, fer)
-    power_grid = np.linspace(
-        POWER_SHARE_LO * p_total, POWER_SHARE_HI * p_total, POWER_GRID_POINTS
-    )
-    entries = []
+    power_grid = _power_grid(p_total)
+    entries, bounded = [], []
     for _, group in groupby(_layouts(budget, ctx), key=lambda layout: layout.k):
         layouts = list(group)
         off, digital = layouts[0], layouts[1:]
-        costs = _scan(layouts, power_grid, *args)
+        costs, bounds = _scan(layouts, power_grid, *args)
         entries.append(_entry(costs[0, 0], off, p_total))
-        if digital:
+        # of a tuple's grid points only its lowest cost can win, at the lowest
+        # power among equal costs as the tie-break on P_a would pick
+        entries += [
+            _entry(row.min(), layout, power_grid[row.argmin()])
+            for layout, row in zip(digital, costs[1:])
+        ]
+        bounded.append((digital, bounds[1:].min(axis=1)))
+    for digital, bounds in bounded:
+        survivors = _unpruned(digital, bounds, entries)
+        if survivors:
             entries += [
                 _entry(cost, layout, p_a)
-                for layout, cost, p_a in zip(digital, *_refined(digital, *args))
-            ]
-            entries += [
-                _entry(cost, layout, p_a)
-                for layout, row in zip(digital, costs[1:])
-                for cost, p_a in zip(row, power_grid)
+                for layout, cost, p_a in zip(survivors, *_refined(survivors, *args))
             ]
     return _best(entries, p_total, lam, ctx)[1]

@@ -3,6 +3,8 @@
 The front end alone reads config files and writes to the terminal. The
 library takes typed settings; run_sweep and calibrate_fer report each point
 to the `datosc` logger, which main prints to stdout while a command runs.
+An input error (ConfigError or ParameterError) ends a command with one
+stderr line and exit code 2.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from .channel import ChannelState
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .harness import (
     ExperimentConfig,
     calibrate_fer,
@@ -91,6 +93,8 @@ _SWEEP_KEY = {
 }
 # the keys a sweep reads, each mapped to its ExperimentConfig field
 _SWEEP_FIELDS = {_SWEEP_KEY.get(f.name, f.name): f.name for f in fields(ExperimentConfig)}
+# sweep keys that only one source kind reads
+_SOURCE_ONLY = {"rho": "gauss_markov", "classes": "class_mixture"}
 _SEU_KEYS = tuple(f.name for f in fields(SeuSettings))
 _CALIBRATE_KEYS = ("channel", "trials", "seed", "out")
 
@@ -131,13 +135,17 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trials", type=int)
 
 
-def _config_values(args, reads) -> dict:
-    """The values of the keys in reads that args.config sets; one stderr
-    line names every other key the file sets."""
-    values = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            values = parse_config_text(fh.read())
+def _config_file(args) -> dict:
+    """The values args.config sets; none without a config file."""
+    if not args.config:
+        return {}
+    with open(args.config, encoding="utf-8") as fh:
+        return parse_config_text(fh.read())
+
+
+def _config_values(args, values, reads) -> dict:
+    """The values whose key is in reads; one stderr line names every other
+    key the config file sets."""
     ignored = [key for key in values if key not in reads]
     if ignored:
         print(
@@ -154,7 +162,10 @@ def _flags(args, keys) -> dict:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    values = _config_values(args, _SWEEP_FIELDS)
+    values = _config_file(args)
+    source = values.get("source", ExperimentConfig.source_kind)
+    reads = [key for key in _SWEEP_FIELDS if _SOURCE_ONLY.get(key, source) == source]
+    values = _config_values(args, values, reads)
     values.update(_flags(args, ("seed", "out", "trials", "scheme")))
     if args.lam is not None:
         values["lambda"] = args.lam
@@ -173,7 +184,7 @@ def cmd_sweep(args) -> int:
 def cmd_calibrate_fer(args) -> int:
     """calibrate_fer gets only the keys a flag or the config file set, so its
     signature holds the defaults."""
-    values = _config_values(args, _CALIBRATE_KEYS)
+    values = _config_values(args, _config_file(args), _CALIBRATE_KEYS)
     values.update(_flags(args, ("trials", "seed", "out")))
     out = values.pop("out", "fer_table.csv")
     table = calibrate_fer(**values)
@@ -183,7 +194,7 @@ def cmd_calibrate_fer(args) -> int:
 
 
 def cmd_seu(args) -> int:
-    values = _config_values(args, _SEU_KEYS)
+    values = _config_values(args, _config_file(args), _SEU_KEYS)
     values.update(_flags(args, ("seed", "trials")))
     if args.snr is not None:
         values["snr"] = (args.snr,)
@@ -282,6 +293,9 @@ def main(argv=None) -> int:
     logger.setLevel(logging.INFO)
     try:
         return args.fn(args)
+    except (ConfigError, ParameterError) as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
     finally:
         logger.removeHandler(report)
         logger.setLevel(level)

@@ -254,6 +254,20 @@ def test_shipped_fer_table_saves_byte_for_byte(tmp_path):
     assert path.read_bytes() == shipped.read_bytes()
 
 
+def test_shipped_fer_table_cell_0_recalibrates(tmp_path):
+    """calibrate_fer's cell 0 (R12, B=1, 0 dB) gets the shipped seed, so at
+    the shipped 6,000 trials it writes the shipped row, which the search
+    bounds read."""
+    from datosc.harness import calibrate_fer
+
+    table = calibrate_fer(patterns=("R12",), bits_grid=(1,), snr_grid=(0.0,), trials=6000)
+    path = tmp_path / "cell0.csv"
+    table.save_csv(path)
+    shipped = Path(alloc.__file__).parent / "data" / "fer_rayleigh.csv"
+    assert path.read_text().splitlines() == shipped.read_text().splitlines()[:2]
+    assert f"{table.raw('R12', 1)[1][0]:.9g}" == "0.9525"
+
+
 def test_fer_lookup_clamps_and_is_monotone(fer):
     lo = fer.lookup("R12", 4, -50.0)
     hi = fer.lookup("R12", 4, 90.0)
@@ -408,6 +422,139 @@ def test_costs_batch_independent_and_winners_are_system_distortion(
                 cost, winner = winners.pop()
                 assert winner == plan
                 assert cost == system_distortion(plan, snr, cctx, fer)
+
+
+# ---------------------------------------------------------------------------
+# branch and bound: the searches refining every layout are the oracles
+# ---------------------------------------------------------------------------
+
+def _grid_costs(layouts, points, p_total, snr_db, lam, ctx, fer):
+    """Costs (L, P) of one k's layouts on a power grid, _SCAN_POINTS per
+    call; digital-off at p_total throughout."""
+    digital = np.array([[layout.n_digital > 0] for layout in layouts])
+    powers = np.where(digital, points, p_total)
+    return np.hstack([
+        alloc._costs(layouts, powers[:, i:i + alloc._SCAN_POINTS], p_total, snr_db, lam, ctx, fer)
+        for i in range(0, len(points), alloc._SCAN_POINTS)
+    ])
+
+
+def _greedy_unpruned(budget, snr_db, lam, ctx, fer):
+    """(cost, plan) of allocate_greedy refining every digital pick."""
+    p_total = budget.power_total
+    args = (p_total, snr_db, lam, ctx, fer)
+    k_floor = alloc.choose_analog_floor_k(budget, snr_db, ctx)
+    coarse = np.linspace(0.2, 0.8, 5) * p_total
+    entries = []
+    for k, group in groupby(alloc._layouts(budget, ctx), key=lambda layout: layout.k):
+        if k < k_floor:
+            continue
+        layouts = list(group)
+        costs = _grid_costs(layouts, coarse, *args).min(axis=1)
+        pick = layouts[int(np.argmin(costs))]
+        if pick.n_digital:
+            (cost,), (p_a,) = alloc._refined([pick], *args)
+            entries.append(alloc._entry(cost, pick, p_a))
+        else:
+            entries.append(alloc._entry(costs.min(), pick, p_total))
+    return alloc._best(entries, p_total, lam, ctx)
+
+
+def _exhaustive_unpruned(budget, snr_db, lam, ctx, fer):
+    """(cost, plan) of allocate_exhaustive refining every digital layout."""
+    p_total = budget.power_total
+    args = (p_total, snr_db, lam, ctx, fer)
+    power_grid = np.linspace(
+        alloc.POWER_SHARE_LO * p_total, alloc.POWER_SHARE_HI * p_total, alloc.POWER_GRID_POINTS
+    )
+    entries = []
+    for _, group in groupby(alloc._layouts(budget, ctx), key=lambda layout: layout.k):
+        layouts = list(group)
+        off, digital = layouts[0], layouts[1:]
+        costs = _grid_costs(layouts, power_grid, *args)
+        entries.append(alloc._entry(costs[0, 0], off, p_total))
+        if digital:
+            entries += [
+                alloc._entry(cost, layout, p_a)
+                for layout, cost, p_a in zip(digital, *alloc._refined(digital, *args))
+            ]
+            entries += [
+                alloc._entry(cost, layout, p_a)
+                for layout, row in zip(digital, costs[1:])
+                for cost, p_a in zip(row, power_grid)
+            ]
+    return alloc._best(entries, p_total, lam, ctx)
+
+
+def test_pruned_searches_equal_the_unpruned_oracles(ctx, fer, monkeypatch):
+    """On random draws over Rayleigh and AWGN, every k and k capped to
+    {8, 16}, 64-512 uses, 0-24 dB and lambda in (0.05, 0.95), both searches
+    return the plan of the search that refines every layout, field for
+    field, at the same cost bit for bit, and raise where it raises. Over the
+    draws some layouts are refined and some are skipped."""
+    refined, winners = [], []
+    counted, best = alloc._refined, alloc._best
+    monkeypatch.setattr(
+        alloc, "_refined", lambda layouts, *a: refined.append(len(layouts)) or counted(layouts, *a)
+    )
+    monkeypatch.setattr(alloc, "_best", lambda *a: winners.append(best(*a)) or winners[-1])
+    rng = np.random.default_rng(0xB0B)
+    searches = ((allocate_greedy, _greedy_unpruned), (allocate_exhaustive, _exhaustive_unpruned))
+    pruned = unpruned = 0
+    for draw in range(12):
+        channel = ("rayleigh", "awgn")[draw % 2]
+        k_grid = ([8, 16], None)[draw // 2 % 2]
+        dctx = AllocatorContext(n=64, prior_vars=ctx.prior_vars, task=ctx.task, channel=channel)
+        snr, lam = float(rng.uniform(0.0, 24.0)), float(rng.uniform(0.05, 0.95))
+        total = int(rng.integers(64, 513))
+        budget = ChannelBudget(total, 0, 0, float(total), 0.0, 0.0)
+        with monkeypatch.context() as patch:
+            if k_grid:
+                patch.setattr(alloc, "candidate_k_grid", lambda n, k_grid=k_grid: k_grid)
+            for search, oracle in searches:
+                refined.clear()
+                try:
+                    want = oracle(budget, snr, lam, dctx, fer)
+                except InfeasibleAllocationError as exc:
+                    with pytest.raises(InfeasibleAllocationError, match=str(exc)):
+                        search(budget, snr, lam, dctx, fer)
+                    continue
+                unpruned += sum(refined)
+                refined.clear()
+                plan = search(budget, snr, lam, dctx, fer)
+                pruned += sum(refined)
+                assert winners.pop() == want
+                assert plan == want[1]
+    assert 0 < pruned < unpruned
+
+
+@pytest.mark.parametrize("channel", ["rayleigh", "awgn"])
+def test_bounds_never_exceed_a_cost_in_their_interval(ctx, fer, channel):
+    """Each digital layout's bound on a grid interval is at most its cost at
+    both grid points and at random powers inside the interval, and the
+    lowest over the intervals is at most its refined cost. The slack allows
+    for rounding in the last place (AWGN's (1 - p_f) * capped + p_f * data
+    can round below capped), far inside the searches' 1e-9 margin."""
+    slack = 1.0 + 1e-12
+    cctx = AllocatorContext(n=64, prior_vars=ctx.prior_vars, task=ctx.task, channel=channel)
+    rng = np.random.default_rng(0xB0D)
+    for snr, lam, total in ((4.0, 0.2, 192), (13.0, 0.5, 320), (22.0, 0.8, 480)):
+        budget = ChannelBudget(total, 0, 0, float(total), 0.0, 0.0)
+        args = (float(total), snr, lam, cctx, fer)
+        grid = alloc._power_grid(float(total))
+        for _, group in groupby(alloc._layouts(budget, cctx), key=lambda layout: layout.k):
+            digital = list(group)[1:]
+            if not digital:
+                continue
+            costs, bounds = alloc._scan(digital, grid, *args)
+            assert costs.tolist() == _grid_costs(digital, grid, *args).tolist()
+            assert np.all(bounds <= slack * costs[:, :-1])
+            assert np.all(bounds <= slack * costs[:, 1:])
+            for i in range(len(grid) - 1):
+                inside = rng.uniform(grid[i], grid[i + 1], (len(digital), 2))
+                assert np.all(bounds[:, i:i + 1] <= slack * alloc._costs(digital, inside, *args))
+            refined, _ = alloc._refined(digital, *args)
+            assert np.all(bounds.min(axis=1) <= slack * refined)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
@@ -86,15 +88,24 @@ def test_config_file_with_overrides(tmp_path, monkeypatch):
     assert cfg.seed == 5
 
 
-def test_removed_keys_are_unknown(tmp_path, monkeypatch):
+def _input_error(capsys, argv) -> str:
+    """The stderr of a command that fails on its input: exit code 2 and one
+    line, with nothing on stdout."""
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("datosc: error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_removed_keys_are_unknown(tmp_path, monkeypatch, capsys):
     seen = _cli_sweep_configs(monkeypatch)
     for line in ("floor_threshold=0.05", "fer_table=fer.csv"):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text(line)
         path = tmp_path / "old.cfg"
         path.write_text(f"scheme=da\n{line}\n")
-        with pytest.raises(ConfigError, match="unknown key"):
-            cli.main(["sweep", "--config", str(path)])
+        assert "unknown key" in _input_error(capsys, ["sweep", "--config", str(path)])
     assert seen == []
 
 
@@ -106,18 +117,18 @@ def test_session_keys_do_not_reach_the_sweep_config(tmp_path, monkeypatch):
     assert seen == [ExperimentConfig(trials=300)]
 
 
-def test_cli_rejects_an_empty_snr_grid(tmp_path):
+def test_cli_rejects_an_empty_snr_grid(tmp_path, capsys):
     """An SNR spec with no point is a config error naming snr, from a flag
     or a file, for sweep and seu alike."""
     out = str(tmp_path / "empty.csv")
-    with pytest.raises(ConfigError, match="snr"):
-        cli.main(["sweep", "--snr", "20:0:2", "--trials", "100", "--out", out])
+    argv = ["sweep", "--snr", "20:0:2", "--trials", "100", "--out", out]
+    assert "snr" in _input_error(capsys, argv)
     assert not os.path.exists(out)
     path = tmp_path / "empty.cfg"
     path.write_text("snr=\n")
     for command in ("sweep", "seu"):
-        with pytest.raises(ConfigError, match="snr"):
-            cli.main([command, "--config", str(path), "--out", out])
+        assert "snr" in _input_error(capsys, [command, "--config", str(path), "--out", out])
+    assert not os.path.exists(out)
 
 
 def test_cli_flags_and_config_file_give_the_same_config(tmp_path, monkeypatch):
@@ -165,23 +176,48 @@ def test_seu_parameters_and_channel_draw_from_separate_streams(monkeypatch, caps
     assert not np.allclose(floats, noise)
 
 
-def test_seu_rejects_a_session_count_below_one(tmp_path, monkeypatch):
+def test_seu_rejects_a_session_count_below_one(tmp_path, monkeypatch, capsys):
     """--trials is passed on whenever it is set, so 0 is not read as unset."""
     monkeypatch.setattr(cli, "seu_update_ints", lambda *a, **kw: pytest.fail("it ran"))
     path = tmp_path / "seu.cfg"
     path.write_text("trials=0\n")
     for argv in (["--trials", "0"], ["--trials", "-1"], ["--config", str(path)]):
-        with pytest.raises(ConfigError, match="trials"):
-            cli.main(["seu", "--seed", "3"] + argv)
+        assert "trials" in _input_error(capsys, ["seu", "--seed", "3"] + argv)
 
 
-def test_seu_rejects_an_snr_grid_of_several_points(tmp_path, monkeypatch):
+def test_seu_rejects_an_snr_grid_of_several_points(tmp_path, monkeypatch, capsys):
     """Every session runs at one SNR, so a grid is an error, not its first point."""
     monkeypatch.setattr(cli, "seu_update_ints", lambda *a, **kw: pytest.fail("it ran"))
     path = tmp_path / "seu.cfg"
     path.write_text("snr=12:20:4\n")
-    with pytest.raises(ConfigError, match="snr"):
-        cli.main(["seu", "--config", str(path)])
+    assert "snr" in _input_error(capsys, ["seu", "--config", str(path)])
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["sweep", "--snr", "20:0:2"], "snr"),
+        (["seu", "--trials", "0"], "trials"),
+        (["seu", "--config", "seu.cfg"], "snr"),
+    ],
+    ids=["sweep-empty-snr", "seu-no-sessions", "seu-snr-grid"],
+)
+def test_command_reports_an_input_error_on_one_line(tmp_path, argv, key):
+    """Run as the installed script runs it, a command that fails on its
+    input prints one stderr line naming the key, no traceback, and exits
+    with code 2."""
+    (tmp_path / "seu.cfg").write_text("snr=0:20:10\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    script = "import sys; from datosc.cli import main; sys.exit(main())"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("datosc: error: ") and key in line
 
 
 def test_session_commands_name_config_keys_they_do_not_read(tmp_path, capsys, monkeypatch):
@@ -231,6 +267,28 @@ def test_sweep_names_session_keys_it_does_not_read(tmp_path, capsys):
     )
     assert runs["extra"][0] == runs["base"][0]
     assert runs["extra"][2] == runs["base"][2]
+
+
+def test_sweep_names_source_keys_its_source_does_not_read(tmp_path, capsys):
+    """rho is read by the gauss_markov source only and classes by the
+    class_mixture source only. A sweep config that sets one for the other
+    source writes the same CSV and stdout as one without it, plus one stderr
+    line naming it."""
+    for source, extra in (("class_mixture", "rho"), ("gauss_markov", "classes")):
+        runs = {}
+        for name, line in (("base", ""), ("extra", f"{extra}=2\n")):
+            cfg = tmp_path / f"{name}.cfg"
+            csv_path = tmp_path / f"{name}.csv"
+            cfg.write_text(
+                f"source={source}\nscheme=analog\nsnr=10\ntrials=100\n{line}out={csv_path}\n"
+            )
+            cli.main(["sweep", "--config", str(cfg)])
+            out, err = capsys.readouterr()
+            runs[name] = (out.replace(str(csv_path), "CSV"), err, csv_path.read_bytes())
+        assert runs["base"][1] == ""
+        assert runs["extra"][1] == f"datosc sweep: ignoring config keys it does not read: {extra}\n"
+        assert runs["extra"][0] == runs["base"][0]
+        assert runs["extra"][2] == runs["base"][2]
 
 
 def test_calibrate_fer_cli_passes_only_the_read_keys_it_was_given(tmp_path, monkeypatch):
