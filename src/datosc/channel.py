@@ -5,17 +5,16 @@ under unit average transmit power and E[|h|^2] = 1, so noise_var =
 10^(-snr_db/10) per complex use (noise_var/2 per real dimension). The
 receiver knows h exactly. Each block consumes its own RNG stream,
 default_rng(seed XOR block_index), h first, then noise, so parallel trial
-execution reproduces serial results bit for bit. for_blocks seeds a range
-of blocks' streams together (streams.py) and yields a state whose rng each
-transmit call draws noise from. draw_blocks draws a range of blocks' gains
-and noise in one standard_normal call per block; its values equal those of
-for_blocks followed by one transmit call per block.
+execution reproduces serial results bit for bit. draw_blocks draws a range
+of blocks' gains and noise, their streams seeded together (streams.py).
+ChannelState.for_block is one block's gain and stream, from which each
+transmit call draws noise; its first transmit call draws the noise that
+draw_blocks gives the block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -32,46 +31,30 @@ class ChannelState:
     rng: np.random.Generator = field(repr=False)
 
     @classmethod
-    def for_blocks(
-        cls, snr_db: float, fading: str, seed: int, t0: int, t1: int
-    ) -> Iterator["ChannelState"]:
-        """Channel realizations of blocks t0..t1-1, one at a time; fading is
-        'awgn' or 'rayleigh'.
-
-        Block t's stream is default_rng(seed ^ t), so seed must already be
-        hashed (harness.derive_seed): a raw seed that also seeds another
-        stream would collide with it at block 0.
-        """
-        _check_fading(fading)
-        noise_var = 10.0 ** (-snr_db / 10.0)
-        return (
-            cls(noise_var=noise_var, h=_gain(rng, fading), rng=rng)
-            for rng in _block_rngs(seed, t0, t1)
-        )
-
-    @classmethod
     def for_block(
         cls, snr_db: float, fading: str, seed: int, block_index: int = 0
     ) -> "ChannelState":
-        """The one-block case of for_blocks."""
-        return next(cls.for_blocks(snr_db, fading, seed, block_index, block_index + 1))
+        """Block block_index's channel; fading is 'awgn' or 'rayleigh'.
+
+        The block's stream is default_rng(seed ^ block_index), so seed must
+        already be hashed (harness.derive_seed): a raw seed that also seeds
+        another stream would collide with it at block 0.
+        """
+        _check_fading(fading)
+        rng = np.random.default_rng((seed ^ block_index) & _SEED_MASK)
+        h = _rayleigh(rng.standard_normal((1, 2)))[0] if fading == "rayleigh" else 1.0 + 0.0j
+        return cls(noise_var=10.0 ** (-snr_db / 10.0), h=complex(h), rng=rng)
 
     @classmethod
     def awgn(cls, snr_db: float, seed: int = 0, block_index: int = 0) -> "ChannelState":
         return cls.for_block(snr_db, "awgn", seed, block_index)
-
-    @classmethod
-    def rayleigh(
-        cls, snr_db: float, seed: int = 0, block_index: int = 0
-    ) -> "ChannelState":
-        return cls.for_block(snr_db, "rayleigh", seed, block_index)
 
 
 def draw_blocks(
     snr_db: float, fading: str, seed: int, t0: int, t1: int, uses: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gains h (T,) and noise (T, uses) of blocks t0..t1-1: the values that
-    for_blocks and then one transmit call of `uses` symbols per block give.
+    for_block and then one transmit call of `uses` symbols per block give.
 
     Each block's stream yields h's two normals (Rayleigh only) and its noise
     normals in one standard_normal call, which draws them in that order.
@@ -93,13 +76,6 @@ def _check_fading(fading: str) -> None:
 def _block_rngs(seed: int, t0: int, t1: int):
     """Block t's stream, default_rng(seed ^ t), for t in t0..t1-1."""
     return default_rngs((seed ^ t) & _SEED_MASK for t in range(t0, t1))
-
-
-def _gain(rng: np.random.Generator, fading: str) -> complex:
-    """h: 1 for AWGN; unit mean-square complex Gaussian for Rayleigh."""
-    if fading == "awgn":
-        return 1.0 + 0.0j
-    return complex(_rayleigh(rng.standard_normal((1, 2)))[0])
 
 
 def _rayleigh(pairs: np.ndarray) -> np.ndarray:

@@ -70,7 +70,6 @@ class SeuSettings:
     pattern: str = "R23"
     channel: str = "awgn"
     snr: tuple = (10.0,)  # one point: every session runs at it
-    float_noise_std: float = 0.1
     flip_prob: float = 0.01
     p_hat: Optional[float] = None  # max(flip_prob, 1e-3) when unset
 
@@ -199,17 +198,17 @@ def cmd_seu(args) -> int:
     if args.snr is not None:
         values["snr"] = (args.snr,)
     cfg = SeuSettings(**values)
-    spec = DriftSpec(float_noise_std=cfg.float_noise_std, bit_flip_prob=cfg.flip_prob)
+    # a session never reads the outdated floats, so only the ints drift
+    spec = DriftSpec(float_noise_std=0.0, bit_flip_prob=cfg.flip_prob)
 
     # parameters and channels draw from separately derived streams, as in a sweep
     rng = np.random.default_rng(derive_seed(cfg.seed, 0))
-    states = ChannelState.for_blocks(
-        cfg.snr[0], cfg.channel, derive_seed(cfg.seed, 1), 0, cfg.trials
-    )
+    channel_seed = derive_seed(cfg.seed, 1)
     ok_count = 0
     all_frames = []
     overhead = 0.0
-    for s, state in enumerate(states):
+    for s in range(cfg.trials):
+        state = ChannelState.for_block(cfg.snr[0], cfg.channel, channel_seed, s)
         params = ModelParams(
             floats=rng.standard_normal(cfg.float_count),
             ints=rng.integers(0, 1 << cfg.int_bits, cfg.int_count),

@@ -168,6 +168,7 @@ def build_link(config: ExperimentConfig) -> LinkSetup:
     quant = dig.QuantizerSpec.from_prior_vars(prior_vars, config.quant_bits)
     info_len = config.n * config.quant_bits
     parity_len = dig.parity_length(info_len, config.pattern)  # checks the pattern, for every scheme
+    dig.bits_per_symbol(config.modulation)  # checks the modulation, for every scheme
 
     if config.scheme == "analog":
         n_a, n_d = -(-config.k // 2), 0

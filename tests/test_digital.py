@@ -279,7 +279,7 @@ def test_qpsk_equals_bpsk_at_equal_ebn0():
 
 
 def test_llrs_scale_with_channel_gain():
-    state = ChannelState.rayleigh(10.0, seed=15, block_index=2)
+    state = ChannelState.for_block(10.0, "rayleigh", 15, 2)
     bits = np.array([0, 1, 0, 1], dtype=np.uint8)
     y = state.h * modulate(bits, "bpsk", 1.0)
     llrs = demodulate(y, state.h, state.noise_var, "bpsk", 1.0)

@@ -100,7 +100,7 @@ def _input_error(capsys, argv) -> str:
 
 def test_removed_keys_are_unknown(tmp_path, monkeypatch, capsys):
     seen = _cli_sweep_configs(monkeypatch)
-    for line in ("floor_threshold=0.05", "fer_table=fer.csv"):
+    for line in ("floor_threshold=0.05", "fer_table=fer.csv", "float_noise_std=0.1"):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text(line)
         path = tmp_path / "old.cfg"
@@ -191,6 +191,62 @@ def test_seu_rejects_an_snr_grid_of_several_points(tmp_path, monkeypatch, capsys
     path = tmp_path / "seu.cfg"
     path.write_text("snr=12:20:4\n")
     assert "snr" in _input_error(capsys, ["seu", "--config", str(path)])
+
+
+SEU_PINS = {
+    "awgn": (
+        "channel=awgn\nsnr=4\nfloat_count=16\nint_count=320\nint_bits=4\n"
+        "pattern=R23\nflip_prob=0.06\n",
+        "session 0: frames_ok True, float_mse 0.2233, overhead 0.5141, reduction 0.4859\n"
+        "session 1: frames_ok False, float_mse 0.245, overhead 0.5141, reduction 0.4859\n"
+        "session 2: frames_ok False, float_mse 0.1758, overhead 0.5141, reduction 0.4859\n"
+        "session 3: frames_ok True, float_mse 0.1326, overhead 0.5141, reduction 0.4859\n"
+        "session 4: frames_ok True, float_mse 0.1414, overhead 0.5141, reduction 0.4859\n"
+        "session 5: frames_ok False, float_mse 0.14, overhead 0.5141, reduction 0.4859\n"
+        "wrote session log to LOG\n"
+        "update success rate: 3/6 (parity overhead 0.5141)\n",
+        "0,R23,592,1,68,0\n1,R23,66,1,8,0\n"
+        "0,R23,592,1,69,0\n1,R23,66,0,8,8\n"
+        "0,R23,592,0,73,73\n1,R23,66,1,3,0\n"
+        "0,R23,592,1,70,0\n1,R23,66,1,4,0\n"
+        "0,R23,592,1,65,0\n1,R23,66,1,4,0\n"
+        "0,R23,592,0,73,73\n1,R23,66,0,9,9\n",
+    ),
+    "rayleigh": (
+        "channel=rayleigh\nsnr=8\nfloat_count=16\nint_count=300\nint_bits=8\n"
+        "pattern=R34\nflip_prob=0.02\n",
+        "session 0: frames_ok False, float_mse 0.289, overhead 0.3412, reduction 0.6587\n"
+        "session 1: frames_ok False, float_mse 0.02535, overhead 0.3412, reduction 0.6587\n"
+        "session 2: frames_ok False, float_mse 0.283, overhead 0.3412, reduction 0.6587\n"
+        "session 3: frames_ok False, float_mse 0.05693, overhead 0.3412, reduction 0.6587\n"
+        "session 4: frames_ok True, float_mse 0.1066, overhead 0.3412, reduction 0.6587\n"
+        "session 5: frames_ok False, float_mse 0.2169, overhead 0.3412, reduction 0.6587\n"
+        "wrote session log to LOG\n"
+        "update success rate: 1/6 (parity overhead 0.3412)\n",
+        "0,R34,395,1,22,0\n1,R34,395,1,29,0\n2,R34,29,0,3,3\n"
+        "0,R34,395,1,23,0\n1,R34,395,1,26,0\n2,R34,29,0,2,2\n"
+        "0,R34,395,0,21,21\n1,R34,395,0,18,18\n2,R34,29,0,2,2\n"
+        "0,R34,395,1,23,0\n1,R34,395,1,24,0\n2,R34,29,0,2,2\n"
+        "0,R34,395,1,22,0\n1,R34,395,1,21,0\n2,R34,29,1,1,0\n"
+        "0,R34,395,1,25,0\n1,R34,395,1,28,0\n2,R34,29,0,1,1\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("channel", sorted(SEU_PINS))
+def test_seu_output_is_pinned(channel, tmp_path, capsys):
+    """`datosc seu`'s stdout and session log, byte for byte: six sessions of
+    two (AWGN) or three (Rayleigh) frames at seed 17, some of which fail."""
+    config, stdout, frames = SEU_PINS[channel]
+    cfg = tmp_path / "seu.cfg"
+    cfg.write_text(config)
+    log = tmp_path / "session.log"
+    assert cli.main(["seu", "--config", str(cfg), "--seed", "17", "--trials", "6",
+                     "--out", str(log)]) == 0
+    out, err = capsys.readouterr()
+    assert (out.replace(str(log), "LOG"), err) == (stdout, "")
+    header = b"frame_idx,pattern,parity_bits,crc_ok,bit_errors_before,bit_errors_after\n"
+    assert log.read_bytes() == header + frames.encode()
 
 
 @pytest.mark.parametrize(
@@ -340,6 +396,14 @@ def test_validation_rules():
         ExperimentConfig(lam=1.0).validate()
     with pytest.raises(ParameterError, match="image"):
         ExperimentConfig(source_kind="gauss_markov", image="tiles.pgm").validate()
+
+
+@pytest.mark.parametrize("scheme", ["analog", "digital", "da"])
+def test_unknown_modulation_is_rejected_for_every_scheme(scheme):
+    """The analog scheme modulates nothing, yet a misspelt modulation is an
+    error there too, as an unknown pattern is."""
+    with pytest.raises(ParameterError, match="qpks"):
+        H.build_link(ExperimentConfig(scheme=scheme, modulation="qpks"))
 
 
 # ---------------------------------------------------------------------------

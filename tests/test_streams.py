@@ -1,18 +1,18 @@
 """Batched stream seeding against np.random.default_rng.
 
-default_rngs must equal default_rng entropy by entropy, and gen_blocks and
-ChannelState.for_blocks must equal the per-block loops they replaced, which
-built one default_rng((seed, t)) or default_rng(seed ^ t) per block.
-draw_trials must equal a loop over for_blocks states that takes each
-block's h and then one noise draw from its rng. Those loops live on here
-only, as oracles.
+default_rngs must equal default_rng entropy by entropy, and gen_blocks must
+equal the per-block loop it replaced, which built one default_rng((seed, t))
+per block. ChannelState.for_block must hold block t's default_rng(seed ^ t)
+stream after its gain draw, and draw_trials must equal a loop over
+for_block states that takes each block's h and then one noise draw from its
+rng. Those loops live on here only, as oracles.
 """
 
 import numpy as np
 import pytest
 
 import datosc.harness as H
-from datosc.channel import ChannelState, _gain, draw_blocks, transmit
+from datosc.channel import ChannelState, draw_blocks, transmit
 from datosc.sources import SourceSpec, class_means, gen_blocks
 from datosc.streams import default_rngs
 
@@ -100,9 +100,8 @@ SEED = 2**64 - 0x1F3
 @pytest.mark.parametrize("fading", ["awgn", "rayleigh"])
 def test_for_blocks_match_one_default_rng_per_block(fading):
     x = np.exp(1j * np.arange(6.0))
-    states = list(ChannelState.for_blocks(7.0, fading, SEED, 3, 40))
-    assert len(states) == 37
-    for t, state in zip(range(3, 40), states):
+    for t in range(3, 40):
+        state = ChannelState.for_block(7.0, fading, SEED, t)
         rng = np.random.default_rng((SEED ^ t) & _MASK64)
         h = 1.0 + 0.0j
         if fading == "rayleigh":
@@ -116,26 +115,16 @@ def test_for_blocks_match_one_default_rng_per_block(fading):
         assert state.rng.bit_generator.state == rng.bit_generator.state
 
 
-@pytest.mark.parametrize("fading", ["awgn", "rayleigh"])
-def test_for_block_is_the_one_block_case(fading):
-    one = ChannelState.for_block(3.0, fading, SEED, 17)
-    (batch,) = ChannelState.for_blocks(3.0, fading, SEED, 17, 18)
-    assert (one.h, one.noise_var) == (batch.h, batch.noise_var)
-    assert one.rng.bit_generator.state == batch.rng.bit_generator.state
-    assert list(ChannelState.for_blocks(3.0, fading, SEED, 17, 17)) == []
-
-
 def _bits(values):
     """The float bits of a real or complex array, so that -0.0 != 0.0."""
     return np.ascontiguousarray(values).view(np.uint64)
 
 
 def test_gain_equals_the_chunk_formula_and_the_complex_quotient():
-    """h = (re, im) / sqrt(2) part by part, as _gain and draw_blocks form it,
-    has the bits of complex(re, im) / sqrt(2) on 3,000 blocks."""
+    """h = (re, im) / sqrt(2) part by part, as for_block and draw_blocks form
+    it, has the bits of complex(re, im) / sqrt(2) on 3,000 blocks."""
     h, _ = draw_blocks(0.0, "rayleigh", SEED, 0, 3000, 0)
-    rngs = default_rngs((SEED ^ t) & _MASK64 for t in range(3000))
-    gains = [_gain(rng, "rayleigh") for rng in rngs]
+    gains = [ChannelState.for_block(0.0, "rayleigh", SEED, t).h for t in range(3000)]
     quotients = []
     for t in range(3000):
         re, im = np.random.default_rng((SEED ^ t) & _MASK64).standard_normal(2)
@@ -145,12 +134,13 @@ def test_gain_equals_the_chunk_formula_and_the_complex_quotient():
 
 
 def _reference_draws(config, setup, snr_db, point_index, t0, t1):
-    """draw_trials' channel draws as a loop over for_blocks states: h, then
+    """draw_trials' channel draws as a loop over for_block states: h, then
     one standard_normal call on the state's rng for both partitions."""
     uses = setup.n_analog + setup.n_digital
     seed = H.derive_seed(config.seed, point_index, 1)
     h, noise = [], []
-    for state in ChannelState.for_blocks(snr_db, config.channel, seed, t0, t1):
+    for t in range(t0, t1):
+        state = ChannelState.for_block(snr_db, config.channel, seed, t)
         h.append(state.h)
         raw = state.rng.standard_normal(2 * uses)
         noise.append((raw * np.sqrt(state.noise_var / 2.0)).view(np.complex128))
