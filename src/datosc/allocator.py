@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .analog import analog_gains, mmse_error_vars
-from .channel import ChannelBudget
+from .channel import ChannelBudget, _check_fading
 from .codec import TaskModel, selection_indices
 from .digital import PATTERN_FRACTIONS, QuantizerSpec, bits_per_symbol, parity_length
 from .errors import InfeasibleAllocationError, ParameterError
@@ -82,18 +81,25 @@ class AllocatorContext:
     _kept_cache: dict = field(default_factory=dict, repr=False)
     _cell_mse_cache: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self):
+        _check_fading(self.channel)
+        bits_per_symbol(self.modulation)
+
+    # Both caches hand out read-only arrays: every later plan reads them.
     def kept_indices(self, k: int) -> np.ndarray:
         if k not in self._kept_cache:
-            self._kept_cache[k] = selection_indices(
-                self.n, k, self.prior_vars, self.task
-            )
+            kept = selection_indices(self.n, k, self.prior_vars, self.task)
+            kept.setflags(write=False)
+            self._kept_cache[k] = kept
         return self._kept_cache[k]
 
     def cell_mse(self, bits: int) -> np.ndarray:
         """High-rate MSE delta^2/12 of each coefficient's B-bit quantizer cell."""
         if bits not in self._cell_mse_cache:
             deltas = QuantizerSpec.from_prior_vars(self.prior_vars, bits).deltas
-            self._cell_mse_cache[bits] = deltas ** 2 / 12.0
+            cell_mse = deltas ** 2 / 12.0
+            cell_mse.setflags(write=False)
+            self._cell_mse_cache[bits] = cell_mse
         return self._cell_mse_cache[bits]
 
     def kept_priors(self, k: int) -> np.ndarray:
@@ -199,16 +205,10 @@ def default_fer_table(channel: str = "rayleigh") -> FerTable:
     return FerTable.from_csv_text(resource.read_text())
 
 
-def _per_dim_power(power, uses: int):
-    # two real dimensions per complex use
-    return power / uses / 2.0
-
-
 class _AnalogModel(NamedTuple):
     """Modelled analog errors of one k at U analog powers."""
 
     errors: np.ndarray     # (U, nodes, n) per fade node and coefficient
-    mean_err: np.ndarray   # (U, n) averaged over the fade rule
     feature: np.ndarray    # (U,) D_a: mean over the kept coefficients
     data: np.ndarray       # (U,) data MSE when the digital branch contributes nothing
 
@@ -220,9 +220,11 @@ def _analog_model(k: int, n_analog: int, powers: np.ndarray, snr_db: float,
 
     The fade rule is the 64-point rule over |h|^2 ~ Exp(1) for Rayleigh and a
     single node |h|^2 = 1 of weight 1 for AWGN. Coefficients the analog branch
-    does not carry sit at their prior variance. The means over coefficients
-    are taken one power at a time: over a 2-D array numpy may sum in another
-    order, and the cost would then depend on what else shares the call.
+    does not carry sit at their prior variance. numpy sums a row pairwise
+    only when the row is contiguous, so each mean over coefficients reduces
+    the last axis of a C-contiguous array (take, not mean_err[:, kept], whose
+    copy is laid out column by column): every row then sums as it would
+    alone, and a cost does not depend on what else shares the call.
     """
     if ctx.channel == "awgn":
         nodes, weights = np.ones(1), np.ones(1)
@@ -230,26 +232,28 @@ def _analog_model(k: int, n_analog: int, powers: np.ndarray, snr_db: float,
         nodes, weights = FADE_NODES, FADE_WEIGHTS
     kept = ctx.kept_indices(k)
     priors = ctx.prior_vars[kept]
-    gains = analog_gains(priors, _per_dim_power(powers, n_analog))           # (U, k)
+    gains = analog_gains(priors, powers / n_analog / 2.0)  # (U, k); two real dims per use
     nv_dim = 10.0 ** (-snr_db / 10.0) / 2.0
     errors = np.empty((len(powers), len(nodes), ctx.n))
     errors[:] = ctx.prior_vars
     errors[:, :, kept] = mmse_error_vars(gains[:, None, :], priors, nodes[:, None], nv_dim)
-    mean_err = weights @ errors
-    feature = np.array([np.mean(row[kept]) for row in mean_err])
-    data = np.array([np.mean(row) for row in mean_err])
-    return _AnalogModel(errors, mean_err, feature, data)
+    mean_err = weights @ errors  # (U, n)
+    return _AnalogModel(errors, mean_err.take(kept, axis=1).mean(axis=1), mean_err.mean(axis=1))
 
 
 def _fail_probs(layouts, power_digital, snr_db: float, fer: FerTable) -> np.ndarray:
     """p_f (L, P) of layout l at the digital powers power_digital[l], looked
     up at the digital partition's effective per-use SNR; 1 for the
-    digital-off layout, whose output is always the fallback."""
+    digital-off layout, whose output is always the fallback. Layouts of
+    different k that share a (B, pattern) tuple share one lookup."""
     p_f = np.ones(np.shape(power_digital))
+    rows_of = {}
     for row, layout in enumerate(layouts):
         if layout.n_digital:
-            eff_snr = snr_db + 10.0 * np.log10(power_digital[row] / layout.n_digital)
-            p_f[row] = fer.lookup(layout.pattern, layout.quant_bits, eff_snr)
+            key = (layout.pattern, layout.quant_bits, layout.n_digital)
+            rows_of.setdefault(key, []).append(row)
+    for (pattern, bits, n_d), rows in rows_of.items():
+        p_f[rows] = fer.lookup(pattern, bits, snr_db + 10.0 * np.log10(power_digital[rows] / n_d))
     return p_f
 
 
@@ -259,39 +263,32 @@ def _digital_distortion(model: _AnalogModel, at: np.ndarray, layouts, p_f: np.nd
     model row at[l, j] and the failure probability p_f[l, j].
 
     The capped error depends on B and the analog power, not on the pattern,
-    so it is computed once per B for the powers its layouts use. The final
-    weighted sum is one dot product per plan, because a matrix-vector product
-    sums in another order.
+    so it is computed once per (B, model row) in use (over AWGN the single
+    fade node is the fade average). Each row averaged over coefficients is
+    contiguous and sums pairwise as it would alone; the fade average is a
+    stack of 1 x nodes @ nodes x 1 products, each the dot product of a plan
+    scored alone (a matrix-vector product would sum in another order).
     """
-    out = np.empty(at.shape)
-    off = [row for row, layout in enumerate(layouts) if not layout.n_digital]
-    out[off] = model.data[at[off]]
-    rows = [row for row, layout in enumerate(layouts) if layout.n_digital]
-    if not rows:
+    out = model.data[at]                    # the digital-off layouts' fallback
+    digital = np.array([layout.n_digital > 0 for layout in layouts])
+    if not digital.any():
         return out
-    p_f, at = p_f[rows], at[rows]
-    row_bits = [layouts[row].quant_bits for row in rows]
-    awgn = ctx.channel == "awgn"
-    capped = np.empty(at.shape if awgn else at.shape + (len(FADE_NODES),))
-    for bits in set(row_bits):
-        cell_mse = ctx.cell_mse(bits)
-        same = [i for i, other in enumerate(row_bits) if other == bits]
-        # the model rows these layouts use, ascending, without np.unique's cost
-        used = np.flatnonzero(np.bincount(at[same].ravel(), minlength=len(model.data)))
-        if awgn:
-            per_power = np.array([np.mean(np.minimum(cell_mse, model.mean_err[u])) for u in used])
-        else:
-            per_power = np.mean(np.minimum(cell_mse, model.errors[used]), axis=-1)
-        capped[same] = per_power[np.searchsorted(used, at[same])]
-    if awgn:
-        out[rows] = (1.0 - p_f) * capped + p_f * model.data[at]
+    p_f, at = p_f[digital], at[digital]
+    bits = np.array([layout.quant_bits for layout in layouts])[digital]
+    key = bits[:, None] * len(model.data) + at          # one key per (B, model row)
+    used = np.flatnonzero(np.bincount(key.ravel()))     # the keys in use, ascending
+    used_bits, row = np.divmod(used, len(model.data))
+    block = model.errors[row]
+    np.minimum(block, np.stack([ctx.cell_mse(int(b)) for b in used_bits])[:, None], out=block)
+    capped = block.mean(axis=-1)[np.searchsorted(used, key)]            # (R, P, nodes)
+    if ctx.channel == "awgn":
+        out[digital] = (1.0 - p_f) * capped[..., 0] + p_f * model.data[at]
         return out
     fallback = np.mean(model.errors, axis=-1)                           # (U, nodes)
     depth = -np.log1p(-np.minimum(p_f, 1.0 - 1e-12))
     fail = FADE_NODES < depth[..., None]                                # deepest fades
     np.copyto(capped, fallback[at], where=fail)                         # failures fall back
-    flat = capped.reshape(-1, len(FADE_NODES))
-    out[rows] = np.reshape([FADE_WEIGHTS @ fades for fades in flat], p_f.shape)
+    out[digital] = (FADE_WEIGHTS @ capped[..., None])[..., 0]
     return out
 
 
@@ -358,26 +355,30 @@ class _Layout(NamedTuple):
     n_digital: int
 
 
-def _layouts(budget: ChannelBudget, ctx: AllocatorContext):
-    """Every layout whose channel uses fit the budget, in tie-break order:
-    k ascending, and per k the digital-off layout first, then (B, pattern).
-    Raises InfeasibleAllocationError when no candidate k fits."""
+def _off_layouts(budget: ChannelBudget, ctx: AllocatorContext) -> list:
+    """The digital-off layout of every candidate k whose analog uses fit the
+    budget, k ascending. Raises InfeasibleAllocationError when none fits."""
     k_grid = candidate_k_grid(ctx.n)
-    if -(-min(k_grid) // 2) > budget.total_uses:
+    offs = [_Layout(k, -(-k // 2), 0, None, 0) for k in k_grid if -(-k // 2) <= budget.total_uses]
+    if not offs:
         raise InfeasibleAllocationError(
             f"binding constraint: total_uses={budget.total_uses} cannot carry "
             f"any candidate k from {k_grid}"
         )
-    for k in k_grid:
-        n_a = -(-k // 2)
-        if n_a > budget.total_uses:
-            continue
-        yield _Layout(k, n_a, 0, None, 0)
-        for bits in QUANT_BITS_GRID:
-            for pattern in PATTERNS:
-                n_d = digital_uses(ctx.n, bits, pattern, ctx.modulation)
-                if n_a + n_d <= budget.total_uses:
-                    yield _Layout(k, n_a, bits, pattern, n_d)
+    return offs
+
+
+def _layouts(budget: ChannelBudget, ctx: AllocatorContext) -> list:
+    """Every layout whose channel uses fit the budget, in tie-break order:
+    k ascending, and per k the digital-off layout first, then (B, pattern).
+    Raises InfeasibleAllocationError when no candidate k fits."""
+    offs = _off_layouts(budget, ctx)
+    tuples = [(bits, pattern, digital_uses(ctx.n, bits, pattern, ctx.modulation))
+              for bits in QUANT_BITS_GRID for pattern in PATTERNS]
+    return [layout for off in offs for layout in [off] + [
+        off._replace(quant_bits=bits, pattern=pattern, n_digital=n_d)
+        for bits, pattern, n_d in tuples if off.n_analog + n_d <= budget.total_uses
+    ]]
 
 
 # The FER table's log-linear interpolation can break p_f's monotonicity in
@@ -393,44 +394,50 @@ def _power_grid(p_total: float) -> np.ndarray:
 
 
 def _split_powers(layouts, points, p_total: float) -> np.ndarray:
-    """Analog powers (L, P) of one k's layouts at the grid points; the
-    digital-off layout has a single split and sits at p_total throughout."""
+    """Analog powers (L, P) of the layouts at the grid points; a digital-off
+    layout has a single split and sits at p_total throughout."""
     digital = np.array([[layout.n_digital > 0] for layout in layouts])
     return np.where(digital, points, p_total)
 
 
-def _shared_model(layouts, powers: np.ndarray, snr_db, ctx) -> tuple[_AnalogModel, np.ndarray]:
-    """The analog model of one k's layouts at the distinct powers among
-    powers, and the model row of each power."""
-    unique, at = np.unique(powers, return_inverse=True)
-    model = _analog_model(layouts[0].k, layouts[0].n_analog, unique, snr_db, ctx)
-    return model, at.reshape(powers.shape)
+def _k_rows(layouts) -> list:
+    """The rows of each k's layouts, k ascending."""
+    return [
+        [row for row, layout in enumerate(layouts) if layout.k == k]
+        for k in sorted({layout.k for layout in layouts})
+    ]
 
 
-def _system(model, at, layouts, p_f, lam, ctx) -> np.ndarray:
-    """System distortion (L, P) at model rows at and failure probabilities p_f."""
-    return lam * model.feature[at] + (1.0 - lam) * _digital_distortion(model, at, layouts, p_f, ctx)
+def _scores(layouts, powers: np.ndarray, p_f: np.ndarray, snr_db, lam, ctx) -> np.ndarray:
+    """System distortion (L, P) of layout l at the analog power powers[l, j]
+    and the failure probability p_f[l, j]. The analog errors are computed
+    once per k and distinct power and shared by the layouts of that k."""
+    out = np.empty(powers.shape)
+    for rows in _k_rows(layouts):
+        group, block = [layouts[row] for row in rows], powers[rows]
+        unique, at = np.unique(block, return_inverse=True)
+        model = _analog_model(group[0].k, group[0].n_analog, unique, snr_db, ctx)
+        at = at.reshape(block.shape)
+        digital = _digital_distortion(model, at, group, p_f[rows], ctx)
+        out[rows] = lam * model.feature[at] + (1.0 - lam) * digital
+    return out
 
 
 def _costs(layouts, powers, p_total, snr_db, lam, ctx, fer) -> np.ndarray:
-    """Modelled system distortion (L, P) of the L layouts of one k, layout l
-    at the analog powers powers[l] and the rest of p_total on digital.
-
-    Each cost is the one system_distortion gives that plan, bit for bit,
-    whatever else shares the call. The analog errors are computed once per
-    distinct power and shared by every layout at that power.
-    """
+    """Modelled system distortion (L, P) of the L layouts, layout l at the
+    analog powers powers[l] and the rest of p_total on digital. Each cost is
+    the one system_distortion gives that plan, bit for bit, whatever else
+    shares the call."""
     powers = np.asarray(powers, dtype=np.float64)
-    model, at = _shared_model(layouts, powers, snr_db, ctx)
-    p_f = _fail_probs(layouts, p_total - powers, snr_db, fer)
-    return _system(model, at, layouts, p_f, lam, ctx)
+    return _scores(layouts, powers, _fail_probs(layouts, p_total - powers, snr_db, fer),
+                   snr_db, lam, ctx)
 
 
 def _scan(layouts, points, p_total, snr_db, lam, ctx, fer) -> tuple[np.ndarray, np.ndarray]:
-    """Costs (L, P) of one k's layouts on an ascending grid of analog powers,
+    """Costs (L, P) of the layouts on an ascending grid of analog powers,
     and bounds (L, P - 1): bounds[l, i] is at most layout l's cost at any
     analog power in [points[i], points[i + 1]], up to rounding in the last
-    place. The digital-off layout sits at p_total throughout.
+    place. The digital-off layouts sit at p_total throughout.
 
     Why the bound holds: across the interval the analog errors (feature,
     fallback, capped) are non-increasing in analog power, since every step
@@ -444,24 +451,23 @@ def _scan(layouts, points, p_total, snr_db, lam, ctx, fer) -> tuple[np.ndarray, 
     bound is the cost formula with the errors of points[i + 1] and the p_f
     of points[i].
 
-    The grid is scored _SCAN_POINTS points per call, so a call holds analog
-    error arrays of at most (_SCAN_POINTS + 1, nodes, n) doubles; the p_f of
-    a call's last point is carried to the next call's first interval.
+    p_f is looked up once for the whole grid. The grid is scored
+    _SCAN_POINTS points at a time with the intervals that end there, so a
+    step holds analog error arrays of at most (_SCAN_POINTS + 1, nodes, n)
+    doubles.
     """
     powers = _split_powers(layouts, points, p_total)
-    costs, bounds = [], []
-    p_f = np.empty((len(layouts), 0))
+    p_f = _fail_probs(layouts, p_total - powers, snr_db, fer)
+    costs, bounds = np.empty(powers.shape), np.empty((len(layouts), len(points) - 1))
     for i in range(0, len(points), _SCAN_POINTS):
-        chunk = powers[:, i:i + _SCAN_POINTS]
-        model, at = _shared_model(layouts, chunk, snr_db, ctx)
-        carried, p_f = p_f[:, -1:], _fail_probs(layouts, p_total - chunk, snr_db, fer)
-        left = np.hstack([carried, p_f[:, :-1]])          # p_f at each interval's left end
-        right = at[:, at.shape[1] - left.shape[1]:]       # model row of its right end
-        values = _system(model, np.hstack([at, right]), layouts,
-                         np.hstack([p_f, (1.0 - _BOUND_MARGIN) * left]), lam, ctx)
-        costs.append(values[:, :at.shape[1]])
-        bounds.append(values[:, at.shape[1]:])
-    return np.hstack(costs), np.hstack(bounds)
+        stop = min(i + _SCAN_POINTS, len(points))
+        ends = slice(max(i - 1, 0), stop - 1)         # the intervals that end in i..stop-1
+        values = _scores(
+            layouts, np.hstack([powers[:, i:stop], powers[:, ends.start + 1:stop]]),
+            np.hstack([p_f[:, i:stop], (1.0 - _BOUND_MARGIN) * p_f[:, ends]]), snr_db, lam, ctx
+        )
+        costs[:, i:stop], bounds[:, ends] = np.split(values, [stop - i], axis=1)
+    return costs, bounds
 
 
 def _unpruned(layouts, bounds, entries) -> list:
@@ -519,9 +525,7 @@ def choose_analog_floor_k(budget: ChannelBudget, snr_db: float, ctx: AllocatorCo
     """Smallest candidate k whose analog-only feature MSE meets FEATURE_MSE_FLOOR."""
     best = None
     power = np.array([budget.power_total])
-    for layout in _layouts(budget, ctx):
-        if layout.n_digital:
-            continue
+    for layout in _off_layouts(budget, ctx):
         mse = float(_analog_model(layout.k, layout.n_analog, power, snr_db, ctx).feature[0])
         if best is None or mse < best[1]:
             best = (layout.k, mse)
@@ -564,17 +568,15 @@ def allocate_greedy(
     # use-proportional split mis-ranks tuples whose optimum sits at an
     # extreme split)
     coarse = np.linspace(0.2, 0.8, 5) * p_total
+    layouts = [layout for layout in _layouts(budget, ctx) if layout.k >= k_floor]
+    costs = _costs(layouts, _split_powers(layouts, coarse, p_total), *args).min(axis=1)
     entries, picks = [], []
-    for k, group in groupby(_layouts(budget, ctx), key=lambda layout: layout.k):
-        if k < k_floor:
-            continue
-        layouts = list(group)
-        costs = _costs(layouts, _split_powers(layouts, coarse, p_total), *args).min(axis=1)
-        pick = layouts[int(np.argmin(costs))]
-        if pick.n_digital:
-            picks.append(pick)
+    for rows in _k_rows(layouts):
+        row = rows[int(np.argmin(costs[rows]))]
+        if layouts[row].n_digital:
+            picks.append(layouts[row])
         else:
-            entries.append(_entry(costs.min(), pick, p_total))
+            entries.append(_entry(costs[row], layouts[row], p_total))
     for pick in picks:
         if entries and not _unpruned(
             [pick], _scan([pick], _power_grid(p_total), *args)[1].min(axis=1), entries
@@ -599,9 +601,9 @@ def allocate_exhaustive(
     uses, so the exhaustive cost is never above the greedy cost. Ties break
     lexicographically on (k, B, pattern, P_a); digital-off sorts as B=0.
 
-    The grid scan also gives each digital tuple a lower bound on its cost
-    over the whole refinement bracket. Once every k is scanned, the tuples
-    of each k, in ascending k, are refined in lockstep, except those whose
+    One grid scan of every layout also gives each digital tuple a lower
+    bound on its cost over the whole refinement bracket. Then the tuples of
+    each k, in ascending k, are refined in lockstep, except those whose
     bound exceeds the lowest entry held so far (each tuple's best grid
     point, the digital-off plans and the refinements already done): a
     skipped tuple's refined cost would exceed that entry's, so the plan is
@@ -610,21 +612,19 @@ def allocate_exhaustive(
     p_total = budget.power_total
     args = (p_total, snr_db, lam, ctx, fer)
     power_grid = _power_grid(p_total)
-    entries, bounded = [], []
-    for _, group in groupby(_layouts(budget, ctx), key=lambda layout: layout.k):
-        layouts = list(group)
-        off, digital = layouts[0], layouts[1:]
-        costs, bounds = _scan(layouts, power_grid, *args)
-        entries.append(_entry(costs[0, 0], off, p_total))
-        # of a tuple's grid points only its lowest cost can win, at the lowest
-        # power among equal costs as the tie-break on P_a would pick
-        entries += [
-            _entry(row.min(), layout, power_grid[row.argmin()])
-            for layout, row in zip(digital, costs[1:])
-        ]
-        bounded.append((digital, bounds[1:].min(axis=1)))
-    for digital, bounds in bounded:
-        survivors = _unpruned(digital, bounds, entries)
+    layouts = _layouts(budget, ctx)
+    costs, bounds = _scan(layouts, power_grid, *args)
+    # of a tuple's grid points only its lowest cost can win, at the lowest
+    # power among equal costs as the tie-break on P_a would pick; a
+    # digital-off layout costs the same at every point
+    entries = [
+        _entry(row.min(), layout, power_grid[row.argmin()] if layout.n_digital else p_total)
+        for layout, row in zip(layouts, costs)
+    ]
+    lowest = bounds.min(axis=1)
+    for rows in _k_rows(layouts):
+        digital = [row for row in rows if layouts[row].n_digital]
+        survivors = _unpruned([layouts[row] for row in digital], lowest[digital], entries)
         if survivors:
             entries += [
                 _entry(cost, layout, p_a)

@@ -53,6 +53,31 @@ def _plan(ctx, k=32, bits=4, pattern="R12", p_a=0.5, total=320.0, lam=0.5):
 
 
 # ---------------------------------------------------------------------------
+# context
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "settings", [dict(channel="AWGN"), dict(channel="rician"), dict(modulation="qpks")]
+)
+def test_context_rejects_unknown_channel_and_modulation(ctx, settings):
+    """An unknown channel or modulation fails when the context is built, so
+    no search scores it as another one ("AWGN" is not "awgn")."""
+    with pytest.raises(ParameterError):
+        AllocatorContext(n=64, prior_vars=ctx.prior_vars, task=ctx.task, **settings)
+
+
+def test_context_caches_are_read_only(ctx):
+    fresh = AllocatorContext(n=64, prior_vars=ctx.prior_vars, task=ctx.task)
+    kept, cell_mse = fresh.kept_indices(16), fresh.cell_mse(4)
+    with pytest.raises(ValueError):
+        kept[0] = 63
+    with pytest.raises(ValueError):
+        cell_mse[0] = 0.0
+    assert fresh.kept_indices(16).tolist() == ctx.kept_indices(16).tolist()
+    assert fresh.cell_mse(4).tolist() == ctx.cell_mse(4).tolist()
+
+
+# ---------------------------------------------------------------------------
 # fading quadrature and the analog model
 # ---------------------------------------------------------------------------
 
@@ -422,6 +447,131 @@ def test_costs_batch_independent_and_winners_are_system_distortion(
                 cost, winner = winners.pop()
                 assert winner == plan
                 assert cost == system_distortion(plan, snr, cctx, fer)
+
+
+# ---------------------------------------------------------------------------
+# the array scorer against a per-row oracle
+# ---------------------------------------------------------------------------
+
+def _oracle_analog(k, n_analog, powers, snr_db, ctx):
+    """(errors, mean_err, feature, data) of the analog model, each mean over
+    coefficients taken one row at a time."""
+    if ctx.channel == "awgn":
+        nodes, weights = np.ones(1), np.ones(1)
+    else:
+        nodes, weights = FADE_NODES, FADE_WEIGHTS
+    kept = ctx.kept_indices(k)
+    priors = ctx.prior_vars[kept]
+    gains = analog_gains(priors, powers / n_analog / 2.0)
+    nv_dim = 10.0 ** (-snr_db / 10.0) / 2.0
+    errors = np.empty((len(powers), len(nodes), ctx.n))
+    errors[:] = ctx.prior_vars
+    errors[:, :, kept] = mmse_error_vars(gains[:, None, :], priors, nodes[:, None], nv_dim)
+    mean_err = weights @ errors
+    feature = np.array([np.mean(row[kept]) for row in mean_err])
+    data = np.array([np.mean(row) for row in mean_err])
+    return errors, mean_err, feature, data
+
+
+def _oracle_digital(errors, mean_err, data, bits, p_f, ctx):
+    """d_d (rows,) of one B at the model rows, with one mean per row and
+    one dot product per fade average."""
+    cell_mse = ctx.cell_mse(bits)
+    if ctx.channel == "awgn":
+        capped = np.array([np.mean(np.minimum(cell_mse, row)) for row in mean_err])
+        return (1.0 - p_f) * capped + p_f * data
+    capped = np.mean(np.minimum(cell_mse, errors), axis=-1)
+    fallback = np.mean(errors, axis=-1)
+    depth = -np.log1p(-np.minimum(p_f, 1.0 - 1e-12))
+    np.copyto(capped, fallback, where=FADE_NODES < depth[:, None])
+    return np.array([FADE_WEIGHTS @ fades for fades in capped])
+
+
+def _oracle_costs(layout, p_a, p_f, snr_db, lam, ctx):
+    """System distortion of one layout at the analog powers p_a (P,) and
+    failure probabilities p_f (P,), scored one power at a time."""
+    costs = []
+    for power, fail in zip(p_a, p_f):
+        errors, mean_err, feature, data = _oracle_analog(
+            layout.k, layout.n_analog, np.array([power]), snr_db, ctx
+        )
+        d_d = data if not layout.n_digital else _oracle_digital(
+            errors, mean_err, data, layout.quant_bits, np.array([fail]), ctx
+        )
+        costs.append(float(lam * feature[0] + (1.0 - lam) * d_d[0]))
+    return costs
+
+
+def _oracle_fail_probs(layout, p_d, snr_db, fer):
+    if not layout.n_digital:
+        return np.ones(len(p_d))
+    return np.array([
+        fer.lookup(layout.pattern, layout.quant_bits, snr_db + 10.0 * np.log10(p / layout.n_digital))
+        for p in p_d
+    ])
+
+
+@pytest.mark.parametrize("channel", ["rayleigh", "awgn"])
+def test_scorer_matches_the_per_row_oracle(ctx, fer, monkeypatch, channel):
+    """Costs from _costs, and costs and bounds from _scan, equal bit for bit
+    an oracle that scores each plan alone with one mean per row and one dot
+    product per fade average. Every k of the grid in one call, every layout
+    at one shared power (U = 1 per k) and at several powers (U > 1), with
+    the context's feature sets and with random ones."""
+    cctx = AllocatorContext(n=64, prior_vars=ctx.prior_vars, task=ctx.task, channel=channel)
+    budget = ChannelBudget(512, 0, 0, 512.0, 0.0, 0.0)
+    p_total, snr, lam = 512.0, 11.0, 0.35
+    args = (p_total, snr, lam, cctx, fer)
+    rng = np.random.default_rng(0x0AC1E)
+    random_kept = {k: rng.permutation(64)[:k] for k in alloc.candidate_k_grid(64)}
+    for kept_of in (cctx.kept_indices, random_kept.__getitem__):
+        monkeypatch.setattr(cctx, "kept_indices", kept_of)
+        layouts = alloc._layouts(budget, cctx)
+        assert {layout.k for layout in layouts} == set(alloc.candidate_k_grid(64))
+        assert {layout.quant_bits for layout in layouts} == {0, *alloc.QUANT_BITS_GRID}
+
+        grid = alloc._power_grid(p_total)
+        costs, bounds = alloc._scan(layouts, grid, *args)
+        for layout, got_costs, got_bounds in zip(layouts, costs, bounds):
+            p_a = grid if layout.n_digital else np.full(len(grid), p_total)
+            p_f = _oracle_fail_probs(layout, p_total - p_a, snr, fer)
+            assert got_costs.tolist() == _oracle_costs(layout, p_a, p_f, snr, lam, cctx)
+            low = (1.0 - alloc._BOUND_MARGIN) * p_f[:-1]
+            assert got_bounds.tolist() == _oracle_costs(layout, p_a[1:], low, snr, lam, cctx)
+
+        powers = rng.uniform(0.05, 0.95, (len(layouts), 3)) * p_total
+        powers[:, 2] = powers[0, 0]
+        shared = np.full((len(layouts), 1), powers[1, 1])
+        for at in (powers, shared):
+            got = alloc._costs(layouts, at, *args)
+            for layout, row, p_a in zip(layouts, got, at):
+                p_f = _oracle_fail_probs(layout, p_total - p_a, snr, fer)
+                assert row.tolist() == _oracle_costs(layout, p_a, p_f, snr, lam, cctx)
+
+
+def test_each_tuple_is_looked_up_and_sized_once(ctx, fer, monkeypatch):
+    """One grid scan of every k looks each (B, pattern) tuple up once, and a
+    search sizes each tuple's digital partition once."""
+    budget = ChannelBudget(512, 0, 0, 512.0, 0.0, 0.0)
+    tuples = len(alloc.QUANT_BITS_GRID) * len(alloc.PATTERNS)
+    looked_up = []
+
+    class CountingTable:
+        def lookup(self, pattern, quant_bits, snr_db):
+            looked_up.append((pattern, quant_bits))
+            return fer.lookup(pattern, quant_bits, snr_db)
+
+    layouts = alloc._layouts(budget, ctx)
+    alloc._scan(layouts, alloc._power_grid(512.0), 512.0, 12.0, 0.5, ctx, CountingTable())
+    assert len(looked_up) == len(set(looked_up)) == tuples
+
+    sized = []
+    digital_uses = alloc.digital_uses
+    monkeypatch.setattr(alloc, "digital_uses", lambda *a: sized.append(a) or digital_uses(*a))
+    for search in (allocate_greedy, allocate_exhaustive):
+        sized.clear()
+        search(budget, 12.0, 0.5, ctx, fer)
+        assert len(sized) == len(set(sized)) == tuples
 
 
 # ---------------------------------------------------------------------------
