@@ -32,7 +32,6 @@ POWER_GRID_POINTS = 21
 POWER_SHARE_LO = 0.05
 POWER_SHARE_HI = 0.95
 GOLDEN_ITERS = 48
-_SCAN_POINTS = 6   # power-grid points scored per call: bounds peak memory, not results
 
 # Fixed 64-point Gauss rule for E[f(X)], X ~ Exp(1), via the substitution
 # X = -ln(u) with Gauss-Legendre nodes on (0, 1). Unlike Gauss-Laguerre this
@@ -326,9 +325,10 @@ def model_digital_distortion(
 def system_distortion(
     plan: AllocationPlan, snr_db: float, ctx: AllocatorContext, fer: FerTable
 ) -> float:
-    d_a = model_analog_distortion(plan, snr_db, ctx)
-    d_d = model_digital_distortion(plan, snr_db, ctx, fer)
-    return plan.lam * d_a + (1.0 - plan.lam) * d_d
+    """lam * model_analog_distortion + (1 - lam) * model_digital_distortion,
+    scored as a batch of one by the searches' scorer."""
+    p_f = _fail_probs([plan], np.array([[plan.power_digital]]), snr_db, fer)
+    return float(_scores([plan], np.array([[plan.power_analog]]), p_f, snr_db, plan.lam, ctx)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +396,7 @@ def _power_grid(p_total: float) -> np.ndarray:
 def _split_powers(layouts, points, p_total: float) -> np.ndarray:
     """Analog powers (L, P) of the layouts at the grid points; a digital-off
     layout has a single split and sits at p_total throughout."""
-    digital = np.array([[layout.n_digital > 0] for layout in layouts])
+    digital = np.array([layout.n_digital > 0 for layout in layouts])[:, None]
     return np.where(digital, points, p_total)
 
 
@@ -451,33 +451,14 @@ def _scan(layouts, points, p_total, snr_db, lam, ctx, fer) -> tuple[np.ndarray, 
     bound is the cost formula with the errors of points[i + 1] and the p_f
     of points[i].
 
-    p_f is looked up once for the whole grid. The grid is scored
-    _SCAN_POINTS points at a time with the intervals that end there, so a
-    step holds analog error arrays of at most (_SCAN_POINTS + 1, nodes, n)
-    doubles.
+    One pass: p_f is looked up once, and the grid points and the bounds,
+    whose powers are the grid's own, are scored in one call.
     """
     powers = _split_powers(layouts, points, p_total)
     p_f = _fail_probs(layouts, p_total - powers, snr_db, fer)
-    costs, bounds = np.empty(powers.shape), np.empty((len(layouts), len(points) - 1))
-    for i in range(0, len(points), _SCAN_POINTS):
-        stop = min(i + _SCAN_POINTS, len(points))
-        ends = slice(max(i - 1, 0), stop - 1)         # the intervals that end in i..stop-1
-        values = _scores(
-            layouts, np.hstack([powers[:, i:stop], powers[:, ends.start + 1:stop]]),
-            np.hstack([p_f[:, i:stop], (1.0 - _BOUND_MARGIN) * p_f[:, ends]]), snr_db, lam, ctx
-        )
-        costs[:, i:stop], bounds[:, ends] = np.split(values, [stop - i], axis=1)
-    return costs, bounds
-
-
-def _unpruned(layouts, bounds, entries) -> list:
-    """The layouts whose bound does not exceed the lowest cost among the
-    entries by more than _BOUND_MARGIN: only these can still win."""
-    incumbent = min((entry[0] for entry in entries), default=np.inf)
-    return [
-        layout for layout, bound in zip(layouts, bounds)
-        if bound <= incumbent * (1.0 + _BOUND_MARGIN)
-    ]
+    values = _scores(layouts, np.hstack([powers, powers[:, 1:]]),
+                     np.hstack([p_f, (1.0 - _BOUND_MARGIN) * p_f[:, :-1]]), snr_db, lam, ctx)
+    return tuple(np.split(values, [len(points)], axis=1))
 
 
 def _refined(layouts, p_total, snr_db, lam, ctx, fer) -> tuple[np.ndarray, np.ndarray]:
@@ -501,6 +482,27 @@ def _refined(layouts, p_total, snr_db, lam, ctx, fer) -> tuple[np.ndarray, np.nd
         fc, fd = np.where(left, f, fd), np.where(left, fc, f)
     left = fc <= fd
     return np.where(left, fc, fd), np.where(left, c, d)
+
+
+def _refine_unpruned(layouts, lowest, entries, args) -> list:
+    """The entries plus the refinements of the digital layouts that can
+    still win. In ascending k, each k's layouts are refined in lockstep,
+    except those whose lowest bound lowest[l] exceeds the lowest cost held
+    so far (the entries and the refinements already done) by more than
+    _BOUND_MARGIN: a skipped layout's refined cost would exceed that cost,
+    so the best entry is the one refining every layout gives."""
+    for rows in _k_rows(layouts):
+        incumbent = min((entry[0] for entry in entries), default=np.inf)
+        survivors = [
+            layouts[row] for row in rows
+            if layouts[row].n_digital and lowest[row] <= incumbent * (1.0 + _BOUND_MARGIN)
+        ]
+        if survivors:
+            entries = entries + [
+                _entry(cost, layout, p_a)
+                for layout, cost, p_a in zip(survivors, *_refined(survivors, *args))
+            ]
+    return entries
 
 
 def _entry(cost, layout: _Layout, p_a) -> tuple:
@@ -554,12 +556,11 @@ def allocate_greedy(
     power split by golden-section search. Returns the best plan found, so
     the search stays a strict subset of allocate_exhaustive.
 
-    Picks are refined in ascending k once every digital-off pick is an
-    entry. A pick is skipped when a lower bound on its cost over the whole
-    bracket (from _scan on exhaustive's power grid) exceeds the lowest entry
-    already held: its refined cost would exceed that entry's, so it could
-    not be returned and the plan is the one refining every pick gives. With
-    no entry held, the pick is refined without computing its bound.
+    One _scan of every digital pick on exhaustive's power grid bounds each
+    pick's cost over the whole bracket. With every digital-off pick an
+    entry, the picks go through the same pruning rule as the exhaustive
+    search (_refine_unpruned), one pick per k, so the plan is the one
+    refining every pick gives.
     """
     p_total = budget.power_total
     args = (p_total, snr_db, lam, ctx, fer)
@@ -577,14 +578,8 @@ def allocate_greedy(
             picks.append(layouts[row])
         else:
             entries.append(_entry(costs[row], layouts[row], p_total))
-    for pick in picks:
-        if entries and not _unpruned(
-            [pick], _scan([pick], _power_grid(p_total), *args)[1].min(axis=1), entries
-        ):
-            continue
-        (cost,), (p_a,) = _refined([pick], *args)
-        entries.append(_entry(cost, pick, p_a))
-    return _best(entries, p_total, lam, ctx)[1]
+    lowest = _scan(picks, _power_grid(p_total), *args)[1].min(axis=1)
+    return _best(_refine_unpruned(picks, lowest, entries, args), p_total, lam, ctx)[1]
 
 
 def allocate_exhaustive(
@@ -602,12 +597,10 @@ def allocate_exhaustive(
     lexicographically on (k, B, pattern, P_a); digital-off sorts as B=0.
 
     One grid scan of every layout also gives each digital tuple a lower
-    bound on its cost over the whole refinement bracket. Then the tuples of
-    each k, in ascending k, are refined in lockstep, except those whose
-    bound exceeds the lowest entry held so far (each tuple's best grid
-    point, the digital-off plans and the refinements already done): a
-    skipped tuple's refined cost would exceed that entry's, so the plan is
-    the one refining every tuple gives.
+    bound on its cost over the whole refinement bracket. With each tuple's
+    best grid point and the digital-off plans as entries, the tuples go
+    through the pruning rule greedy uses too (_refine_unpruned), so the plan
+    is the one refining every tuple gives.
     """
     p_total = budget.power_total
     args = (p_total, snr_db, lam, ctx, fer)
@@ -621,13 +614,5 @@ def allocate_exhaustive(
         _entry(row.min(), layout, power_grid[row.argmin()] if layout.n_digital else p_total)
         for layout, row in zip(layouts, costs)
     ]
-    lowest = bounds.min(axis=1)
-    for rows in _k_rows(layouts):
-        digital = [row for row in rows if layouts[row].n_digital]
-        survivors = _unpruned([layouts[row] for row in digital], lowest[digital], entries)
-        if survivors:
-            entries += [
-                _entry(cost, layout, p_a)
-                for layout, cost, p_a in zip(survivors, *_refined(survivors, *args))
-            ]
+    entries = _refine_unpruned(layouts, bounds.min(axis=1), entries, args)
     return _best(entries, p_total, lam, ctx)[1]

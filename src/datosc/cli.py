@@ -47,6 +47,8 @@ def parse_snr_spec(text: str) -> tuple:
         if len(parts) != 3:
             raise ConfigError(f"bad snr range {text!r}, expected a:b:step")
         a, b, step = (float(p) for p in parts)
+        if not np.all(np.isfinite((a, b, step))):
+            raise ConfigError(f"snr range {text!r} must be finite")
         if step <= 0:
             raise ConfigError("snr step must be positive")
         count = int(np.floor((b - a) / step + 1e-9)) + 1
@@ -78,6 +80,11 @@ class SeuSettings:
             raise ConfigError(f"seu needs trials >= 1 sessions, got {self.trials}")
         if len(self.snr) != 1:
             raise ConfigError(f"seu runs at one snr point, got {len(self.snr)}: {self.snr}")
+        if not np.isfinite(self.snr[0]):
+            raise ConfigError(f"seu needs a finite snr, got {self.snr[0]}")
+        for key in ("float_count", "int_count"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"seu needs {key} >= 1, got {getattr(self, key)}")
         if self.p_hat is None:
             object.__setattr__(self, "p_hat", max(self.flip_prob, 1e-3))
 
@@ -92,8 +99,9 @@ _SWEEP_KEY = {
 }
 # the keys a sweep reads, each mapped to its ExperimentConfig field
 _SWEEP_FIELDS = {_SWEEP_KEY.get(f.name, f.name): f.name for f in fields(ExperimentConfig)}
-# sweep keys that only one source kind reads
+# sweep keys that only one source kind, or one scheme, reads
 _SOURCE_ONLY = {"rho": "gauss_markov", "classes": "class_mixture"}
+_SCHEME_ONLY = {"p_a_fraction": "da"}
 _SEU_KEYS = tuple(f.name for f in fields(SeuSettings))
 _CALIBRATE_KEYS = ("channel", "trials", "seed", "out")
 
@@ -163,7 +171,9 @@ def _flags(args, keys) -> dict:
 def _experiment_config(args) -> ExperimentConfig:
     values = _config_file(args)
     source = values.get("source", ExperimentConfig.source_kind)
-    reads = [key for key in _SWEEP_FIELDS if _SOURCE_ONLY.get(key, source) == source]
+    scheme = args.scheme or values.get("scheme", ExperimentConfig.scheme)
+    reads = [key for key in _SWEEP_FIELDS
+             if _SOURCE_ONLY.get(key, source) == source and _SCHEME_ONLY.get(key, scheme) == scheme]
     values = _config_values(args, values, reads)
     values.update(_flags(args, ("seed", "out", "trials", "scheme")))
     if args.lam is not None:

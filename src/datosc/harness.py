@@ -68,10 +68,14 @@ class ExperimentConfig:
         if self.trials < 100:
             raise ParameterError("trials must be >= 100 for CI-bearing metrics")
         grid = np.asarray(self.snr_grid)
+        if not np.all(np.isfinite(grid)):
+            raise ParameterError(f"snr grid must be finite, got {self.snr_grid}")
         if grid.size and np.any(np.diff(grid) <= 0):
             raise ParameterError("snr grid must be strictly increasing")
         if not 0.0 < self.lam < 1.0:
             raise ParameterError("lambda must lie strictly in (0, 1)")
+        if self.scheme == "da" and not 0.0 < self.p_a_fraction < 1.0:
+            raise ParameterError("p_a_fraction must lie strictly in (0, 1) under scheme da")
         if not 1 <= self.k <= self.n:
             raise ParameterError(f"k must lie in [1, {self.n}]")
         if self.source_kind == "image_blocks" and self.n != 64:

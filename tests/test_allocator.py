@@ -187,13 +187,20 @@ def test_digital_off_plan_is_fallback(ctx, fer):
     assert got == pytest.approx(model_analog_distortion(plan, 10.0, ctx), rel=1e-12)
 
 
-def test_system_distortion_weighted_sum(ctx, fer, monkeypatch):
-    plan = _plan(ctx, lam=0.3)
-    monkeypatch.setattr(alloc, "model_analog_distortion", lambda *a, **k: 0.2)
-    monkeypatch.setattr(alloc, "model_digital_distortion", lambda *a, **k: 0.1)
-    assert alloc.system_distortion(plan, 10.0, ctx, fer) == pytest.approx(
-        0.3 * 0.2 + 0.7 * 0.1
-    )
+def test_system_distortion_weighted_sum(ctx, fer):
+    """system_distortion is lam * D_a + (1 - lam) * D_d of the two public
+    models, bit for bit, for digital-on and digital-off plans over Rayleigh
+    and AWGN."""
+    plans = (_plan(ctx, lam=0.3), _plan(ctx, k=16, bits=2, pattern="R34", p_a=0.8, lam=0.7),
+             _plan(ctx, k=64, pattern=None, lam=0.45), _plan(ctx, k=8, pattern=None, lam=0.2))
+    for channel in ("rayleigh", "awgn"):
+        cctx = AllocatorContext(n=64, prior_vars=ctx.prior_vars, task=ctx.task, channel=channel)
+        for plan in plans:
+            for snr in (4.0, 10.0, 19.5):
+                d_a = model_analog_distortion(plan, snr, cctx)
+                d_d = model_digital_distortion(plan, snr, cctx, fer)
+                want = plan.lam * d_a + (1.0 - plan.lam) * d_d
+                assert system_distortion(plan, snr, cctx, fer).hex() == want.hex(), (plan, snr)
 
 
 def test_lambda_to_one_limit_is_analog(ctx, fer):
@@ -579,13 +586,13 @@ def test_each_tuple_is_looked_up_and_sized_once(ctx, fer, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _grid_costs(layouts, points, p_total, snr_db, lam, ctx, fer):
-    """Costs (L, P) of one k's layouts on a power grid, _SCAN_POINTS per
-    call; digital-off at p_total throughout."""
+    """Costs (L, P) of one k's layouts on a power grid, six points per call,
+    so batched unlike _scan; digital-off at p_total throughout."""
     digital = np.array([[layout.n_digital > 0] for layout in layouts])
     powers = np.where(digital, points, p_total)
     return np.hstack([
-        alloc._costs(layouts, powers[:, i:i + alloc._SCAN_POINTS], p_total, snr_db, lam, ctx, fer)
-        for i in range(0, len(points), alloc._SCAN_POINTS)
+        alloc._costs(layouts, powers[:, i:i + 6], p_total, snr_db, lam, ctx, fer)
+        for i in range(0, len(points), 6)
     ])
 
 

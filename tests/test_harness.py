@@ -193,6 +193,35 @@ def test_seu_rejects_an_snr_grid_of_several_points(tmp_path, monkeypatch, capsys
     assert "snr" in _input_error(capsys, ["seu", "--config", str(path)])
 
 
+def test_cli_rejects_a_non_finite_snr(tmp_path, monkeypatch, capsys):
+    """A nan or inf SNR, as a point or a range end, from a flag or a file,
+    is an input error naming snr, for sweep and seu alike, and no CSV is
+    written."""
+    monkeypatch.setattr(cli, "seu_update_ints", lambda *a, **kw: pytest.fail("it ran"))
+    out = str(tmp_path / "nan.csv")
+    for spec in ("nan", "inf", "0,nan", "nan:10:2", "0:inf:2"):
+        argv = ["sweep", "--scheme", "analog", "--snr", spec, "--trials", "100", "--out", out]
+        assert "snr" in _input_error(capsys, argv)
+    for spec in ("nan", "inf"):
+        assert "snr" in _input_error(capsys, ["seu", "--snr", spec, "--trials", "1"])
+    path = tmp_path / "nan.cfg"
+    path.write_text("snr=nan\n")
+    for command in ("sweep", "seu"):
+        assert "snr" in _input_error(capsys, [command, "--config", str(path), "--out", out])
+    assert not os.path.exists(out)
+    with pytest.raises(ParameterError, match="finite"):
+        ExperimentConfig(snr_grid=(0.0, float("inf"))).validate()
+
+
+def test_seu_rejects_a_parameter_count_below_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "seu_update_ints", lambda *a, **kw: pytest.fail("it ran"))
+    path = tmp_path / "seu.cfg"
+    for key in ("float_count", "int_count"):
+        for count in (0, -1):
+            path.write_text(f"{key}={count}\n")
+            assert key in _input_error(capsys, ["seu", "--config", str(path)])
+
+
 SEU_PINS = {
     "awgn": (
         "channel=awgn\nsnr=4\nfloat_count=16\nint_count=320\nint_bits=4\n"
@@ -345,6 +374,48 @@ def test_sweep_names_source_keys_its_source_does_not_read(tmp_path, capsys):
         assert runs["extra"][1] == f"datosc sweep: ignoring config keys it does not read: {extra}\n"
         assert runs["extra"][0] == runs["base"][0]
         assert runs["extra"][2] == runs["base"][2]
+
+
+def test_sweep_names_p_a_fraction_unless_the_scheme_is_da(tmp_path, monkeypatch, capsys):
+    """Only the da scheme splits the power, so under analog or digital a
+    sweep names p_a_fraction among the keys it ignores and keeps the
+    default. The scheme is the flag's, else the config file's, else da."""
+    seen = _cli_sweep_configs(monkeypatch)
+    ignored = "datosc sweep: ignoring config keys it does not read: p_a_fraction\n"
+    path = tmp_path / "exp.cfg"
+    for scheme_line, flags, read in (
+        ("", [], True),
+        ("scheme=da\n", [], True),
+        ("scheme=analog\n", ["--scheme", "da"], True),
+        ("scheme=digital\n", [], False),
+        ("", ["--scheme", "analog"], False),
+        ("scheme=da\n", ["--scheme", "digital"], False),
+    ):
+        path.write_text(f"{scheme_line}p_a_fraction=0.25\n")
+        cli.main(["sweep", "--config", str(path), *flags])
+        assert capsys.readouterr().err == ("" if read else ignored)
+        assert seen.pop().p_a_fraction == (0.25 if read else ExperimentConfig.p_a_fraction)
+
+
+def test_p_a_fraction_is_checked_where_it_is_read(tmp_path, capsys):
+    """Under da a power share outside (0, 1) is an input error naming
+    p_a_fraction, and no CSV is written. Under digital the key is ignored:
+    the CSV is the one without it."""
+    out = tmp_path / "da.csv"
+    path = tmp_path / "da.cfg"
+    for value in (0.0, 1.0, -3.0):
+        path.write_text(f"scheme=da\nsnr=10\ntrials=100\np_a_fraction={value}\nout={out}\n")
+        assert "p_a_fraction" in _input_error(capsys, ["sweep", "--config", str(path)])
+    assert not out.exists()
+    with pytest.raises(ParameterError, match="p_a_fraction"):
+        ExperimentConfig(p_a_fraction=1.0).validate()
+    csvs = []
+    for extra in ("", "p_a_fraction=-3\n"):
+        path.write_text(f"scheme=digital\nsnr=10\ntrials=100\n{extra}out={out}\n")
+        assert cli.main(["sweep", "--config", str(path)]) == 0
+        capsys.readouterr()
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_calibrate_fer_cli_passes_only_the_read_keys_it_was_given(tmp_path, monkeypatch):
