@@ -3,8 +3,9 @@
 The front end alone reads config files and writes to the terminal. The
 library takes typed settings; run_sweep and calibrate_fer report each point
 to the `datosc` logger, which main prints to stdout while a command runs.
-An input error (ConfigError or ParameterError) ends a command with one
-stderr line and exit code 2.
+An input error (ConfigError, ParameterError, or an AllocationError from a
+budget the link cannot meet) ends a command with one stderr line and exit
+code 2.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from .channel import ChannelState
-from .errors import ConfigError, ParameterError
+from .errors import AllocationError, ConfigError, ParameterError
 from .harness import (
     ExperimentConfig,
     calibrate_fer,
@@ -78,6 +79,8 @@ class SeuSettings:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError(f"seu needs trials >= 1 sessions, got {self.trials}")
+        if self.seed < 0:
+            raise ConfigError(f"seu needs seed >= 0, got {self.seed}")
         if len(self.snr) != 1:
             raise ConfigError(f"seu runs at one snr point, got {len(self.snr)}: {self.snr}")
         if not np.isfinite(self.snr[0]):
@@ -302,7 +305,7 @@ def main(argv=None) -> int:
     logger.setLevel(logging.INFO)
     try:
         return args.fn(args)
-    except (ConfigError, ParameterError) as exc:
+    except (AllocationError, ConfigError, ParameterError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
     finally:

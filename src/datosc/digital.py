@@ -22,6 +22,7 @@ length.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -547,73 +548,149 @@ def max_log_map(
     operations. Beta is kept in reversed time and with bit-reversed state
     labels: reversal turns the backward step's shift right into a shift left,
     so beta steps exactly as alpha does, through the branch table re-indexed
-    as (a, rev(r), b). Each metric is the same float32 sum as in two separate
-    recursions, and max is exact, so the LLRs are too.
+    as (a, rev(r), b).
+
+    Two layouts serve the two stages. The loop is state-major: a metric row
+    is (state, recursion, T) and a branch-table row (b, r, a, recursion, T).
+    A step adds the metric row, as (b, r), to both branches a of each state
+    and keeps the larger of the b = 0 and b = 1 halves of the sums; both
+    halves and the next row are contiguous. The LLR stage is branch-major: per
+    branch (u, b, r), with register input a = u ^ feedback(b, r), the branch
+    metric, alpha of its start state and beta of its end state are each one
+    contiguous (step, T) row; the LLR is the maximum over the u = 0 rows
+    minus that over the u = 1 rows. Each path metric is the same float32 sum
+    (g + alpha) + beta as in two separate recursions, and max is exact, so
+    the LLRs are too.
+
+    The float32 work arrays are carved from one flat buffer. turbo_decode
+    allocates it once for its widest call and passes it to every call, since
+    its batch and width only shrink; a call here allocates its own.
     """
     batch, n = input_llrs.shape
-    length = n + TURBO_TAIL_BITS
+    if not batch:
+        return np.zeros((0, n))
     counts = np.full(batch, n) if input_counts is None else np.asarray(input_counts)
-    branch_u = _branches(TURBO)[0].ravel()  # per branch (b, r, a), flat
-    half = branch_u.size // 4
-    steps = np.arange(length)[:, None]
-    live = steps[:n] < counts  # (n, T): the steps that carry a frame's inputs
-    lu = np.zeros((length, batch), dtype=np.float32)
-    lu[:n] = np.where(live, input_llrs.T, 0.0)
+    return _max_log_map(input_llrs, parity_llrs, counts, _workspace(batch, n))
+
+
+def _max_log_map(input_llrs, parity_llrs, counts, work: np.ndarray) -> np.ndarray:
+    """max_log_map on the work arrays carved from `work`, a flat float32
+    buffer of at least _workspace(T, N)'s size."""
+    batch, n = input_llrs.shape
+    length = n + TURBO_TAIL_BITS
+    codes, branch_terms, branch_ends = _stacked_trellis()
+    half = codes.shape[1]
+    terms, values, gg, metric, beta = _carve(work, batch, n)
+    barred = np.arange(length)[:, None] >= counts  # (length, T): steps past a frame's inputs
+    live = ~barred[:n]
     # Per step and frame, a branch metric depends on (a, u, p) only: the
     # u-term plus the p-term, or _NEG_METRIC for a = 1 once the frame's
     # inputs end. float32 halves the working set; its rounding matters only
     # for decisions that are near-ties anyway.
-    signs = np.array([0.5, -0.5], dtype=np.float32)
-    terms = lu[:, None, :] * signs[:, None]
-    terms = terms[:, :, None] + parity_llrs.T.astype(np.float32)[:, None, None] * signs[:, None]
-    # values over (step, recursion, a, u, p, T), the backward recursion's
-    # steps reversed; gg spreads them over the branches of each loop step
-    values = np.empty((length, 2, 2, 2, 2, batch), dtype=np.float32)
-    values[:, 0, 0] = terms
-    values[:, 0, 1] = np.where((steps >= counts)[:, None, None], _NEG_METRIC, terms)
-    values[:, 1] = values[::-1, 0]
-    codes, starts = _stacked_trellis()
-    gg = np.take(values.reshape(length, 16, batch), codes, axis=1)
+    lu = np.zeros((length, batch), dtype=np.float32)
+    lu[:n] = np.where(live, input_llrs.T, 0.0)
+    signs = np.array([0.5, -0.5], dtype=np.float32)[:, None, None]
+    # terms over (recursion, u, p, step, T), the backward recursion's steps
+    # reversed; values regroups them by step, over (recursion, a, (u, p)),
+    # and gg spreads them over the branches of each loop step
+    np.add((lu * signs)[:, None], parity_llrs.T.astype(np.float32) * signs, out=terms[0])
+    np.copyto(_items(terms[1]), _items(terms[0])[:, :, ::-1])
+    np.copyto(_items(values), _items(terms).reshape(2, 4, length).transpose(2, 0, 1)[:, :, None])
+    first = counts.min()  # no step before it is barred
+    for rec, rows in enumerate((values, values[::-1])):
+        np.copyto(rows[first:, rec, 1], _NEG_METRIC, where=barred[first:, None])
+    # every index is in range; "clip" writes straight into out, where the
+    # default "raise" would go through a temporary
+    np.take(values.reshape(length, -1, batch), codes, axis=1, out=gg, mode="clip")
 
     # metric[t] holds alpha[t] and beta[length - t] (labels bit-reversed):
     # alpha[t + 1][2r + a] = max over b of alpha[t][half*b + r] + g[t][b, r, a]
-    metric = np.empty((length + 1, 2, 2 * half, batch), dtype=np.float32)
     metric[0] = _NEG_METRIC  # the loop fills every later row
-    metric[0, :, 0] = 0.0
-    m_in = metric.reshape(length + 1, 2, 2, half, 1, batch)
-    m_out = metric.reshape(length + 1, 2, half, 2, batch)
-    c = np.empty(gg.shape[1:], dtype=np.float32)
-    c_0, c_1 = c[:, 0], c[:, 1]  # b = 0 and b = 1 for alpha, a for beta
-    for m_t, g_t, m_next in zip(m_in, gg, m_out[1:]):
+    metric[0, 0] = 0.0
+    m_in = metric.reshape(length + 1, 2, half, 1, 2 * batch)
+    m_out = metric.reshape(length + 1, half, 2, 2 * batch)
+    c = np.empty((2, half, 2, 2 * batch), dtype=np.float32)
+    c_0, c_1 = c  # b = 0 and b = 1 for alpha, a for beta
+    for m_t, g_t, m_next in zip(m_in, gg.reshape(length, *c.shape), m_out[1:]):
         np.add(m_t, g_t, out=c)
         np.maximum(c_0, c_1, out=m_next)
 
-    # per branch (b, r, a) of step t < n: g[t] + alpha[t] + beta[t + 1]
-    paths = gg[:n, 0].reshape(n, 4 * half, batch)  # in place: g is not needed again
-    paths += np.take(metric[:n, 0], starts, axis=1)
-    beta = np.take(metric[length - 1 : length - 1 - n : -1, 1], _bit_reversal(TURBO[0]), axis=1)
-    by_end = paths.reshape(n, 2, 2 * half, batch)  # (t, b, 2r + a)
-    by_end += beta[:, None]
-    llrs = paths[:, branch_u == 0].max(axis=1) - paths[:, branch_u == 1].max(axis=1)
+    # per branch (u, b, r) of step t: g[t] + alpha[t][half*b + r] + beta[t + 1]
+    # of its end state. values' buffer now holds the alpha rows, and gg's the
+    # paths and the beta rows gathered per branch.
+    alpha = values.reshape(2 * half, length, batch)
+    np.copyto(_items(alpha), _items(metric[:length, :, 0]).T)
+    np.copyto(_items(beta), _items(metric[length - 1 :: -1, :, 1]).T)
+    paths, ends = gg.reshape(2, 2, 2 * half, length, batch)
+    np.take(terms[0].reshape(4, length, batch), branch_terms, axis=0, out=paths, mode="clip")
+    paths += alpha
+    np.take(beta, branch_ends, axis=0, out=ends, mode="clip")
+    paths += ends
+    llrs = np.maximum.reduce(paths[0])[:n] - np.maximum.reduce(paths[1])[:n]
     llrs[~live] = 0.0
     return llrs.T.astype(np.float64)
 
 
-@functools.lru_cache(maxsize=1)
-def _stacked_trellis() -> tuple[np.ndarray, np.ndarray]:
-    """Read-only index arrays of max_log_map's stacked recursion.
+def _items(a: np.ndarray) -> np.ndarray:
+    """`a` without its last axis, each run of T floats along it one opaque
+    item: a copy then moves whole runs, which is several times faster than
+    float by float when T is small, and exact."""
+    return a.view(np.dtype((np.void, a.shape[-1] * a.itemsize)))[..., 0]
 
-    codes: per loop-step slot, the index of its branch metric among the
-    (recursion, a, u, p) values; [0] is over (b, r, a) for alpha, [1] over
-    (a, rev(r), b) for beta. starts: per branch (b, r, a), flat, the label
-    of its start state.
+
+def _work_shapes(batch: int, n: int) -> list[tuple]:
+    """Shapes of _max_log_map's float32 work arrays for `batch` frames of `n`
+    inputs: terms, values, branch table, metric and beta rows."""
+    length = n + TURBO_TAIL_BITS
+    states = 1 << TURBO[0]
+    return [
+        (2, 2, 2, length, batch),
+        (length, 2, 2, 4, batch),
+        (length, 2, states // 2, 2, 2, batch),
+        (length + 1, states, 2, batch),
+        (states, length, batch),
+    ]
+
+
+def _workspace(batch: int, n: int) -> np.ndarray:
+    """A flat float32 buffer that holds the work arrays of any _max_log_map
+    call on at most `batch` frames of at most `n` inputs."""
+    return np.empty(sum(math.prod(shape) for shape in _work_shapes(batch, n)), dtype=np.float32)
+
+
+def _carve(work: np.ndarray, batch: int, n: int) -> list[np.ndarray]:
+    """The work arrays of a call on `batch` frames of `n` inputs, as views of
+    consecutive stretches of `work`."""
+    arrays, start = [], 0
+    for shape in _work_shapes(batch, n):
+        stop = start + math.prod(shape)
+        arrays.append(work[start:stop].reshape(shape))
+        start = stop
+    return arrays
+
+
+@functools.lru_cache(maxsize=1)
+def _stacked_trellis() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only index arrays of max_log_map.
+
+    codes: per loop-step slot (b, r, a, recursion), the index of its branch
+    metric among the (recursion, a, u, p) values; alpha's slots are over
+    (b, r, a), beta's over (a, rev(r), b). branch_terms and branch_ends: per
+    branch (u, b, r) of the LLR stage, the index of its metric among the
+    (u, p) terms, and the bit-reversed label of its end state.
     """
     memory = TURBO[0]
     branch_u, branch_p = _branches(TURBO)
-    b, r, a = np.indices(branch_u.shape)
-    forward = 4 * a + 2 * branch_u + branch_p
+    forward = 4 * np.arange(2) + 2 * branch_u + branch_p
     backward = 8 + forward.transpose(2, 1, 0)[:, _bit_reversal(memory - 1)]
-    tables = (np.stack([forward, backward]), (b << (memory - 1) | r).ravel())
+    codes = np.stack([forward, backward], axis=-1)
+    # input u = a ^ feedback(b, r), and the feedback is the input at a = 0
+    b, r = np.indices(branch_u.shape[:2])
+    u = np.arange(2)[:, None, None]
+    a = u ^ branch_u[:, :, 0]
+    branch_terms = (2 * u + branch_p[b, r, a]).reshape(2, -1)
+    branch_ends = _bit_reversal(memory)[2 * r + a].reshape(2, -1)
+    tables = (codes, branch_terms, branch_ends)
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -709,6 +786,9 @@ def turbo_decode(side_llrs, parity_llrs, pattern: str) -> tuple[np.ndarray, np.n
     the padding. Pad positions then carry exactly 0 throughout, and each
     frame decodes exactly as it would alone.
 
+    Every constituent decode of the call works in one buffer, allocated for
+    the first and widest of them (see max_log_map).
+
     Returns (info_bits, crc_ok): info_bits is (T, max K_i), frame i's bits
     in its first K_i columns and 0 after. A frame that never verifies
     returns its last hard decision.
@@ -736,22 +816,23 @@ def turbo_decode(side_llrs, parity_llrs, pattern: str) -> tuple[np.ndarray, np.n
         par2[i, keep2] = parity[len(keep1) :]
         order[i, : counts[i]] = turbo_interleaver(counts[i])
 
+    work = _workspace(batch, n)  # every call's batch and width are at most these
     extrinsic2 = np.zeros((batch, n))
     decided = np.zeros((batch, n), dtype=np.uint8)
     crc_ok = np.zeros(batch, dtype=bool)
     active = np.arange(batch)
     for _ in range(TURBO_MAX_ITERATIONS):
-        width = counts[active].max()
+        active_counts = counts[active]
+        width = active_counts.max()
         trellis = width + TURBO_TAIL_BITS
         s = systematic[active, :width]
         prior1 = s + extrinsic2[active, :width]
-        extrinsic1 = max_log_map(prior1, par1[active, :trellis], counts[active]) - prior1
+        extrinsic1 = _max_log_map(prior1, par1[active, :trellis], active_counts, work) - prior1
         perm = order[active, :width]
         prior2 = np.take_along_axis(s + extrinsic1, perm, axis=1)
+        posterior2 = _max_log_map(prior2, par2[active, :trellis], active_counts, work)
         posterior = np.empty_like(prior2)
-        np.put_along_axis(
-            posterior, perm, max_log_map(prior2, par2[active, :trellis], counts[active]), axis=1
-        )
+        np.put_along_axis(posterior, perm, posterior2, axis=1)
         extrinsic2[active, :width] = posterior - s - extrinsic1
         hard = (posterior < 0).astype(np.uint8)
         decided[active, :width] = hard

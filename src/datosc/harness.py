@@ -76,8 +76,16 @@ class ExperimentConfig:
             raise ParameterError("lambda must lie strictly in (0, 1)")
         if self.scheme == "da" and not 0.0 < self.p_a_fraction < 1.0:
             raise ParameterError("p_a_fraction must lie strictly in (0, 1) under scheme da")
+        if self.n < 1:
+            raise ParameterError(f"n must be >= 1, got {self.n}")
         if not 1 <= self.k <= self.n:
             raise ParameterError(f"k must lie in [1, {self.n}]")
+        if self.total_uses < 1:
+            raise ParameterError(f"total_uses must be >= 1, got {self.total_uses}")
+        if not 0.0 < self.total_power < np.inf:
+            raise ParameterError(f"total_power must be finite and > 0, got {self.total_power}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.source_kind == "image_blocks" and self.n != 64:
             raise ParameterError(f"an image source cuts 8x8 tiles, so needs n=64, got n={self.n}")
         if self.image is not None and self.source_kind != "image_blocks":
@@ -551,6 +559,8 @@ def calibrate_fer(
     partition actually sees at calibration time. The default grid is the
     one the allocator searches.
     """
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     rows = []
     cell_index = 0
     for pattern in patterns:

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.special import erfc, ndtr
 from scipy.stats import norm
 
+from datosc import digital
 from datosc.allocator import digital_uses
 from datosc.channel import ChannelState, transmit
 from datosc.digital import (
@@ -38,7 +39,14 @@ from datosc.digital import (
     turbo_keep_indices,
     viterbi_decode,
 )
-from datosc.digital import _NEG_METRIC, TURBO_TAIL_BITS, _branches, _rsc_encode
+from datosc.digital import (
+    _NEG_METRIC,
+    TURBO_TAIL_BITS,
+    _branches,
+    _max_log_map,
+    _rsc_encode,
+    _workspace,
+)
 from datosc.errors import ParameterError
 from datosc.harness import ExperimentConfig, build_link
 from datosc.seu import seu_update_ints
@@ -864,6 +872,72 @@ def test_turbo_frames_of_unequal_length_decode_as_alone():
     bits, ok = turbo_decode(sides, pars, "R34")
     assert bits.shape == (len(lengths), max(lengths))
     assert ok.tolist() == [length == 1166 for length in lengths]
+    for i, length in enumerate(lengths):
+        alone_bits, alone_ok = turbo_decode(sides[i], pars[i], "R34")
+        assert np.array_equal(bits[i, :length], alone_bits[0])
+        assert not bits[i, length:].any()
+        assert ok[i] == alone_ok[0]
+
+
+def _noisy_turbo_frames(rng, lengths, flip_rates):
+    """R34 side and parity LLRs of random frames: side bits flipped at each
+    frame's rate, parity LLRs with Gaussian noise."""
+    sides, pars = [], []
+    for length, flip in zip(lengths, flip_rates):
+        info = rng.integers(0, 2, (1, length)).astype(np.uint8)
+        parity = turbo_encode(info, "R34")[0]
+        flips = (rng.random(length) < flip).astype(np.uint8)
+        sides.append((1.0 - 2.0 * (info[0] ^ flips)) * np.log(0.95 / 0.05))
+        pars.append((1.0 - 2.0 * parity) * 2.0 + rng.normal(0, 1.0, parity.shape))
+    return sides, pars
+
+
+def test_workspace_reuse_leaves_no_trace():
+    """Decoding B, of another batch and width, between two decodes of A
+    gives A's fresh results bit for bit: through one workspace, through
+    max_log_map and through turbo_decode."""
+    rng = np.random.default_rng(0x5EED)
+    a = _mlm_inputs(rng, 5, 900)
+    b = _mlm_inputs(rng, 2, 300)
+    fresh_a, fresh_b = max_log_map(*a), max_log_map(*b)
+    work = _workspace(5, 900)
+    for inputs, fresh in ((a, fresh_a), (b, fresh_b), (a, fresh_a)):
+        counts = np.full(len(inputs[0]), inputs[0].shape[1])
+        assert np.array_equal(_max_log_map(*inputs, counts, work), fresh)
+        assert np.array_equal(max_log_map(*inputs), fresh)
+
+    frames_a = _noisy_turbo_frames(rng, (1166, 1166, 598), (0.03, 0.05, 0.02))
+    frames_b = _noisy_turbo_frames(rng, (40,), (0.1,))
+    fresh = [turbo_decode(*frames, "R34") for frames in (frames_a, frames_b)]
+    for frames, (bits, ok) in ((frames_a, fresh[0]), (frames_b, fresh[1]), (frames_a, fresh[0])):
+        got_bits, got_ok = turbo_decode(*frames, "R34")
+        assert np.array_equal(got_bits, bits) and np.array_equal(got_ok, ok)
+
+
+def test_turbo_frames_stopping_at_different_iterations_decode_as_alone(monkeypatch):
+    """Frames that verify at different iterations, and one that never does,
+    shrink the batch and the width of later kernel calls, which then run on
+    a smaller prefix of the call's workspace. Each frame still gets the bits
+    and flag of its lone decode."""
+    shapes = []
+    kernel = digital._max_log_map
+
+    def recorded(input_llrs, parity_llrs, counts, work):
+        shapes.append(input_llrs.shape)
+        return kernel(input_llrs, parity_llrs, counts, work)
+
+    monkeypatch.setattr(digital, "_max_log_map", recorded)
+    lengths = (1166, 598, 1166, 300, 1166)
+    sides, pars = _noisy_turbo_frames(
+        np.random.default_rng(0x21), lengths, (0.0, 0.06, 0.03, 0.3, 0.02)
+    )
+    bits, ok = turbo_decode(sides, pars, "R34")
+    batches = [batch for batch, _ in shapes]
+    widths = [width for _, width in shapes]
+    assert batches[0] == len(lengths) and len(set(batches)) >= 3
+    assert ok.tolist() == [True, False, True, False, True]
+    assert widths[0] == max(lengths) + CRC_BITS and widths[-1] < widths[0]
+    assert batches == sorted(batches, reverse=True) and widths == sorted(widths, reverse=True)
     for i, length in enumerate(lengths):
         alone_bits, alone_ok = turbo_decode(sides[i], pars[i], "R34")
         assert np.array_equal(bits[i, :length], alone_bits[0])

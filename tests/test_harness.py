@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -220,6 +221,45 @@ def test_seu_rejects_a_parameter_count_below_one(tmp_path, monkeypatch, capsys):
         for count in (0, -1):
             path.write_text(f"{key}={count}\n")
             assert key in _input_error(capsys, ["seu", "--config", str(path)])
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("total_power=nan", "total_power must be finite and > 0"),
+        ("total_power=inf", "total_power must be finite and > 0"),
+        ("total_power=-5", "total_power must be finite and > 0"),
+        ("total_uses=0", "total_uses must be >= 1"),
+        ("seed=-1", "seed must be >= 0"),
+        ("n=0\nk=1", "n must be >= 1"),
+        ("total_uses=100", "uses over budget: 16\\+137 > 100"),
+    ],
+)
+def test_sweep_rejects_a_budget_or_seed_it_cannot_run(line, message, tmp_path, capsys):
+    """A power that is not a finite positive number, no channel use, a
+    negative seed, n = 0, or a budget the da link overruns is one input
+    error line, and no CSV is written."""
+    out = tmp_path / "bad.csv"
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"scheme=da\nsnr=10\ntrials=100\n{line}\nout={out}\n")
+    err = _input_error(capsys, ["sweep", "--config", str(path)])
+    assert re.search(message, err), err
+    assert not out.exists()
+
+
+def test_seu_rejects_a_negative_seed(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "seu_update_ints", lambda *a, **kw: pytest.fail("it ran"))
+    path = tmp_path / "seu.cfg"
+    path.write_text("seed=-1\n")
+    for argv in (["--seed", "-1"], ["--config", str(path)]):
+        assert "seed >= 0" in _input_error(capsys, ["seu", "--trials", "1"] + argv)
+
+
+def test_calibrate_fer_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "fer.csv"
+    argv = ["calibrate-fer", "--seed", "-1", "--trials", "10", "--out", str(out)]
+    assert "seed must be >= 0" in _input_error(capsys, argv)
+    assert not out.exists()
 
 
 SEU_PINS = {
