@@ -1,7 +1,6 @@
 import json
 import multiprocessing
 import os
-import re
 import subprocess
 import sys
 import time
@@ -232,7 +231,7 @@ def test_seu_rejects_a_parameter_count_below_one(tmp_path, monkeypatch, capsys):
         ("total_uses=0", "total_uses must be >= 1"),
         ("seed=-1", "seed must be >= 0"),
         ("n=0\nk=1", "n must be >= 1"),
-        ("total_uses=100", "uses over budget: 16\\+137 > 100"),
+        ("total_uses=100", "uses over budget: 16+137 > 100"),
     ],
 )
 def test_sweep_rejects_a_budget_or_seed_it_cannot_run(line, message, tmp_path, capsys):
@@ -243,7 +242,7 @@ def test_sweep_rejects_a_budget_or_seed_it_cannot_run(line, message, tmp_path, c
     path = tmp_path / "bad.cfg"
     path.write_text(f"scheme=da\nsnr=10\ntrials=100\n{line}\nout={out}\n")
     err = _input_error(capsys, ["sweep", "--config", str(path)])
-    assert re.search(message, err), err
+    assert message in err
     assert not out.exists()
 
 
