@@ -54,8 +54,7 @@ class AllocationPlan:
     n: int
 
     def __post_init__(self):
-        if not 0.0 < self.lam < 1.0:
-            raise ParameterError(f"lambda must lie strictly in (0, 1), got {self.lam}")
+        _check_lam(self.lam)
 
     def budget(self, total_uses: int, power_total: float) -> ChannelBudget:
         return ChannelBudget(
@@ -66,6 +65,11 @@ class AllocationPlan:
             power_analog=self.power_analog,
             power_digital=self.power_digital,
         )
+
+
+def _check_lam(lam: float) -> None:
+    if not 0.0 < lam < 1.0:
+        raise ParameterError(f"lambda must lie strictly in (0, 1), got {lam}")
 
 
 @dataclass
@@ -388,9 +392,14 @@ def _layouts(budget: ChannelBudget, ctx: AllocatorContext) -> list:
 _BOUND_MARGIN = 1e-9
 
 
+def _bracket(p_total: float) -> np.ndarray:
+    """The analog powers [P_lo, P_hi] that bracket every split a search scores."""
+    return np.array([POWER_SHARE_LO, POWER_SHARE_HI]) * p_total
+
+
 def _power_grid(p_total: float) -> np.ndarray:
-    """Exhaustive's analog power grid; it spans _refined's whole bracket."""
-    return np.linspace(POWER_SHARE_LO * p_total, POWER_SHARE_HI * p_total, POWER_GRID_POINTS)
+    """Exhaustive's analog power grid; it spans the whole bracket."""
+    return np.linspace(*_bracket(p_total), POWER_GRID_POINTS)
 
 
 def _split_powers(layouts, points, p_total: float) -> np.ndarray:
@@ -433,32 +442,39 @@ def _costs(layouts, powers, p_total, snr_db, lam, ctx, fer) -> np.ndarray:
                    snr_db, lam, ctx)
 
 
-def _scan(layouts, points, p_total, snr_db, lam, ctx, fer) -> tuple[np.ndarray, np.ndarray]:
-    """Costs (L, P) of the layouts on an ascending grid of analog powers,
-    and bounds (L, P - 1): bounds[l, i] is at most layout l's cost at any
-    analog power in [points[i], points[i + 1]], up to rounding in the last
-    place. The digital-off layouts sit at p_total throughout.
+def _scan(layouts, points, p_total, snr_db, lam, ctx, fer, edges=None
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Costs (L, P) of the layouts at P analog powers, and bounds (L, E - 1)
+    on the intervals between E ascending edges, by default the points
+    themselves: bounds[l, i] is at most layout l's cost at any analog power
+    in [edges[i], edges[i + 1]], up to rounding in the last place. The
+    digital-off layouts sit at p_total throughout, so each of their bounds
+    is their cost. With the bracket as the edges, bounds[:, 0] bounds each
+    digital layout over every split a search can score.
 
     Why the bound holds: across the interval the analog errors (feature,
     fallback, capped) are non-increasing in analog power, since every step
     of their chain is monotone under rounding, so they are at least their
-    values at points[i + 1]. p_f is non-decreasing, since the digital power
+    values at edges[i + 1]. p_f is non-decreasing, since the digital power
     falls and the table's envelope is non-increasing in SNR. d_d is
     non-increasing in the errors and non-decreasing in p_f: under Rayleigh
     fading the nodes that fail at a lower p_f fail at a higher one too, and a
     failing node costs its fallback, never less than its capped error; over
     AWGN d_d = (1 - p_f) * capped + p_f * data with data >= capped. So the
-    bound is the cost formula with the errors of points[i + 1] and the p_f
-    of points[i].
+    bound is the cost formula with the errors of edges[i + 1] and the p_f
+    of edges[i].
 
-    One pass: p_f is looked up once, and the grid points and the bounds,
-    whose powers are the grid's own, are scored in one call.
+    One pass: p_f is looked up once, and the points and the bounds are
+    scored in one call (on a grid the bounds' powers are the grid's own).
     """
-    powers = _split_powers(layouts, points, p_total)
+    edges = points if edges is None else edges
+    powers = _split_powers(layouts, np.concatenate([points, edges]), p_total)
     p_f = _fail_probs(layouts, p_total - powers, snr_db, fer)
-    values = _scores(layouts, np.hstack([powers, powers[:, 1:]]),
-                     np.hstack([p_f, (1.0 - _BOUND_MARGIN) * p_f[:, :-1]]), snr_db, lam, ctx)
-    return tuple(np.split(values, [len(points)], axis=1))
+    cols = len(points)
+    values = _scores(layouts, np.hstack([powers[:, :cols], powers[:, cols + 1:]]),
+                     np.hstack([p_f[:, :cols], (1.0 - _BOUND_MARGIN) * p_f[:, cols:-1]]),
+                     snr_db, lam, ctx)
+    return tuple(np.split(values, [cols], axis=1))
 
 
 def _refined(layouts, p_total, snr_db, lam, ctx, fer) -> tuple[np.ndarray, np.ndarray]:
@@ -468,8 +484,7 @@ def _refined(layouts, p_total, snr_db, lam, ctx, fer) -> tuple[np.ndarray, np.nd
     iteration; each walks the bracket sequence it would walk alone."""
     args = (p_total, snr_db, lam, ctx, fer)
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a = np.full(len(layouts), POWER_SHARE_LO * p_total)
-    b = np.full(len(layouts), POWER_SHARE_HI * p_total)
+    a, b = (np.full(len(layouts), edge) for edge in _bracket(p_total))
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = _costs(layouts, np.stack([c, d], axis=1), *args).T
@@ -484,19 +499,24 @@ def _refined(layouts, p_total, snr_db, lam, ctx, fer) -> tuple[np.ndarray, np.nd
     return np.where(left, fc, fd), np.where(left, c, d)
 
 
+def _survivors(layouts, bounds, entries) -> list:
+    """The digital layouts that can still win: those whose bound does not
+    exceed the lowest cost among the entries by more than _BOUND_MARGIN. A
+    dropped layout costs more than that entry at every split, so it can be
+    neither the best entry nor one that changes which entry is best."""
+    incumbent = min((entry[0] for entry in entries), default=np.inf)
+    return [layout for layout, bound in zip(layouts, bounds)
+            if layout.n_digital and bound <= incumbent * (1.0 + _BOUND_MARGIN)]
+
+
 def _refine_unpruned(layouts, lowest, entries, args) -> list:
     """The entries plus the refinements of the digital layouts that can
     still win. In ascending k, each k's layouts are refined in lockstep,
-    except those whose lowest bound lowest[l] exceeds the lowest cost held
-    so far (the entries and the refinements already done) by more than
-    _BOUND_MARGIN: a skipped layout's refined cost would exceed that cost,
-    so the best entry is the one refining every layout gives."""
+    except those whose lowest bound lowest[l] rules them out against the
+    entries held so far, the refinements already done included
+    (_survivors), so the best entry is the one refining every layout gives."""
     for rows in _k_rows(layouts):
-        incumbent = min((entry[0] for entry in entries), default=np.inf)
-        survivors = [
-            layouts[row] for row in rows
-            if layouts[row].n_digital and lowest[row] <= incumbent * (1.0 + _BOUND_MARGIN)
-        ]
+        survivors = _survivors([layouts[row] for row in rows], lowest[rows], entries)
         if survivors:
             entries = entries + [
                 _entry(cost, layout, p_a)
@@ -523,8 +543,17 @@ def _best(entries, p_total: float, lam: float, ctx: AllocatorContext
     return cost, plan
 
 
+def _check_link(budget: ChannelBudget, snr_db: float) -> None:
+    """The scorer models finite SNRs and finite, positive powers only."""
+    if not np.isfinite(snr_db):
+        raise ParameterError(f"snr_db must be finite, got {snr_db}")
+    if not 0.0 < budget.power_total < np.inf:
+        raise ParameterError(f"power_total must be finite and > 0, got {budget.power_total}")
+
+
 def choose_analog_floor_k(budget: ChannelBudget, snr_db: float, ctx: AllocatorContext) -> int:
     """Smallest candidate k whose analog-only feature MSE meets FEATURE_MSE_FLOOR."""
+    _check_link(budget, snr_db)
     best = None
     power = np.array([budget.power_total])
     for layout in _off_layouts(budget, ctx):
@@ -556,12 +585,16 @@ def allocate_greedy(
     power split by golden-section search. Returns the best plan found, so
     the search stays a strict subset of allocate_exhaustive.
 
-    One _scan of every digital pick on exhaustive's power grid bounds each
-    pick's cost over the whole bracket. With every digital-off pick an
-    entry, the picks go through the same pruning rule as the exhaustive
-    search (_refine_unpruned), one pick per k, so the plan is the one
+    The scorer call of the coarse scan also bounds every layout over the
+    whole bracket (_scan with the bracket as its edges). A digital pick
+    whose bound exceeds the lowest digital-off pick is dropped (_survivors):
+    it costs more than that pick at every split. Only the rest are scanned
+    on exhaustive's power grid, which bounds each on every grid interval,
+    and go through the same refinement pruning as the exhaustive search
+    (_refine_unpruned), one pick per k. So the plan is the one scanning and
     refining every pick gives.
     """
+    _check_lam(lam)
     p_total = budget.power_total
     args = (p_total, snr_db, lam, ctx, fer)
     k_floor = choose_analog_floor_k(budget, snr_db, ctx)
@@ -570,14 +603,16 @@ def allocate_greedy(
     # extreme split)
     coarse = np.linspace(0.2, 0.8, 5) * p_total
     layouts = [layout for layout in _layouts(budget, ctx) if layout.k >= k_floor]
-    costs = _costs(layouts, _split_powers(layouts, coarse, p_total), *args).min(axis=1)
+    costs, bounds = _scan(layouts, coarse, *args, edges=_bracket(p_total))
+    costs = costs.min(axis=1)
     entries, picks = [], []
     for rows in _k_rows(layouts):
         row = rows[int(np.argmin(costs[rows]))]
         if layouts[row].n_digital:
-            picks.append(layouts[row])
+            picks.append(row)
         else:
             entries.append(_entry(costs[row], layouts[row], p_total))
+    picks = _survivors([layouts[row] for row in picks], bounds[picks, 0], entries)
     lowest = _scan(picks, _power_grid(p_total), *args)[1].min(axis=1)
     return _best(_refine_unpruned(picks, lowest, entries, args), p_total, lam, ctx)[1]
 
@@ -591,28 +626,36 @@ def allocate_exhaustive(
 ) -> AllocationPlan:
     """Full grid search over (k, B, pattern, power split).
 
-    Every tuple is scored on the 21-point power grid, and every tuple that
-    can still win gets the same golden-section refinement the greedy search
-    uses, so the exhaustive cost is never above the greedy cost. Ties break
+    Every tuple that can still win is scored on the 21-point power grid and
+    gets the same golden-section refinement the greedy search uses, so the
+    exhaustive cost is never above the greedy cost. Ties break
     lexicographically on (k, B, pattern, P_a); digital-off sorts as B=0.
 
-    One grid scan of every layout also gives each digital tuple a lower
-    bound on its cost over the whole refinement bracket. With each tuple's
-    best grid point and the digital-off plans as entries, the tuples go
-    through the pruning rule greedy uses too (_refine_unpruned), so the plan
-    is the one refining every tuple gives.
+    Branch and bound at two levels. First, one scorer call gives each
+    digital-off layout its cost, which is the same at every split, and each
+    digital tuple a bound over the whole bracket (_scan with the bracket as
+    its edges). A tuple whose bound exceeds the lowest digital-off cost is
+    dropped (_survivors): its cost at every grid point and after refinement
+    is above that plan's. Only the survivors are scanned on the grid, which
+    bounds each on every grid interval; with their best grid points and the
+    digital-off plans as entries, they go through the refinement pruning
+    greedy uses too (_refine_unpruned). So the plan is the one scanning and
+    refining every tuple gives.
     """
+    _check_lam(lam)
+    _check_link(budget, snr_db)
     p_total = budget.power_total
     args = (p_total, snr_db, lam, ctx, fer)
-    power_grid = _power_grid(p_total)
     layouts = _layouts(budget, ctx)
-    costs, bounds = _scan(layouts, power_grid, *args)
+    values = _scan(layouts, np.empty(0), *args, edges=_bracket(p_total))[1][:, 0]
+    entries = [_entry(value, layout, p_total)
+               for layout, value in zip(layouts, values) if not layout.n_digital]
+    survivors = _survivors(layouts, values, entries)
+    power_grid = _power_grid(p_total)
+    costs, bounds = _scan(survivors, power_grid, *args)
     # of a tuple's grid points only its lowest cost can win, at the lowest
-    # power among equal costs as the tie-break on P_a would pick; a
-    # digital-off layout costs the same at every point
-    entries = [
-        _entry(row.min(), layout, power_grid[row.argmin()] if layout.n_digital else p_total)
-        for layout, row in zip(layouts, costs)
-    ]
-    entries = _refine_unpruned(layouts, bounds.min(axis=1), entries, args)
+    # power among equal costs as the tie-break on P_a would pick
+    entries += [_entry(row.min(), layout, power_grid[row.argmin()])
+                for layout, row in zip(survivors, costs)]
+    entries = _refine_unpruned(survivors, bounds.min(axis=1), entries, args)
     return _best(entries, p_total, lam, ctx)[1]

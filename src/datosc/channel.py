@@ -70,7 +70,7 @@ def draw_blocks(
 
 def _check_fading(fading: str) -> None:
     if fading not in ("awgn", "rayleigh"):
-        raise ParameterError(f"unknown fading kind {fading!r}")
+        raise ParameterError(f"unknown channel {fading!r}")
 
 
 def _block_rngs(seed: int, t0: int, t1: int):

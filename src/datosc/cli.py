@@ -88,8 +88,14 @@ class SeuSettings:
         for key in ("float_count", "int_count"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"seu needs {key} >= 1, got {getattr(self, key)}")
+        if self.int_bits not in (4, 8):
+            raise ConfigError(f"seu needs int_bits of 4 or 8, got {self.int_bits}")
+        if not 0.0 <= self.flip_prob < 0.5:
+            raise ConfigError(f"seu needs flip_prob in [0, 0.5), got {self.flip_prob}")
         if self.p_hat is None:
             object.__setattr__(self, "p_hat", max(self.flip_prob, 1e-3))
+        if not 0.0 < self.p_hat < 0.5:
+            raise ConfigError(f"seu needs p_hat in (0, 0.5), got {self.p_hat}")
 
 
 # ExperimentConfig fields whose config key differs from the field name

@@ -21,7 +21,7 @@ from . import codec
 from . import digital as dig
 from .allocator import PATTERNS, QUANT_BITS_GRID, FerTable, digital_uses
 from .channel import ChannelBudget, draw_blocks
-from .errors import ConfigError, ParameterError
+from .errors import AllocationError, ConfigError, ParameterError
 from .sources import SourceSpec, gen_blocks, load_pgm
 
 SCHEMES = ("analog", "digital", "da")
@@ -79,7 +79,11 @@ class ExperimentConfig:
         if self.n < 1:
             raise ParameterError(f"n must be >= 1, got {self.n}")
         if not 1 <= self.k <= self.n:
-            raise ParameterError(f"k must lie in [1, {self.n}]")
+            raise ParameterError(f"k must lie in [1, n={self.n}], got {self.k}")
+        if not 1 <= self.quant_bits <= 8:
+            raise ParameterError(f"bits must lie in [1, 8], got {self.quant_bits}")
+        if self.source_kind == "class_mixture" and not 1 <= self.class_count <= self.n:
+            raise ParameterError(f"classes must lie in [1, n={self.n}], got {self.class_count}")
         if self.total_uses < 1:
             raise ParameterError(f"total_uses must be >= 1, got {self.total_uses}")
         if not 0.0 < self.total_power < np.inf:
@@ -203,7 +207,13 @@ def build_link(config: ExperimentConfig) -> LinkSetup:
         power_analog=p_a,
         power_digital=p_d,
     )
-    budget.validate()  # infeasible plans must fail before any trial runs
+    try:
+        budget.validate()  # infeasible plans must fail before any trial runs
+    except AllocationError as exc:
+        raise AllocationError(
+            f"{exc}: total_uses={config.total_uses} is too few for k={config.k}, n={config.n}, "
+            f"bits={config.quant_bits} and pattern {config.pattern} under scheme {config.scheme}"
+        ) from None
     return LinkSetup(
         prior_vars=prior_vars,
         task=task,

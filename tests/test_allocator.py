@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from itertools import groupby
 from pathlib import Path
@@ -712,6 +713,102 @@ def test_bounds_never_exceed_a_cost_in_their_interval(ctx, fer, channel):
                 assert np.all(bounds[:, i:i + 1] <= slack * alloc._costs(digital, inside, *args))
             refined, _ = alloc._refined(digital, *args)
             assert np.all(bounds.min(axis=1) <= slack * refined)
+
+
+@pytest.mark.parametrize("channel", ["rayleigh", "awgn"])
+def test_bracket_bound_never_exceeds_a_cost_in_the_bracket(ctx, fer, channel):
+    """Each digital layout's bound over the whole bracket, _scan's interval
+    bound on the one interval (P_lo, P_hi), is at most its cost at every
+    point of the power grid, at random powers in the bracket and after
+    refinement; a digital-off layout's bound is its cost. Same slack as the
+    interval bounds."""
+    slack = 1.0 + 1e-12
+    cctx = AllocatorContext(n=64, prior_vars=ctx.prior_vars, task=ctx.task, channel=channel)
+    rng = np.random.default_rng(0xB4C)
+    for snr, lam, total in ((4.0, 0.2, 192), (13.0, 0.5, 320), (22.0, 0.8, 480)):
+        budget = ChannelBudget(total, 0, 0, float(total), 0.0, 0.0)
+        args = (float(total), snr, lam, cctx, fer)
+        layouts = alloc._layouts(budget, cctx)
+        _, bounds = alloc._scan(layouts, np.empty(0), *args, edges=alloc._bracket(total))
+        is_digital = np.array([layout.n_digital > 0 for layout in layouts])
+        digital = [layout for layout in layouts if layout.n_digital]
+        assert bounds[~is_digital, 0].tolist() == [
+            alloc._costs([layout], [[float(total)]], *args)[0, 0]
+            for layout in layouts if not layout.n_digital
+        ]
+        bound = bounds[is_digital]
+        grid = alloc._power_grid(float(total))
+        assert np.all(bound <= slack * _grid_costs(digital, grid, *args))
+        inside = rng.uniform(alloc.POWER_SHARE_LO, alloc.POWER_SHARE_HI, (len(digital), 8))
+        assert np.all(bound <= slack * alloc._costs(digital, inside * total, *args))
+        refined, _ = alloc._refined(digital, *args)
+        assert np.all(bound[:, 0] <= slack * refined)
+
+
+def test_searches_skip_the_grid_scan_when_no_digital_layout_can_win(ctx, fer, monkeypatch):
+    """On digital-off draws (Rayleigh, 14 dB, lambda 0.5) the whole-bracket
+    bounds rule out nearly every digital layout before the 21-point grid
+    scan: exhaustive scans at most 4 layouts on the grid (of 76 at 320
+    uses) and greedy none. The plans are the unpruned oracles' and, where
+    the draw is pinned, golden_alloc.json's."""
+    golden = json.loads((Path(__file__).parent / "data" / "golden_alloc.json").read_text())
+    scanned = []
+    scan = alloc._scan
+
+    def counting(layouts, points, *args, **kwargs):
+        if len(points) == alloc.POWER_GRID_POINTS:
+            scanned.append(len(layouts))
+        return scan(layouts, points, *args, **kwargs)
+
+    monkeypatch.setattr(alloc, "_scan", counting)
+    for total in (256, 320, 384):
+        budget = ChannelBudget(total, 0, 0, float(total), 0.0, 0.0)
+        for search, oracle, most in (
+            (allocate_exhaustive, _exhaustive_unpruned, 4), (allocate_greedy, _greedy_unpruned, 0)
+        ):
+            scanned.clear()
+            plan = search(budget, 14.0, 0.5, ctx, fer)
+            assert sum(scanned) <= most
+            assert plan.pattern is None
+            assert plan == oracle(budget, 14.0, 0.5, ctx, fer)[1]
+            pinned = golden.get(f"rayleigh_14dB_{total}_{search.__name__[9:]}")
+            if pinned:
+                cost = system_distortion(plan, 14.0, ctx, fer)
+                assert (plan.k, plan.power_analog.hex(), cost.hex()) == (
+                    pinned["k"], pinned["power_analog"], pinned["cost"]
+                )
+
+
+_LINK = dict(snr_db=10.0, power_total=320.0, lam=0.5)
+
+
+def _bad_inputs(*keys):
+    values = dict(snr_db=(np.nan, np.inf, -np.inf), power_total=(np.nan, np.inf, 0.0),
+                  lam=(np.nan,))
+    return [pytest.param(key, value, id=f"{key}={value}") for key in keys for value in values[key]]
+
+
+@pytest.mark.parametrize("key, value", _bad_inputs("snr_db", "power_total", "lam"))
+@pytest.mark.parametrize(
+    "search", [allocate_greedy, allocate_exhaustive], ids=["greedy", "exhaustive"]
+)
+def test_searches_reject_a_bad_input_before_scoring(ctx, fer, monkeypatch, search, key, value):
+    """A non-finite SNR or power, a power of 0 and a NaN lambda are named in
+    a ParameterError before any layout is scored."""
+    monkeypatch.setattr(alloc, "_analog_model", lambda *a: pytest.fail("scored"))
+    link = {**_LINK, key: value}
+    budget = ChannelBudget(320, 0, 0, link["power_total"], 0.0, 0.0)
+    with pytest.raises(ParameterError, match=f"{'lambda' if key == 'lam' else key}.*{value}"):
+        search(budget, link["snr_db"], link["lam"], ctx, fer)
+
+
+@pytest.mark.parametrize("key, value", _bad_inputs("snr_db", "power_total"))
+def test_analog_floor_rejects_a_bad_input_before_scoring(ctx, monkeypatch, key, value):
+    monkeypatch.setattr(alloc, "_analog_model", lambda *a: pytest.fail("scored"))
+    link = {**_LINK, key: value}
+    budget = ChannelBudget(320, 0, 0, link["power_total"], 0.0, 0.0)
+    with pytest.raises(ParameterError, match=f"{key}.*{value}"):
+        alloc.choose_analog_floor_k(budget, link["snr_db"], ctx)
 
 
 @pytest.mark.parametrize(

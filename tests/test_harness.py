@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import time
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import datosc.harness as H
 from datosc import cli
@@ -259,6 +265,61 @@ def test_calibrate_fer_rejects_a_negative_seed(tmp_path, capsys):
     argv = ["calibrate-fer", "--seed", "-1", "--trials", "10", "--out", str(out)]
     assert "seed must be >= 0" in _input_error(capsys, argv)
     assert not out.exists()
+
+
+# every key sweep and seu read, but workers: a drawn worker count would start processes
+_PROPERTY_KEYS = [("sweep", key) for key in cli._SWEEP_FIELDS if key != "workers"] + [
+    ("seu", key) for key in cli._SEU_KEYS
+]
+_COUNTS = ("n", "k", "trials", "total_uses", "int_count", "float_count")
+_PROPERTY_BASE = {
+    "sweep": "trials=100\nsnr=10\nworkers=1\n",
+    "seu": "trials=1\nsnr=10\nfloat_count=16\nint_count=64\n",
+}
+
+
+def _drawn_value(command, key):
+    """nan, +-inf, -1, 0, 1, a large value or text. Large stays cheap: 10^6
+    for real values, 512 for counts, and 8 for seu's sessions."""
+    large = "8" if (command, key) == ("seu", "trials") else "512" if key in _COUNTS else "1000000"
+    return st.sampled_from(("nan", "inf", "-inf", "-1", "0", "1", large, "text"))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.sampled_from(_PROPERTY_KEYS).flatmap(
+    lambda case: st.tuples(st.just(case), _drawn_value(*case))
+))
+def test_a_sweep_or_seu_key_runs_or_is_one_input_error_naming_it(case):
+    """Any value of any one key either runs, exit 0 with finite CSV fields
+    (sweep) or finite session figures (seu) and fer in [0, 1], or is an
+    input error, exit 2 with one `datosc: error:` line naming the key. The
+    command never raises."""
+    (command, key), value = case
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # a drawn out= is a path relative to it
+        try:
+            with open("run.cfg", "w") as fh:
+                fh.write(f"{_PROPERTY_BASE[command]}{key}={value}\n")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([command, "--config", "run.cfg"])
+            errors = [line for line in err.getvalue().splitlines() if line.startswith("datosc: error:")]
+            if code == 2:
+                assert len(errors) == 1, err.getvalue()
+                assert re.search(rf"(?<![a-z0-9]){key}(?![a-z0-9])", errors[0]), errors[0]
+                return
+            assert code == 0 and not errors
+            if command == "seu":
+                figures = re.findall(r"(?:float_mse|overhead|reduction) ([^,\s)]+)", out.getvalue())
+                assert figures and np.all(np.isfinite(np.array(figures, dtype=float)))
+                return
+            rows = read_sweep_csv(value if key == "out" else "sweep.csv")
+            assert rows
+            for row in rows:
+                assert np.all(np.isfinite(astuple(row)[1:])) and 0.0 <= row.fer <= 1.0
+        finally:
+            os.chdir(here)
 
 
 SEU_PINS = {
