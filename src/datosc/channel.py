@@ -43,7 +43,7 @@ class ChannelState:
         _check_fading(fading)
         rng = np.random.default_rng((seed ^ block_index) & _SEED_MASK)
         h = _rayleigh(rng.standard_normal((1, 2)))[0] if fading == "rayleigh" else 1.0 + 0.0j
-        return cls(noise_var=10.0 ** (-snr_db / 10.0), h=complex(h), rng=rng)
+        return cls(noise_var=noise_variance(snr_db), h=complex(h), rng=rng)
 
     @classmethod
     def awgn(cls, snr_db: float, seed: int = 0, block_index: int = 0) -> "ChannelState":
@@ -65,7 +65,22 @@ def draw_blocks(
     for row, rng in zip(raw, _block_rngs(seed, t0, t1)):
         rng.standard_normal(out=row)
     h = _rayleigh(raw[:, :2]) if lead else np.ones(len(raw), dtype=np.complex128)
-    return h, _complex_noise(raw[:, lead:], 10.0 ** (-snr_db / 10.0))
+    return h, _complex_noise(raw[:, lead:], noise_variance(snr_db))
+
+
+def noise_variance(snr_db: float) -> float:
+    """10^(-snr_db/10), the noise variance per complex use. ParameterError
+    naming snr unless it is a positive finite float: NaN, an SNR so low that
+    it overflows, or so high that it underflows to 0."""
+    try:
+        var = 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        var = np.inf
+    if not 0.0 < var < np.inf:
+        raise ParameterError(
+            f"snr {snr_db} dB is out of range: 10^(-snr/10) must be a positive finite float"
+        )
+    return var
 
 
 def _check_fading(fading: str) -> None:

@@ -19,7 +19,7 @@ from typing import Optional, get_type_hints
 
 import numpy as np
 
-from .channel import ChannelState
+from .channel import ChannelState, noise_variance
 from .errors import AllocationError, ConfigError, ParameterError
 from .harness import (
     ExperimentConfig,
@@ -30,11 +30,12 @@ from .harness import (
     run_sweep,
 )
 from .seu import (
+    DECODE_CHUNK,
     DriftSpec,
     ModelParams,
     drift,
     seu_send_floats,
-    seu_update_ints,
+    seu_update_sessions,
     write_session_log,
 )
 
@@ -48,14 +49,18 @@ def parse_snr_spec(text: str) -> tuple:
         if len(parts) != 3:
             raise ConfigError(f"bad snr range {text!r}, expected a:b:step")
         a, b, step = (float(p) for p in parts)
-        if not np.all(np.isfinite((a, b, step))):
-            raise ConfigError(f"snr range {text!r} must be finite")
+        if not np.isfinite(step):
+            raise ConfigError(f"snr range {text!r} must have a finite step")
+        noise_variance(a)  # the grid's points lie between its ends
+        noise_variance(b)
         if step <= 0:
             raise ConfigError("snr step must be positive")
         count = int(np.floor((b - a) / step + 1e-9)) + 1
         grid = tuple(float(a + i * step) for i in range(max(count, 0)))
     else:
         grid = tuple(float(p) for p in text.split(",") if p.strip())
+        for snr in grid:
+            noise_variance(snr)
     if not grid:
         raise ConfigError(f"snr {text!r} gives an empty grid")
     return grid
@@ -83,8 +88,7 @@ class SeuSettings:
             raise ConfigError(f"seu needs seed >= 0, got {self.seed}")
         if len(self.snr) != 1:
             raise ConfigError(f"seu runs at one snr point, got {len(self.snr)}: {self.snr}")
-        if not np.isfinite(self.snr[0]):
-            raise ConfigError(f"seu needs a finite snr, got {self.snr[0]}")
+        noise_variance(self.snr[0])
         for key in ("float_count", "int_count"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"seu needs {key} >= 1, got {getattr(self, key)}")
@@ -226,36 +230,34 @@ def cmd_seu(args) -> int:
     ok_count = 0
     all_frames = []
     overhead = 0.0
-    for s in range(cfg.trials):
-        state = ChannelState.for_block(cfg.snr[0], cfg.channel, channel_seed, s)
-        params = ModelParams(
-            floats=rng.standard_normal(cfg.float_count),
-            ints=rng.integers(0, 1 << cfg.int_bits, cfg.int_count),
-            int_bits=cfg.int_bits,
-        )
-        outdated = drift(params, spec, seed=int(rng.integers(2**63)))
-        est, _ = seu_send_floats(
-            params.floats, np.ones(cfg.float_count), 1.0, state
-        )
-        result = seu_update_ints(
-            params.ints,
-            outdated.ints,
-            cfg.int_bits,
-            cfg.pattern,
-            state,
-            p_hat=cfg.p_hat,
-        )
-        ok_count += int(
-            result.crc_ok and np.array_equal(result.corrected_ints, params.ints)
-        )
-        overhead = result.overhead_ratio
-        all_frames.extend(result.frames)
-        float_mse = float(np.mean((est - params.floats) ** 2))
-        print(
-            f"session {s}: frames_ok {result.crc_ok}, float_mse {float_mse:.4g}, "
-            f"overhead {result.overhead_ratio:.4f}, "
-            f"reduction {1.0 - result.overhead_ratio:.4f}"
-        )
+    # DECODE_CHUNK sessions per runner call bound the sessions held at once
+    for first in range(0, cfg.trials, DECODE_CHUNK):
+        group = range(first, min(first + DECODE_CHUNK, cfg.trials))
+        sessions, drawn = [], []
+        for s in group:
+            state = ChannelState.for_block(cfg.snr[0], cfg.channel, channel_seed, s)
+            params = ModelParams(
+                floats=rng.standard_normal(cfg.float_count),
+                ints=rng.integers(0, 1 << cfg.int_bits, cfg.int_count),
+                int_bits=cfg.int_bits,
+            )
+            outdated = drift(params, spec, seed=int(rng.integers(2**63)))
+            est, _ = seu_send_floats(params.floats, np.ones(cfg.float_count), 1.0, state)
+            sessions.append((params.ints, outdated.ints, state))
+            drawn.append((params, est))
+        results = seu_update_sessions(sessions, cfg.int_bits, cfg.pattern, cfg.p_hat)
+        for s, (params, est), result in zip(group, drawn, results):
+            ok_count += int(
+                result.crc_ok and np.array_equal(result.corrected_ints, params.ints)
+            )
+            overhead = result.overhead_ratio
+            all_frames.extend(result.frames)
+            float_mse = float(np.mean((est - params.floats) ** 2))
+            print(
+                f"session {s}: frames_ok {result.crc_ok}, float_mse {float_mse:.4g}, "
+                f"overhead {result.overhead_ratio:.4f}, "
+                f"reduction {1.0 - result.overhead_ratio:.4f}"
+            )
     if args.out:
         write_session_log(args.out, all_frames)
         print(f"wrote session log to {args.out}")

@@ -187,30 +187,58 @@ def _rsc_encode(bits: np.ndarray, code: tuple) -> tuple[np.ndarray, np.ndarray]:
     whose input equals the feedback, so that a = 0 and the register returns
     to zero. Returns (input bits, parity bits), each (T, L + memory).
 
-    a_t depends on a_{t - min(feedback)} and older values only, so the
-    recursion fills min(feedback) steps per array operation.
+    Closed form over GF(2): the register sequence is a = u / f(D), with
+    f(D) = 1 + the sum of D^d over the feedback delays, and 1 / f(D) =
+    g(D) / (1 + D^P) (see _feedback_inverse). So a is the XOR of copies of
+    b = u / (1 + D^P), shifted by the exponents of g, where
+    b_t = u_t ^ u_{t-P} ^ u_{t-2P} ^ ... is a prefix XOR within each residue
+    class mod P, taken in log2(L / P) shifted XORs. The arithmetic is on
+    integers only, so every bit equals that of the step-by-step recursion.
     """
     memory, feedback, forward = code
+    period, inverse = _feedback_inverse(feedback)
     length = bits.shape[1]
-    # time-major: a_t at row t + memory. `memory` zeros of start state, then
-    # L inputs, then the `memory` zero register inputs of the termination
-    a = np.zeros((length + 2 * memory, bits.shape[0]), dtype=np.uint8)
-    a[memory : length + memory] = bits.T
-    fill = min(feedback)
-    for j in range(memory, length + memory, fill):
-        stop = min(j + fill, length + memory)
-        for d in feedback:
-            a[j:stop] ^= a[j - d : stop - d]
-    return tuple(np.ascontiguousarray(_taps(a, memory, d).T) for d in (feedback, forward))
+    b = bits.astype(np.uint8)
+    shift = period
+    while shift < length:
+        b[:, shift:] ^= b[:, :-shift]
+        shift *= 2
+    # a_t in column t + memory: `memory` zeros of start state, then L register
+    # values, then the `memory` zero register inputs of the termination
+    a = np.zeros((len(b), length + 2 * memory), dtype=np.uint8)
+    for e in inverse:
+        if e < length:
+            a[:, memory + e : memory + length] ^= b[:, : length - e]
+    return _taps(a, memory, feedback), _taps(a, memory, forward)
+
+
+@functools.lru_cache(maxsize=4)
+def _feedback_inverse(feedback: tuple) -> tuple[int, tuple]:
+    """The least P with f(D) dividing 1 + D^P, for f(D) = 1 + the sum of D^d
+    over the feedback delays, and the exponents of g(D) = (1 + D^P) / f(D).
+    P is 15 for TURBO's 1 + D^3 + D^4 and 3 for UPLINK's 1 + D + D^2.
+    Polynomials over GF(2) are ints, the coefficient of D^e in bit e."""
+    f = 1 | sum(1 << d for d in feedback)
+    degree = max(feedback)
+    period = 1
+    while True:
+        quotient, rest = 0, (1 << period) | 1
+        while rest.bit_length() > degree:
+            shift = rest.bit_length() - 1 - degree
+            quotient |= 1 << shift
+            rest ^= f << shift
+        if not rest:
+            return period, tuple(e for e in range(quotient.bit_length()) if quotient >> e & 1)
+        period += 1
 
 
 def _taps(a: np.ndarray, memory: int, delays: tuple) -> np.ndarray:
-    """a_t ^ a_{t-d} over the delays, for every row t >= memory of register
-    values a (time first): the input bit for the feedback delays, the parity
+    """a_t ^ a_{t-d} over the delays, for every t >= memory of register
+    values a (time last): the input bit for the feedback delays, the parity
     bit for the forward ones."""
-    out = a[memory:].copy()
+    out = a[..., memory:].copy()
     for d in delays:
-        out ^= a[memory - d : len(a) - d]
+        out ^= a[..., memory - d : a.shape[-1] - d]
     return out
 
 
@@ -223,10 +251,10 @@ def _branches(code: tuple) -> tuple[np.ndarray, np.ndarray]:
     (2, half, 2) over (b, r, a), and a trellis step is a max over b.
     """
     memory, feedback, forward = code
-    # branch 2*(half*b + r) + a holds a_{t-d} in bit d: rows a_{t-memory}..a_t
-    branch = np.arange(4 << (memory - 1)).reshape(2, -1, 2)
-    a = (branch >> np.arange(memory, -1, -1)[:, None, None, None]) & 1
-    return _taps(a, memory, feedback)[0], _taps(a, memory, forward)[0]
+    # branch 2*(half*b + r) + a holds a_{t-d} in bit d: a_{t-memory}..a_t last
+    branch = np.arange(4 << (memory - 1)).reshape(2, -1, 2, 1)
+    a = (branch >> np.arange(memory, -1, -1)) & 1
+    return _taps(a, memory, feedback)[..., 0], _taps(a, memory, forward)[..., 0]
 
 
 def parity_length(info_len: int, pattern: str) -> int:
@@ -562,25 +590,26 @@ def max_log_map(
     (g + alpha) + beta as in two separate recursions, and max is exact, so
     the LLRs are too.
 
-    The float32 work arrays are carved from one flat buffer. turbo_decode
-    allocates it once for its widest call and passes it to every call, since
-    its batch and width only shrink; a call here allocates its own.
+    The float32 work arrays are carved from one flat buffer, a _Workspace.
+    turbo_decode allocates it once for its widest call and passes it to
+    every call, since its batch and width only shrink; a call here allocates
+    its own.
     """
     batch, n = input_llrs.shape
     if not batch:
         return np.zeros((0, n))
     counts = np.full(batch, n) if input_counts is None else np.asarray(input_counts)
-    return _max_log_map(input_llrs, parity_llrs, counts, _workspace(batch, n))
+    return _max_log_map(input_llrs, parity_llrs, counts, _Workspace(batch, n))
 
 
-def _max_log_map(input_llrs, parity_llrs, counts, work: np.ndarray) -> np.ndarray:
-    """max_log_map on the work arrays carved from `work`, a flat float32
-    buffer of at least _workspace(T, N)'s size."""
+def _max_log_map(input_llrs, parity_llrs, counts, work: _Workspace) -> np.ndarray:
+    """max_log_map on the work arrays of `work`, a _Workspace for at least
+    (T, N)."""
     batch, n = input_llrs.shape
     length = n + TURBO_TAIL_BITS
     codes, branch_terms, branch_ends = _stacked_trellis()
     half = codes.shape[1]
-    terms, values, gg, metric, beta = _carve(work, batch, n)
+    (terms, values, gg, metric, beta), sums, steps = work.views(batch, n)
     barred = np.arange(length)[:, None] >= counts  # (length, T): steps past a frame's inputs
     live = ~barred[:n]
     # Per step and frame, a branch metric depends on (a, u, p) only: the
@@ -607,13 +636,10 @@ def _max_log_map(input_llrs, parity_llrs, counts, work: np.ndarray) -> np.ndarra
     # alpha[t + 1][2r + a] = max over b of alpha[t][half*b + r] + g[t][b, r, a]
     metric[0] = _NEG_METRIC  # the loop fills every later row
     metric[0, 0] = 0.0
-    m_in = metric.reshape(length + 1, 2, half, 1, 2 * batch)
-    m_out = metric.reshape(length + 1, half, 2, 2 * batch)
-    c = np.empty((2, half, 2, 2 * batch), dtype=np.float32)
-    c_0, c_1 = c  # b = 0 and b = 1 for alpha, a for beta
-    for m_t, g_t, m_next in zip(m_in, gg.reshape(length, *c.shape), m_out[1:]):
-        np.add(m_t, g_t, out=c)
-        np.maximum(c_0, c_1, out=m_next)
+    sums_0, sums_1 = sums  # b = 0 and b = 1 for alpha, a for beta
+    for m_t, g_t, m_next in steps:
+        np.add(m_t, g_t, out=sums)
+        np.maximum(sums_0, sums_1, out=m_next)
 
     # per branch (u, b, r) of step t: g[t] + alpha[t][half*b + r] + beta[t + 1]
     # of its end state. values' buffer now holds the alpha rows, and gg's the
@@ -652,21 +678,43 @@ def _work_shapes(batch: int, n: int) -> list[tuple]:
     ]
 
 
-def _workspace(batch: int, n: int) -> np.ndarray:
+class _Workspace:
     """A flat float32 buffer that holds the work arrays of any _max_log_map
-    call on at most `batch` frames of at most `n` inputs."""
-    return np.empty(sum(math.prod(shape) for shape in _work_shapes(batch, n)), dtype=np.float32)
+    call on at most `batch` frames of at most `n` inputs, and the views of
+    each call shape, built on its first call.
 
+    The views include a Python list of the trellis loop's per-step rows:
+    taking three rows per step costs about a tenth of the loop at a batch
+    of 4, and turbo_decode repeats a call shape for both constituents and
+    for every iteration in which no frame verifies."""
 
-def _carve(work: np.ndarray, batch: int, n: int) -> list[np.ndarray]:
-    """The work arrays of a call on `batch` frames of `n` inputs, as views of
-    consecutive stretches of `work`."""
-    arrays, start = [], 0
-    for shape in _work_shapes(batch, n):
-        stop = start + math.prod(shape)
-        arrays.append(work[start:stop].reshape(shape))
-        start = stop
-    return arrays
+    def __init__(self, batch: int, n: int):
+        size = sum(math.prod(shape) for shape in _work_shapes(batch, n))
+        self._buffer = np.empty(size, dtype=np.float32)
+        self._views = {}
+
+    def views(self, batch: int, n: int):
+        """For `batch` frames of `n` inputs: the work arrays (terms, values,
+        branch table, metric and beta rows) as consecutive stretches of the
+        buffer; the loop's sum buffer; and per trellis step t, metric row t
+        as (b, r), branch row t and metric row t + 1 as (r, a)."""
+        key = (batch, n)
+        if key not in self._views:
+            arrays, start = [], 0
+            for shape in _work_shapes(batch, n):
+                stop = start + math.prod(shape)
+                arrays.append(self._buffer[start:stop].reshape(shape))
+                start = stop
+            _, _, gg, metric, _ = arrays
+            length, states = n + TURBO_TAIL_BITS, metric.shape[1]
+            sums = np.empty((2, states // 2, 2, 2 * batch), dtype=np.float32)
+            steps = list(zip(
+                metric.reshape(length + 1, 2, states // 2, 1, 2 * batch),
+                gg.reshape(length, *sums.shape),
+                metric.reshape(length + 1, states // 2, 2, 2 * batch)[1:],
+            ))
+            self._views[key] = arrays, sums, steps
+        return self._views[key]
 
 
 @functools.lru_cache(maxsize=1)
@@ -816,7 +864,7 @@ def turbo_decode(side_llrs, parity_llrs, pattern: str) -> tuple[np.ndarray, np.n
         par2[i, keep2] = parity[len(keep1) :]
         order[i, : counts[i]] = turbo_interleaver(counts[i])
 
-    work = _workspace(batch, n)  # every call's batch and width are at most these
+    work = _Workspace(batch, n)  # every call's batch and width are at most these
     extrinsic2 = np.zeros((batch, n))
     decided = np.zeros((batch, n), dtype=np.uint8)
     crc_ok = np.zeros(batch, dtype=bool)

@@ -20,12 +20,16 @@ from . import analog as ana
 from . import codec
 from . import digital as dig
 from .allocator import PATTERNS, QUANT_BITS_GRID, FerTable, digital_uses
-from .channel import ChannelBudget, draw_blocks
+from .channel import ChannelBudget, draw_blocks, noise_variance
 from .errors import AllocationError, ConfigError, ParameterError
 from .sources import SourceSpec, gen_blocks, load_pgm
 
 SCHEMES = ("analog", "digital", "da")
 CHANNELS = ("awgn", "rayleigh")
+
+# largest source dimension: the class-mixture source draws an n x n matrix
+# for its QR, 8 MB at this n
+MAX_N = 1024
 
 CLIFF_FACTOR = 5.0
 SATURATION_REL = 0.05
@@ -68,8 +72,8 @@ class ExperimentConfig:
         if self.trials < 100:
             raise ParameterError("trials must be >= 100 for CI-bearing metrics")
         grid = np.asarray(self.snr_grid)
-        if not np.all(np.isfinite(grid)):
-            raise ParameterError(f"snr grid must be finite, got {self.snr_grid}")
+        for snr in self.snr_grid:
+            noise_variance(snr)
         if grid.size and np.any(np.diff(grid) <= 0):
             raise ParameterError("snr grid must be strictly increasing")
         if not 0.0 < self.lam < 1.0:
@@ -78,6 +82,8 @@ class ExperimentConfig:
             raise ParameterError("p_a_fraction must lie strictly in (0, 1) under scheme da")
         if self.n < 1:
             raise ParameterError(f"n must be >= 1, got {self.n}")
+        if self.n > MAX_N:
+            raise ParameterError(f"n must be <= {MAX_N}, got {self.n}")
         if not 1 <= self.k <= self.n:
             raise ParameterError(f"k must lie in [1, n={self.n}], got {self.k}")
         if not 1 <= self.quant_bits <= 8:
@@ -266,8 +272,9 @@ def draw_trials(
     n_a = setup.n_analog
     ch_seed = derive_seed(config.seed, point_index, 1)
     h, noise = draw_blocks(snr_db, config.channel, ch_seed, t0, t1, n_a + setup.n_digital)
-    noise_var = 10.0 ** (-snr_db / 10.0)
-    return TrialDraws(samples, labels, h, noise[:, :n_a], noise[:, n_a:], noise_var)
+    return TrialDraws(
+        samples, labels, h, noise[:, :n_a], noise[:, n_a:], noise_variance(snr_db)
+    )
 
 
 def analog_stage(

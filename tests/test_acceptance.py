@@ -34,7 +34,7 @@ from datosc.digital import (
     viterbi_decode,
 )
 from datosc.harness import ExperimentConfig, detect_effects, run_point, run_sweep
-from datosc.seu import DriftSpec, ModelParams, drift, seu_update_ints
+from datosc.seu import DriftSpec, ModelParams, drift, seu_update_sessions
 
 
 def _report(criterion: str, ok: bool, detail: str) -> bool:
@@ -219,15 +219,19 @@ def test_criterion_7_allocator_quality(alloc_ctx, fer_table, pinned_plans):
 
 
 def _seu_success_rate(p, trials, seed0):
-    wins = 0
+    sessions = []
     for t in range(trials):
         rng = np.random.default_rng(seed0 + t)
         ints = rng.integers(0, 16, 1024)  # 4096 int bits
         params = ModelParams(floats=np.zeros(1), ints=ints, int_bits=4)
         outdated = drift(params, DriftSpec(0.0, p), seed=seed0 + 7 * t + 1)
         state = ChannelState.awgn(10.0, seed=seed0, block_index=t)
-        res = seu_update_ints(ints, outdated.ints, 4, "R34", state, p_hat=p)
-        wins += int(res.crc_ok and np.array_equal(res.corrected_ints, ints))
+        sessions.append((ints, outdated.ints, state))
+    results = seu_update_sessions(sessions, 4, "R34", p_hat=p)
+    wins = sum(
+        res.crc_ok and np.array_equal(res.corrected_ints, ints)
+        for res, (ints, _, _) in zip(results, sessions)
+    )
     return wins / trials
 
 

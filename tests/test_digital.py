@@ -45,7 +45,7 @@ from datosc.digital import (
     _branches,
     _max_log_map,
     _rsc_encode,
-    _workspace,
+    _Workspace,
 )
 from datosc.errors import ParameterError
 from datosc.harness import ExperimentConfig, build_link
@@ -587,17 +587,20 @@ def test_side_flip_correction_rate():
     rng = np.random.default_rng(17)
     n_trials, n_bits = 1000, 200
     mag = np.log(0.98 / 0.02)
-    ok_count = 0
-    for t in range(n_trials):
-        info = rng.integers(0, 2, n_bits).astype(np.uint8)
-        _, parity = dsc_encode(info, pattern)
+    infos = np.empty((n_trials, n_bits), dtype=np.uint8)
+    flips = np.empty((n_trials, n_bits), dtype=bool)
+    for t in range(n_trials):  # per trial, its info bits and then its flips
+        infos[t] = rng.integers(0, 2, n_bits)
+        flips[t] = rng.random(n_bits) < 0.02
+    _, parity = dsc_encode(infos, pattern)
+    pars = []
+    for t, frame in enumerate(parity):
         state = ChannelState.awgn(6.0, seed=1717, block_index=t)
-        y = transmit(modulate(parity, "bpsk", 1.0), state)
-        par = demodulate(y, state.h, state.noise_var, "bpsk", 1.0, n_bits=parity.size)
-        flips = rng.random(n_bits) < 0.02
-        side = (1.0 - 2.0 * (info ^ flips.astype(np.uint8))) * mag
-        bits, ok = dsc_decode(_pad(llr_clip(side)), par, pattern)
-        ok_count += int(ok[0] and np.array_equal(bits[0], info))
+        y = transmit(modulate(frame, "bpsk", 1.0), state)
+        pars.append(demodulate(y, state.h, state.noise_var, "bpsk", 1.0, n_bits=frame.size))
+    sides = (1.0 - 2.0 * (infos ^ flips.astype(np.uint8))) * mag
+    bits, ok = dsc_decode(_pad(llr_clip(sides)), np.stack(pars), pattern)
+    ok_count = int(np.sum(ok & np.all(bits == infos, axis=1)))
     assert ok_count / n_trials >= 0.99
 
 
@@ -691,6 +694,44 @@ def test_rsc16_matches_naive_register_oracle(rng):
         assert np.array_equal(got_sys, want_sys)
         assert np.array_equal(got_par, want_par)
         assert end_state == [0, 0, 0, 0]  # zero termination
+
+
+def _rsc_step_loop(bits, code):
+    """The RSC recursion step by step: a_t = u_t ^ a_{t-d} over the feedback
+    delays, min(feedback) time steps per array operation, then `memory` zero
+    register inputs. Returns (input bits, parity bits), each (T, L + memory)."""
+    memory, feedback, forward = code
+    length = bits.shape[1]
+    a = np.zeros((length + 2 * memory, bits.shape[0]), dtype=np.uint8)  # time first
+    a[memory : length + memory] = bits.T
+    fill = min(feedback)
+    for j in range(memory, length + memory, fill):
+        stop = min(j + fill, length + memory)
+        for d in feedback:
+            a[j:stop] ^= a[j - d : stop - d]
+    out = []
+    for delays in (feedback, forward):
+        taps = a[memory:].copy()
+        for d in delays:
+            taps ^= a[memory - d : len(a) - d]
+        out.append(taps.T)
+    return out
+
+
+@pytest.mark.parametrize("code", [UPLINK, TURBO], ids=["uplink", "turbo"])
+@pytest.mark.parametrize("batch", [1, 3, 2000])
+def test_closed_form_encoder_equals_the_step_loop(code, batch):
+    """Bit for bit, at every length up to three periods of the feedback's
+    impulse response plus one (3 for UPLINK, 15 for TURBO), and at 1,182."""
+    period = {UPLINK: 3, TURBO: 15}[code]
+    assert digital._feedback_inverse(code[1])[0] == period
+    rng = np.random.default_rng(batch)
+    for length in [*range(3 * period + 2), 1182]:
+        bits = rng.integers(0, 2, (batch, length)).astype(np.uint8)
+        got = _rsc_encode(bits, code)
+        for got_bits, want_bits in zip(got, _rsc_step_loop(bits, code)):
+            assert got_bits.dtype == np.uint8 and got_bits.shape == (batch, length + code[0])
+            assert np.array_equal(got_bits, want_bits), length
 
 
 @pytest.mark.parametrize(
@@ -900,7 +941,7 @@ def test_workspace_reuse_leaves_no_trace():
     a = _mlm_inputs(rng, 5, 900)
     b = _mlm_inputs(rng, 2, 300)
     fresh_a, fresh_b = max_log_map(*a), max_log_map(*b)
-    work = _workspace(5, 900)
+    work = _Workspace(5, 900)
     for inputs, fresh in ((a, fresh_a), (b, fresh_b), (a, fresh_a)):
         counts = np.full(len(inputs[0]), inputs[0].shape[1])
         assert np.array_equal(_max_log_map(*inputs, counts, work), fresh)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -17,10 +18,12 @@ from hypothesis import strategies as st
 
 import datosc.harness as H
 from datosc import cli
+from datosc.channel import ChannelState
 from datosc.cli import parse_config_text, parse_snr_spec
 from datosc.codec import analyze, selection_indices
 from datosc.errors import ConfigError, ParameterError
 from datosc.harness import (
+    MAX_N,
     ExperimentConfig,
     SweepRow,
     calibrate_fer,
@@ -184,7 +187,7 @@ def test_seu_parameters_and_channel_draw_from_separate_streams(monkeypatch, caps
 
 def test_seu_rejects_a_session_count_below_one(tmp_path, monkeypatch, capsys):
     """--trials is passed on whenever it is set, so 0 is not read as unset."""
-    monkeypatch.setattr(cli, "seu_update_ints", lambda *a, **kw: pytest.fail("it ran"))
+    monkeypatch.setattr(cli, "seu_update_sessions", lambda *a, **kw: pytest.fail("it ran"))
     path = tmp_path / "seu.cfg"
     path.write_text("trials=0\n")
     for argv in (["--trials", "0"], ["--trials", "-1"], ["--config", str(path)]):
@@ -193,7 +196,7 @@ def test_seu_rejects_a_session_count_below_one(tmp_path, monkeypatch, capsys):
 
 def test_seu_rejects_an_snr_grid_of_several_points(tmp_path, monkeypatch, capsys):
     """Every session runs at one SNR, so a grid is an error, not its first point."""
-    monkeypatch.setattr(cli, "seu_update_ints", lambda *a, **kw: pytest.fail("it ran"))
+    monkeypatch.setattr(cli, "seu_update_sessions", lambda *a, **kw: pytest.fail("it ran"))
     path = tmp_path / "seu.cfg"
     path.write_text("snr=12:20:4\n")
     assert "snr" in _input_error(capsys, ["seu", "--config", str(path)])
@@ -203,7 +206,7 @@ def test_cli_rejects_a_non_finite_snr(tmp_path, monkeypatch, capsys):
     """A nan or inf SNR, as a point or a range end, from a flag or a file,
     is an input error naming snr, for sweep and seu alike, and no CSV is
     written."""
-    monkeypatch.setattr(cli, "seu_update_ints", lambda *a, **kw: pytest.fail("it ran"))
+    monkeypatch.setattr(cli, "seu_update_sessions", lambda *a, **kw: pytest.fail("it ran"))
     out = str(tmp_path / "nan.csv")
     for spec in ("nan", "inf", "0,nan", "nan:10:2", "0:inf:2"):
         argv = ["sweep", "--scheme", "analog", "--snr", spec, "--trials", "100", "--out", out]
@@ -220,7 +223,7 @@ def test_cli_rejects_a_non_finite_snr(tmp_path, monkeypatch, capsys):
 
 
 def test_seu_rejects_a_parameter_count_below_one(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "seu_update_ints", lambda *a, **kw: pytest.fail("it ran"))
+    monkeypatch.setattr(cli, "seu_update_sessions", lambda *a, **kw: pytest.fail("it ran"))
     path = tmp_path / "seu.cfg"
     for key in ("float_count", "int_count"):
         for count in (0, -1):
@@ -252,8 +255,43 @@ def test_sweep_rejects_a_budget_or_seed_it_cannot_run(line, message, tmp_path, c
     assert not out.exists()
 
 
+def test_sweep_rejects_an_n_above_the_cap_before_allocating(tmp_path, capsys):
+    """n = 10^6 would draw a 7.3 TiB matrix for the class means; it is one
+    input error naming n, raised before the run allocates anything large."""
+    out = tmp_path / "big.csv"
+    path = tmp_path / "big.cfg"
+    path.write_text(f"snr=10\ntrials=100\nn={10**6}\nout={out}\n")
+    tracemalloc.start()
+    try:
+        err = _input_error(capsys, ["sweep", "--config", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"n must be <= {MAX_N}" in err
+    assert peak < 10 * 2**20
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("snr", ["-1000000", "1000000", "-4000", "4000"])
+def test_an_snr_out_of_range_is_an_input_error(snr, tmp_path, monkeypatch, capsys):
+    """An SNR whose noise variance 10^(-snr/10) overflows (very low) or
+    underflows to 0 (very high) is one input error naming snr, as a point,
+    a range end or a list entry, for sweep and seu alike."""
+    monkeypatch.setattr(cli, "seu_update_sessions", lambda *a, **kw: pytest.fail("it ran"))
+    out = tmp_path / "snr.csv"
+    for spec in (snr, f"{snr}:{snr}:1", f"0,{snr}"):
+        argv = ["sweep", "--scheme", "analog", f"--snr={spec}", "--trials", "100", "--out", str(out)]
+        assert "snr" in _input_error(capsys, argv)
+    assert "snr" in _input_error(capsys, ["seu", f"--snr={snr}", "--trials", "1"])
+    assert not out.exists()
+    with pytest.raises(ParameterError, match="snr"):
+        ExperimentConfig(snr_grid=(0.0, float(snr))).validate()
+    with pytest.raises(ParameterError, match="snr"):
+        ChannelState.for_block(float(snr), "awgn", 0)
+
+
 def test_seu_rejects_a_negative_seed(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "seu_update_ints", lambda *a, **kw: pytest.fail("it ran"))
+    monkeypatch.setattr(cli, "seu_update_sessions", lambda *a, **kw: pytest.fail("it ran"))
     path = tmp_path / "seu.cfg"
     path.write_text("seed=-1\n")
     for argv in (["--seed", "-1"], ["--config", str(path)]):
@@ -279,10 +317,10 @@ _PROPERTY_BASE = {
 
 
 def _drawn_value(command, key):
-    """nan, +-inf, -1, 0, 1, a large value or text. Large stays cheap: 10^6
-    for real values, 512 for counts, and 8 for seu's sessions."""
+    """nan, +-inf, -1, -10^6, 0, 1, a large value or text. Large stays cheap:
+    10^6 for real values, 512 for counts, and 8 for seu's sessions."""
     large = "8" if (command, key) == ("seu", "trials") else "512" if key in _COUNTS else "1000000"
-    return st.sampled_from(("nan", "inf", "-inf", "-1", "0", "1", large, "text"))
+    return st.sampled_from(("nan", "inf", "-inf", "-1", "-1000000", "0", "1", large, "text"))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

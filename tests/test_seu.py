@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from datosc import seu
 from datosc.analog import analog_gains, mmse_error_vars
 from datosc.channel import ChannelState
 from datosc.digital import bits_to_cells, cells_to_bits, parity_length
@@ -14,6 +15,7 @@ from datosc.seu import (
     drift,
     seu_send_floats,
     seu_update_ints,
+    seu_update_sessions,
     write_session_log,
 )
 
@@ -218,16 +220,66 @@ def test_update_corrects_drifted_ints(rng):
 
 
 def _success_rate(p, p_hat, trials, snr_db, pattern="R34", n_ints=256, seed0=1000):
-    wins = 0
+    sessions = []
     for t in range(trials):
         rng = np.random.default_rng(seed0 + t)
         ints = rng.integers(0, 16, n_ints)
         params = ModelParams(floats=np.zeros(1), ints=ints, int_bits=4)
         outdated = drift(params, DriftSpec(0.0, p), seed=seed0 + 7 * t)
         state = ChannelState.awgn(snr_db, seed=seed0, block_index=t)
-        result = seu_update_ints(ints, outdated.ints, 4, pattern, state, p_hat=p_hat)
-        wins += int(result.crc_ok and np.array_equal(result.corrected_ints, ints))
+        sessions.append((ints, outdated.ints, state))
+    results = seu_update_sessions(sessions, 4, pattern, p_hat=p_hat)
+    wins = sum(
+        result.crc_ok and np.array_equal(result.corrected_ints, ints)
+        for result, (ints, _, _) in zip(results, sessions)
+    )
     return wins / trials
+
+
+def _runner_sessions(specs, seed0):
+    """(updated, outdated, state) per (int count, drift rate, snr) spec,
+    on fresh channel states."""
+    sessions = []
+    for t, (n_ints, p, snr) in enumerate(specs):
+        rng = np.random.default_rng(seed0 + t)
+        ints = rng.integers(0, 16, n_ints)
+        outdated = drift(ModelParams(np.zeros(1), ints, 4), DriftSpec(0.0, p), seed=seed0 + t)
+        sessions.append((ints, outdated.ints, ChannelState.awgn(snr, seed=seed0, block_index=t)))
+    return sessions
+
+
+@pytest.mark.parametrize("chunk", [5, seu.DECODE_CHUNK])
+def test_many_sessions_equal_single_session_calls(monkeypatch, chunk):
+    """S sessions in one call give the results, frame records and channel
+    states of S single calls, whatever frames share a turbo_decode call:
+    ragged sessions (292 ints leave a 2-bit last frame), long and one-frame
+    ones, verifying and failing frames."""
+    monkeypatch.setattr(seu, "DECODE_CHUNK", chunk)
+    specs = [(292, 0.01, 10.0), (1024, 0.15, 10.0), (40, 0.0, 6.0), (292, 0.06, 4.0),
+             (700, 0.02, 10.0), (1024, 0.01, 10.0), (292, 0.15, 8.0)]
+    together = _runner_sessions(specs, seed0=4100)
+    alone = _runner_sessions(specs, seed0=4100)
+    results = seu_update_sessions(together, 4, "R34", p_hat=0.05)
+    verdicts = set()
+    for got, (ints, old, state), (_, _, own_state) in zip(results, alone, together):
+        want = seu_update_ints(ints, old, 4, "R34", state, p_hat=0.05)
+        assert np.array_equal(got.corrected_ints, want.corrected_ints)
+        assert got.frames == want.frames and got.total_int_bits == want.total_int_bits
+        assert own_state.rng.bit_generator.state == state.rng.bit_generator.state
+        verdicts.update(f.crc_ok for f in got.frames)
+    assert verdicts == {True, False}
+
+
+def test_one_session_is_one_turbo_decode_call(monkeypatch):
+    """A session of four ragged frames decodes in one call, in frame order."""
+    calls = []
+    decode = seu.turbo_decode
+    monkeypatch.setattr(seu, "turbo_decode", lambda *a: calls.append(a) or decode(*a))
+    ((ints, old, state),) = _runner_sessions([(1024, 0.01, 10.0)], seed0=4200)
+    seu_update_ints(ints, old, 4, "R34", state, p_hat=0.01)
+    ((sides, parities, pattern),) = calls
+    assert [len(side) for side in sides] == [1166, 1166, 1166, 598] and pattern == "R34"
+    assert len(parities) == 4
 
 
 def test_mismatched_drift_estimate_hurts():
