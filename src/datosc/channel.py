@@ -57,7 +57,8 @@ def draw_blocks(
     for_block and then one transmit call of `uses` symbols per block give.
 
     Each block's stream yields h's two normals (Rayleigh only) and its noise
-    normals in one standard_normal call, which draws them in that order.
+    normals in one standard_normal call, which draws them in that order. The
+    noise is scaled in place and returned as a view of that draw buffer.
     """
     _check_fading(fading)
     lead = 2 if fading == "rayleigh" else 0
@@ -137,6 +138,7 @@ def transmit(symbols: np.ndarray, state: ChannelState) -> np.ndarray:
 
 def _complex_noise(raw: np.ndarray, noise_var: float) -> np.ndarray:
     """Circularly-symmetric noise of variance noise_var from unit normals
-    (..., 2m): scaled by sqrt(noise_var / 2) and read as (re, im) pairs,
-    (..., m) complex."""
-    return (raw * np.sqrt(noise_var / 2.0)).view(np.complex128)
+    (..., 2m) that the caller drew: scaled in place by sqrt(noise_var / 2)
+    and read as (re, im) pairs, a (..., m) complex view of raw."""
+    raw *= np.sqrt(noise_var / 2.0)
+    return raw.view(np.complex128)

@@ -22,6 +22,7 @@ import numpy as np
 from .channel import ChannelState, noise_variance
 from .errors import AllocationError, ConfigError, ParameterError
 from .harness import (
+    MAX_SNR_POINTS,
     ExperimentConfig,
     calibrate_fer,
     derive_seed,
@@ -42,7 +43,8 @@ from .seu import (
 
 def parse_snr_spec(text: str) -> tuple:
     """Grid spec: 'a:b:step' (inclusive), a comma list, or a single value.
-    A spec that yields no point is an error."""
+    A spec that yields no point is an error, and so is a range of more than
+    MAX_SNR_POINTS, counted before it is built."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -55,8 +57,12 @@ def parse_snr_spec(text: str) -> tuple:
         noise_variance(b)
         if step <= 0:
             raise ConfigError("snr step must be positive")
-        count = int(np.floor((b - a) / step + 1e-9)) + 1
-        grid = tuple(float(a + i * step) for i in range(max(count, 0)))
+        count = np.floor((b - a) / step + 1e-9) + 1  # a float, so inf cannot overflow
+        if count > MAX_SNR_POINTS:
+            raise ConfigError(
+                f"snr {text!r} gives {count:.0f} points, at most {MAX_SNR_POINTS} are allowed"
+            )
+        grid = tuple(float(a + i * step) for i in range(max(int(count), 0)))
     else:
         grid = tuple(float(p) for p in text.split(",") if p.strip())
         for snr in grid:

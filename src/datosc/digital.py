@@ -94,26 +94,35 @@ class QuantizerSpec:
 
 def quantize_cells(coeffs: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
     """Cell index per coefficient; out-of-range values clip to the end cells."""
-    x = np.asarray(coeffs, dtype=np.float64)
-    idx = np.floor((x + spec.clips) / spec.deltas)
-    return np.clip(idx, 0, spec.levels - 1).astype(np.int64)
+    idx = np.asarray(coeffs, dtype=np.float64) + spec.clips
+    idx /= spec.deltas
+    np.floor(idx, out=idx)
+    return np.clip(idx, 0, spec.levels - 1, out=idx).astype(np.int64)
 
 
 def cells_to_bits(cells: np.ndarray, bits: int) -> np.ndarray:
-    """Natural binary, most-significant bit first, flattened per coefficient."""
+    """Natural binary, most-significant bit first, flattened per coefficient.
+    Each bit is written straight into the uint8 result, one bit position at
+    a time, so no int64 array of the result's size is built."""
     c = np.asarray(cells, dtype=np.int64)
-    shifts = np.arange(bits - 1, -1, -1)
-    out = (c[..., None] >> shifts) & 1
-    return out.reshape(*c.shape[:-1], c.shape[-1] * bits).astype(np.uint8)
+    out = np.empty(c.shape + (bits,), dtype=np.uint8)
+    for j in range(bits):
+        np.bitwise_and(c >> (bits - 1 - j), 1, out=out[..., j], casting="unsafe")
+    return out.reshape(*c.shape[:-1], c.shape[-1] * bits)
 
 
 def bits_to_cells(bitstream: np.ndarray, bits: int) -> np.ndarray:
-    b = np.asarray(bitstream, dtype=np.int64)
+    """int64 cells of a bitstream, most-significant bit first: the inverse
+    of cells_to_bits, accumulated one bit position at a time."""
+    b = np.asarray(bitstream)
     if b.shape[-1] % bits:
         raise ParameterError("bitstream length is not a multiple of the depth")
     grouped = b.reshape(*b.shape[:-1], b.shape[-1] // bits, bits)
-    weights = 1 << np.arange(bits - 1, -1, -1)
-    return np.sum(grouped * weights, axis=-1)
+    cells = np.zeros(grouped.shape[:-1], dtype=np.int64)
+    for j in range(bits):
+        cells <<= 1
+        cells += grouped[..., j].astype(np.int64, copy=False)
+    return cells
 
 
 def dequantize_cells(cells: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
@@ -322,16 +331,24 @@ def modulate(bits: np.ndarray, scheme: str, amplitude: float = 1.0) -> np.ndarra
 
     An odd QPSK bit count is padded with one zero bit (the receiver trims it).
     """
-    b = np.asarray(bits, dtype=np.float64)
+    b = np.asarray(bits, dtype=np.uint8)
     if scheme == "bpsk":
-        return amplitude * (1.0 - 2.0 * b) + 0.0j
+        return _constellation(scheme, amplitude)[b]
     if scheme == "qpsk":
         if b.shape[-1] % 2:
-            b = np.concatenate([b, np.zeros(b.shape[:-1] + (1,))], axis=-1)
-        i = 1.0 - 2.0 * b[..., 0::2]
-        q = 1.0 - 2.0 * b[..., 1::2]
-        return amplitude * (i + 1j * q) / np.sqrt(2.0)
+            b = np.concatenate([b, np.zeros(b.shape[:-1] + (1,), dtype=np.uint8)], axis=-1)
+        return _constellation(scheme, amplitude)[2 * b[..., 0::2] + b[..., 1::2]]
     raise ParameterError(f"unknown modulation {scheme!r}")
+
+
+def _constellation(scheme: str, amplitude: float) -> np.ndarray:
+    """The symbol of each bit (BPSK) or each bit pair 2*b_i + b_q (QPSK),
+    from modulate's mapping formula applied to every bit value: a symbol
+    is then looked up, not computed from a float64 copy of the bits."""
+    if scheme == "bpsk":
+        return amplitude * (1.0 - 2.0 * np.array([0.0, 1.0])) + 0.0j
+    i, q = 1.0 - 2.0 * np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0]])
+    return amplitude * (i + 1j * q) / np.sqrt(2.0)
 
 
 def bits_per_symbol(scheme: str) -> int:
@@ -363,18 +380,24 @@ def demodulate(
     """
     y = np.asarray(received, dtype=np.complex128)
     matched = np.conj(h) * y
+    llrs = np.empty(y.shape[:-1] + (bits_per_symbol(scheme) * y.shape[-1],))
     if scheme == "bpsk":
-        llrs = 4.0 * amplitude * matched.real / noise_var
-    elif scheme == "qpsk":
-        scale = 4.0 * (amplitude / np.sqrt(2.0)) / noise_var
-        llrs = np.empty(y.shape[:-1] + (2 * y.shape[-1],))
-        llrs[..., 0::2] = scale * matched.real
-        llrs[..., 1::2] = scale * matched.imag
+        np.multiply(matched.real, 4.0 * amplitude, out=llrs)
+        llrs /= noise_var
     else:
-        raise ParameterError(f"unknown modulation {scheme!r}")
+        scale = 4.0 * (amplitude / np.sqrt(2.0)) / noise_var
+        np.multiply(matched.real, scale, out=llrs[..., 0::2])
+        np.multiply(matched.imag, scale, out=llrs[..., 1::2])
     if n_bits is not None:
         llrs = llrs[..., :n_bits]
-    return llr_clip(llrs)
+    return np.clip(llrs, -LLR_CLIP, LLR_CLIP, out=llrs)
+
+
+# Rows per block of the stages that work through a batch in blocks of rows
+# (side_info_llrs' per-row beliefs, and the harness's modem and channel):
+# about 1 MB of temporaries per block at the default link. No value depends
+# on it.
+ROW_BLOCK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +416,8 @@ def side_info_llrs(est: np.ndarray, err_var: np.ndarray, spec: QuantizerSpec) ->
 
     A coefficient whose (est, err_var) is the same in every row, such as one
     the analog branch does not carry, is computed once and broadcast; its
-    LLRs equal those of a row-by-row call.
+    LLRs equal those of a row-by-row call. The others are computed in blocks
+    of rows, straight into the result.
     """
     mu, var = np.broadcast_arrays(
         np.asarray(est, dtype=np.float64), np.asarray(err_var, dtype=np.float64)
@@ -403,15 +427,12 @@ def side_info_llrs(est: np.ndarray, err_var: np.ndarray, spec: QuantizerSpec) ->
     const = np.all(mu_rows == mu_rows[:1], axis=0) & np.all(var_rows == var_rows[:1], axis=0)
     edges = -spec.clips[..., None] + np.arange(1, spec.levels) * spec.deltas[..., None]
     edges = np.broadcast_to(edges, (n, spec.levels - 1))
-    # the shared columns first, computed on row 0 only, then the others
-    order = np.argsort(~const, kind="stable")
-    split = int(const.sum())
-    shared, per_row = (
-        _bit_llrs(mu_rows[rows][:, cols], var_rows[rows][:, cols], edges[cols], spec.bits)
-        for rows, cols in ((slice(0, 1), order[:split]), (slice(None), order[split:]))
-    )
-    shared = np.broadcast_to(shared, (len(mu_rows),) + shared.shape[1:])
-    out = np.concatenate([shared, per_row], axis=1).take(np.argsort(order), axis=1)
+    out = np.empty((len(mu_rows), n, spec.bits))
+    shared, own = np.flatnonzero(const), np.flatnonzero(~const)
+    out[:, shared] = _bit_llrs(mu_rows[:1, shared], var_rows[:1, shared], edges[shared], spec.bits)
+    for start in range(0, len(mu_rows), ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        out[rows, own] = _bit_llrs(mu_rows[rows, own], var_rows[rows, own], edges[own], spec.bits)
     return out.reshape(*mu.shape[:-1], n * spec.bits)
 
 
@@ -471,7 +492,8 @@ def viterbi_decode(sys_llrs: np.ndarray, parity_llrs: np.ndarray) -> np.ndarray:
     b, r, _ = np.indices(branch_u.shape)
     gather = (branch_u * states + half * b + r).transpose(0, 2, 1).ravel()
     # time-major with the batch axis last, so that each step reads contiguous
-    # LLR rows; every buffer is allocated once
+    # LLR rows (an input that is the transpose of a time-major array is read
+    # without a copy); every buffer is allocated once
     steps = zip(np.ascontiguousarray(sys_l.T), np.ascontiguousarray(par_l.T))
     pm = np.full((states, batch), _NEG_METRIC)
     pm[0] = 0.0
@@ -524,20 +546,30 @@ def dsc_decode(
     over the trellis with zeros at the punctured positions. Returns
     (info_bits, crc_ok); on a CRC mismatch the bits are still the best
     path's decision, and the caller decides the fallback.
+
+    The parity is spread into a time-major (L, T) array, which reaches
+    viterbi_decode as its transpose, so Viterbi reads it without a copy. An
+    unpunctured parity stream is passed on as it is, and LLRs given as the
+    transpose of a time-major array are then read in place, as are such
+    side_llrs.
     """
     side = np.atleast_2d(np.asarray(side_llrs, dtype=np.float64))
     info_len = side.shape[1] - CRC_BITS - TAIL_BITS
     if info_len < 0:
         raise ParameterError("fewer systematic LLRs than CRC and tail positions")
     keep = puncture_keep_indices(info_len, pattern)
-    parity = np.asarray(parity_llrs, dtype=np.float64)
+    parity = np.atleast_2d(np.asarray(parity_llrs, dtype=np.float64))
     if parity.shape[-1] != len(keep):
         raise ParameterError(
             f"expected {len(keep)} parity LLRs for pattern {pattern}, got {parity.shape[-1]}"
         )
-    full = np.zeros(parity.shape[:-1] + (side.shape[1],))
-    full[..., keep] = parity
-    decided = viterbi_decode(side, full)
+    if len(keep) == side.shape[1]:
+        spread = parity  # nothing is punctured
+    else:
+        parity_steps = np.zeros((side.shape[1], len(parity)))
+        parity_steps[keep] = parity.T
+        spread = parity_steps.T
+    decided = viterbi_decode(side, spread)
     info = decided[:, :info_len]
     return info, _crc_matches(info, decided[:, info_len : info_len + CRC_BITS])
 

@@ -31,6 +31,10 @@ CHANNELS = ("awgn", "rayleigh")
 # for its QR, 8 MB at this n
 MAX_N = 1024
 
+# most points an SNR grid may hold: a sweep runs every point, so a grid of
+# millions is a typo in its step, not an experiment
+MAX_SNR_POINTS = 1000
+
 CLIFF_FACTOR = 5.0
 SATURATION_REL = 0.05
 GRACEFUL_FACTOR = 0.8
@@ -71,6 +75,10 @@ class ExperimentConfig:
             raise ParameterError(f"unknown channel {self.channel!r}")
         if self.trials < 100:
             raise ParameterError("trials must be >= 100 for CI-bearing metrics")
+        if len(self.snr_grid) > MAX_SNR_POINTS:
+            raise ParameterError(
+                f"snr grid has {len(self.snr_grid)} points, at most {MAX_SNR_POINTS} are allowed"
+            )
         grid = np.asarray(self.snr_grid)
         for snr in self.snr_grid:
             noise_variance(snr)
@@ -310,21 +318,35 @@ def digital_stage(
     the parity is sent, and the CRC and tail positions enter the decoder with
     no evidence. Without it the systematic bits are sent as well.
     Returns the decoded quantizer cells and the CRC flags.
+
+    The symbols pass through the channel in blocks of dig.ROW_BLOCK rows,
+    in place, and each block's LLRs go straight into the time-major arrays
+    Viterbi reads, which reach dsc_decode as their transposes; the side
+    LLRs are copied into the systematic one. No array of modulated symbols
+    spans the chunk.
     """
     systematic, parity = dig.dsc_encode(dig.quantize(full, setup.quant), config.pattern)
+    length = systematic.shape[1]
     wire = parity if side is not None else np.concatenate([systematic, parity], axis=1)
-    x_d = dig.modulate(wire, config.modulation, setup.digital_amplitude)
-    h = draws.h[:, None]
-    y_d = h * x_d + draws.w_d[:, : x_d.shape[1]]
-    llrs = dig.demodulate(
-        y_d, h, draws.noise_var, config.modulation, setup.digital_amplitude, wire.shape[1]
-    )
-    if side is None:
-        sys_llrs, llrs = llrs[:, : systematic.shape[1]], llrs[:, systematic.shape[1] :]
-    else:
-        sys_llrs = np.zeros(systematic.shape)
-        sys_llrs[:, : side.shape[1]] = side
-    decoded, crc_ok = dig.dsc_decode(sys_llrs, llrs, config.pattern)
+    sys_steps = np.zeros((length, len(wire)))
+    if side is not None:
+        sys_steps[: side.shape[1]] = side.T
+    parity_steps = np.empty(parity.shape[::-1])
+    amplitude = setup.digital_amplitude
+    for start in range(0, len(wire), dig.ROW_BLOCK):
+        rows = slice(start, start + dig.ROW_BLOCK)
+        y_d = dig.modulate(wire[rows], config.modulation, amplitude)
+        h = draws.h[rows, None]
+        np.multiply(h, y_d, out=y_d)
+        y_d += draws.w_d[rows, : y_d.shape[1]]
+        llrs = dig.demodulate(
+            y_d, h, draws.noise_var, config.modulation, amplitude, wire.shape[1]
+        )
+        if side is None:
+            sys_steps[:, rows] = llrs[:, :length].T
+            llrs = llrs[:, length:]
+        parity_steps[:, rows] = llrs.T
+    decoded, crc_ok = dig.dsc_decode(sys_steps.T, parity_steps.T, config.pattern)
     return dig.bits_to_cells(decoded, setup.quant.bits), crc_ok
 
 
@@ -370,11 +392,15 @@ def run_chunk(
     return _metrics(setup, full, draws, refined, ~crc_ok)
 
 
-# Trials per run_chunk call at most, so a point's working set stays bounded
-# (Viterbi decisions alone take 1 byte per trellis state and step). The chunk
-# size changes no value: each trial draws from its own streams, and every
-# stage gives a trial the bits it would give it alone (side_info_llrs computes
-# a coefficient shared by all rows once, with the bits of a per-row call).
+# Trials per run_chunk call at most, so a point's working set stays bounded:
+# about 13 KiB per trial on the default link, so 52-53 MiB at 4,096 trials
+# for the digital and hybrid schemes and 16 MiB for analog (tracemalloc
+# peaks). The noise draws take 4.3 KiB of it under the digital scheme,
+# Viterbi's inputs 2.1 KiB each and its decisions 1.1 KiB (1 byte per
+# trellis state and step). The chunk size changes no value: each trial
+# draws from its own streams, and every stage gives a trial the bits it
+# would give it alone (side_info_llrs computes a coefficient shared by all
+# rows once, with the bits of a per-row call).
 MAX_CHUNK_TRIALS = 4096
 
 

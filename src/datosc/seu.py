@@ -130,6 +130,10 @@ def _frame_slices(total_bits: int) -> list[slice]:
     return [slice(s, min(s + MAX_FRAME_INFO_BITS, total_bits)) for s in starts]
 
 
+def _frame_length(sl: slice) -> int:
+    return sl.stop - sl.start
+
+
 # Per-frame cap on CRC-checked candidates: the turbo decoder checks one hard
 # decision per iteration.
 LIST_SIZE = TURBO_MAX_ITERATIONS
@@ -169,7 +173,9 @@ def seu_update_sessions(
     MAX_FRAME_INFO_BITS bits, the last one the rest; frames of equal length
     encode as one batch, and a session's parity goes out as one wire on its
     own channel, in frame order. Sessions are encoded and sent one after
-    another, and every session is held until all are sent.
+    another, and every session is held until all are sent: its bits and its
+    parity LLRs, while the side LLRs of a frame are formed when its chunk
+    decodes.
 
     Then the frames of all sessions, sorted longest first (a stable sort, so
     one session's frames keep their order), decode in chunks of DECODE_CHUNK
@@ -180,22 +186,22 @@ def seu_update_sessions(
     if not 0.0 < p_hat < 0.5:
         raise ParameterError("assumed drift rate must lie in (0, 0.5)")
     side_mag = float(np.log((1.0 - p_hat) / p_hat))
-    sent = [_send(*session, int_bits, pattern, side_mag) for session in sessions]
-    # (side, parity, session, frame), longest first; the sort is stable, so
-    # one session's frames keep their order
+    sent = [_send(*session, int_bits, pattern) for session in sessions]
+    # (session, frame), longest first; the sort is stable, so one session's
+    # frames keep their order
     frames = sorted(
-        (
-            (side, parity, s, f)
-            for s, session in enumerate(sent)
-            for f, (side, parity) in enumerate(zip(session.sides, session.parity_llrs))
-        ),
-        key=lambda frame: -len(frame[0]),
+        ((s, f) for s, session in enumerate(sent) for f in range(len(session.slices))),
+        key=lambda sf: -_frame_length(sent[sf[0]].slices[sf[1]]),
     )
-    decoded = [[None] * len(session.sides) for session in sent]
+    decoded = [[None] * len(session.slices) for session in sent]
     for start in range(0, len(frames), DECODE_CHUNK):
-        sides, parities, owners, indices = zip(*frames[start : start + DECODE_CHUNK])
+        chunk = frames[start : start + DECODE_CHUNK]
+        # float64 side LLRs held for every session would be most of what
+        # the runner holds (32 KB of a 1,024-int session's 51 KB)
+        sides = [_side_llrs(sent[s].old_bits[sent[s].slices[f]], side_mag) for s, f in chunk]
+        parities = [sent[s].parity_llrs[f] for s, f in chunk]
         bits, crc_ok = turbo_decode(sides, parities, pattern)
-        for side, s, f, row, ok in zip(sides, owners, indices, bits, crc_ok):
+        for (s, f), side, row, ok in zip(chunk, sides, bits, crc_ok):
             if ok:
                 decoded[s][f] = row[: len(side)]
     return [
@@ -205,17 +211,16 @@ def seu_update_sessions(
 
 
 class _Sent(NamedTuple):
-    """One session after transmission, per frame its received parity LLRs
-    and the side LLRs of the outdated copy."""
+    """One session after transmission: its bits, frame slices, and per
+    frame the received parity LLRs."""
 
     up_bits: np.ndarray
     old_bits: np.ndarray
     slices: list[slice]
     parity_llrs: list[np.ndarray]
-    sides: list[np.ndarray]
 
 
-def _send(updated, outdated, state: ChannelState, int_bits: int, pattern: str, side_mag: float):
+def _send(updated, outdated, state: ChannelState, int_bits: int, pattern: str):
     """Check, encode and transmit one session."""
     _check_ints(updated, int_bits, "updated integers")
     _check_ints(outdated, int_bits, "outdated integers")
@@ -228,20 +233,24 @@ def _send(updated, outdated, state: ChannelState, int_bits: int, pattern: str, s
     slices = _frame_slices(up_bits.size)
     parity = [
         frame
-        for _, group in groupby(slices, key=lambda sl: sl.stop - sl.start)
+        for _, group in groupby(slices, key=_frame_length)
         for frame in turbo_encode(np.stack([up_bits[sl] for sl in group]), pattern)
     ]
     received = transmit(modulate(np.concatenate(parity), "bpsk"), state)
     llrs = demodulate(received, state.h, state.noise_var, "bpsk")
     parity_llrs = np.split(llrs, np.cumsum([len(p) for p in parity])[:-1])
-    side = llr_clip((1.0 - 2.0 * old_bits.astype(np.float64)) * side_mag)
-    return _Sent(up_bits, old_bits, slices, parity_llrs, [side[sl] for sl in slices])
+    return _Sent(up_bits, old_bits, slices, parity_llrs)
+
+
+def _side_llrs(old_bits: np.ndarray, side_mag: float) -> np.ndarray:
+    """Systematic LLRs of outdated bits: +side_mag for a 0, -side_mag for a 1."""
+    return llr_clip((1.0 - 2.0 * old_bits.astype(np.float64)) * side_mag)
 
 
 def _session_result(session: _Sent, pattern: str, int_bits: int, frame_bits) -> SeuSessionResult:
     """The corrected integers and frame records of one session, from the
     decoded bits of each frame (None for a frame whose CRC never verified)."""
-    up_bits, old_bits, slices, parity_llrs, _ = session
+    up_bits, old_bits, slices, parity_llrs = session
     corrected = old_bits.copy()
     for sl, bits in zip(slices, frame_bits):
         if bits is not None:
