@@ -393,10 +393,11 @@ def demodulate(
     return np.clip(llrs, -LLR_CLIP, LLR_CLIP, out=llrs)
 
 
-# Rows per block of the stages that work through a batch in blocks of rows
-# (side_info_llrs' per-row beliefs, and the harness's modem and channel):
-# about 1 MB of temporaries per block at the default link. No value depends
-# on it.
+# Trials per block of harness.run_chunk: it draws, analyzes, sends over the
+# analog partition, forms side information for (side_info_llrs), and
+# modulates, sends and demodulates this many trials at a time. At most about
+# 4 MiB of temporaries per block at the default link (tracemalloc). No value
+# depends on it.
 ROW_BLOCK = 256
 
 
@@ -416,8 +417,8 @@ def side_info_llrs(est: np.ndarray, err_var: np.ndarray, spec: QuantizerSpec) ->
 
     A coefficient whose (est, err_var) is the same in every row, such as one
     the analog branch does not carry, is computed once and broadcast; its
-    LLRs equal those of a row-by-row call. The others are computed in blocks
-    of rows, straight into the result.
+    LLRs equal those of a row-by-row call. Its temporaries grow with the
+    rows: harness.run_chunk calls it on blocks of ROW_BLOCK rows.
     """
     mu, var = np.broadcast_arrays(
         np.asarray(est, dtype=np.float64), np.asarray(err_var, dtype=np.float64)
@@ -430,9 +431,7 @@ def side_info_llrs(est: np.ndarray, err_var: np.ndarray, spec: QuantizerSpec) ->
     out = np.empty((len(mu_rows), n, spec.bits))
     shared, own = np.flatnonzero(const), np.flatnonzero(~const)
     out[:, shared] = _bit_llrs(mu_rows[:1, shared], var_rows[:1, shared], edges[shared], spec.bits)
-    for start in range(0, len(mu_rows), ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
-        out[rows, own] = _bit_llrs(mu_rows[rows, own], var_rows[rows, own], edges[own], spec.bits)
+    out[:, own] = _bit_llrs(mu_rows[:, own], var_rows[:, own], edges[own], spec.bits)
     return out.reshape(*mu.shape[:-1], n * spec.bits)
 
 

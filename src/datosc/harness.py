@@ -305,59 +305,66 @@ def analog_stage(
     return est_full, err_full
 
 
-def digital_stage(
+def _steps(config: ExperimentConfig, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Viterbi's time-major inputs: (L, T) systematic LLRs, zero until set,
+    and (P, T) parity LLRs."""
+    info_len = config.n * config.quant_bits
+    parity_len = dig.parity_length(info_len, config.pattern)
+    return np.zeros((info_len + dig.CRC_BITS + dig.TAIL_BITS, count)), np.empty((parity_len, count))
+
+
+def receive(
     config: ExperimentConfig,
     setup: LinkSetup,
     full: np.ndarray,
     draws: TrialDraws,
-    side: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Quantize (T, n) blocks, send them over the digital partition, decode.
-
-    side holds the receiver's systematic LLRs of the info bits; then only
-    the parity is sent, and the CRC and tail positions enter the decoder with
-    no evidence. Without it the systematic bits are sent as well.
-    Returns the decoded quantizer cells and the CRC flags.
-
-    The symbols pass through the channel in blocks of dig.ROW_BLOCK rows,
-    in place, and each block's LLRs go straight into the time-major arrays
-    Viterbi reads, which reach dsc_decode as their transposes; the side
-    LLRs are copied into the systematic one. No array of modulated symbols
-    spans the chunk.
-    """
+    side: Optional[np.ndarray],
+    sys_steps: np.ndarray,
+    parity_steps: np.ndarray,
+) -> None:
+    """Quantize (T, n) blocks, send them over the digital partition (the
+    symbols through the channel in place) and write their LLRs into the
+    time-major sys_steps and parity_steps. side holds the receiver's
+    systematic LLRs of the info bits: then only the parity is sent, and the
+    CRC and tail positions keep sys_steps' zeros."""
     systematic, parity = dig.dsc_encode(dig.quantize(full, setup.quant), config.pattern)
     length = systematic.shape[1]
     wire = parity if side is not None else np.concatenate([systematic, parity], axis=1)
-    sys_steps = np.zeros((length, len(wire)))
-    if side is not None:
-        sys_steps[: side.shape[1]] = side.T
-    parity_steps = np.empty(parity.shape[::-1])
     amplitude = setup.digital_amplitude
-    for start in range(0, len(wire), dig.ROW_BLOCK):
-        rows = slice(start, start + dig.ROW_BLOCK)
-        y_d = dig.modulate(wire[rows], config.modulation, amplitude)
-        h = draws.h[rows, None]
-        np.multiply(h, y_d, out=y_d)
-        y_d += draws.w_d[rows, : y_d.shape[1]]
-        llrs = dig.demodulate(
-            y_d, h, draws.noise_var, config.modulation, amplitude, wire.shape[1]
-        )
-        if side is None:
-            sys_steps[:, rows] = llrs[:, :length].T
-            llrs = llrs[:, length:]
-        parity_steps[:, rows] = llrs.T
+    y_d = dig.modulate(wire, config.modulation, amplitude)
+    h = draws.h[:, None]
+    np.multiply(h, y_d, out=y_d)
+    y_d += draws.w_d[:, : y_d.shape[1]]
+    llrs = dig.demodulate(y_d, h, draws.noise_var, config.modulation, amplitude, wire.shape[1])
+    if side is None:
+        sys_steps[:] = llrs[:, :length].T
+        llrs = llrs[:, length:]
+    else:
+        sys_steps[: side.shape[1]] = side.T
+    parity_steps[:] = llrs.T
+
+
+def _decode(config, setup, sys_steps, parity_steps) -> tuple[np.ndarray, np.ndarray]:
+    """Decoded cells and CRC flags; Viterbi reads the transposes in place."""
     decoded, crc_ok = dig.dsc_decode(sys_steps.T, parity_steps.T, config.pattern)
     return dig.bits_to_cells(decoded, setup.quant.bits), crc_ok
 
 
-def _metrics(setup, full, draws, coeff_hat, crc_fail):
+def digital_stage(config, setup, full, draws, side=None) -> tuple[np.ndarray, np.ndarray]:
+    """receive and decode (T, n) blocks at once: decoded cells, CRC flags."""
+    steps = _steps(config, len(full))
+    receive(config, setup, full, draws, side, *steps)
+    return _decode(config, setup, *steps)
+
+
+def _metrics(setup, full, samples, labels, coeff_hat, crc_fail):
     x_hat = codec.synthesize_full(coeff_hat)
     diff_f = coeff_hat[:, setup.kept] - full[:, setup.kept]
     feature_mse = np.mean(diff_f * diff_f, axis=1)
-    diff_d = x_hat - draws.samples
+    diff_d = x_hat - samples
     data_mse = np.mean(diff_d * diff_d, axis=1)
-    if setup.task is not None and np.all(draws.labels >= 0):
-        task_ok = (codec.classify(coeff_hat, setup.task) == draws.labels).astype(np.float64)
+    if setup.task is not None and np.all(labels >= 0):
+        task_ok = (codec.classify(coeff_hat, setup.task) == labels).astype(np.float64)
     else:
         task_ok = np.full(len(full), np.nan)
     return feature_mse, data_mse, task_ok, crc_fail
@@ -372,35 +379,51 @@ def run_chunk(
     t1: int,
 ):
     """Per-trial (feature_mse, data_mse, task_ok, crc_fail) arrays for
-    trials [t0, t1) of one sweep point."""
-    draws = draw_trials(config, setup, snr_db, point_index, t0, t1)
-    full = codec.analyze(draws.samples)
+    trials [t0, t1) of one sweep point.
+
+    Trials are drawn and run up to Viterbi in blocks of dig.ROW_BLOCK rows,
+    each block's LLRs written into Viterbi's inputs and its draws dropped.
+    """
+    count, n = t1 - t0, config.n
+    samples, full = np.empty((count, n)), np.empty((count, n))
+    labels = np.empty(count, dtype=np.int64)
+    est_full = np.empty((count, n)) if config.scheme != "digital" else None
+    steps = _steps(config, count) if config.scheme != "analog" else None
+    for a in range(0, count, dig.ROW_BLOCK):
+        rows = slice(a, min(a + dig.ROW_BLOCK, count))
+        draws = draw_trials(config, setup, snr_db, point_index, t0 + rows.start, t0 + rows.stop)
+        samples[rows], labels[rows] = draws.samples, draws.labels
+        full[rows] = codec.analyze(draws.samples)
+        side = None
+        if config.scheme != "digital":
+            est_full[rows], err_full = analog_stage(setup, full[rows], draws)
+        if config.scheme == "da":
+            side = dig.side_info_llrs(est_full[rows], err_full, setup.quant)
+        if config.scheme != "analog":
+            receive(config, setup, full[rows], draws, side, *(s[:, rows] for s in steps))
     if config.scheme == "analog":
-        est_full, _ = analog_stage(setup, full, draws)
-        return _metrics(setup, full, draws, est_full, np.zeros(t1 - t0, dtype=bool))
+        return _metrics(setup, full, samples, labels, est_full, np.zeros(count, dtype=bool))
+    cells, crc_ok = _decode(config, setup, *steps)
+    del steps  # Viterbi's inputs, the largest arrays, go before fusion and metrics
     if config.scheme == "digital":
-        cells, crc_ok = digital_stage(config, setup, full, draws)
         coeff_hat = dig.dequantize_cells(cells, setup.quant)
         coeff_hat[~crc_ok] = 0.0  # decode failure emits the zero block
-        return _metrics(setup, full, draws, coeff_hat, ~crc_ok)
-    est_full, err_full = analog_stage(setup, full, draws)
-    side = dig.side_info_llrs(est_full, err_full, setup.quant)
-    cells, crc_ok = digital_stage(config, setup, full, draws, side)
-    observed = np.zeros(config.n, dtype=bool)
+        return _metrics(setup, full, samples, labels, coeff_hat, ~crc_ok)
+    observed = np.zeros(n, dtype=bool)
     observed[setup.kept] = True
     refined = dig.refine(est_full, cells, setup.quant, crc_ok, observed)
-    return _metrics(setup, full, draws, refined, ~crc_ok)
+    return _metrics(setup, full, samples, labels, refined, ~crc_ok)
 
 
 # Trials per run_chunk call at most, so a point's working set stays bounded:
-# about 13 KiB per trial on the default link, so 52-53 MiB at 4,096 trials
-# for the digital and hybrid schemes and 16 MiB for analog (tracemalloc
-# peaks). The noise draws take 4.3 KiB of it under the digital scheme,
-# Viterbi's inputs 2.1 KiB each and its decisions 1.1 KiB (1 byte per
-# trellis state and step). The chunk size changes no value: each trial
-# draws from its own streams, and every stage gives a trial the bits it
-# would give it alone (side_info_llrs computes a coefficient shared by all
-# rows once, with the bits of a per-row call).
+# about 7.5 KiB per trial on the default link, so 30-32 MiB at 4,096 trials
+# for the digital and hybrid schemes and 14 MiB for analog (tracemalloc
+# peaks). Viterbi's inputs take 2.1 KiB each of it and its decisions 1.1 KiB
+# (1 byte per trellis state and step); the draws and every stage before
+# Viterbi hold one block of dig.ROW_BLOCK trials. The chunk size changes no
+# value: each trial draws from its own streams, and every stage gives a
+# trial the bits it would give it alone (side_info_llrs computes a
+# coefficient shared by all rows once, with the bits of a per-row call).
 MAX_CHUNK_TRIALS = 4096
 
 

@@ -151,8 +151,8 @@ def _link_metrics(kept, full, coeff_hat):
     coefficients are full and whose receiver estimates are coeff_hat."""
     full, coeff_hat = np.atleast_2d(full), np.atleast_2d(coeff_hat)
     setup = SimpleNamespace(kept=kept, task=None)
-    draws = SimpleNamespace(samples=synthesize_full(full))
-    feature, data, _, _ = _metrics(setup, full, draws, coeff_hat, None)
+    labels = np.full(len(full), -1)
+    feature, data, _, _ = _metrics(setup, full, synthesize_full(full), labels, coeff_hat, None)
     return feature, data
 
 

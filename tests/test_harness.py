@@ -740,9 +740,11 @@ def test_chunk_bounds_cap_trials_per_chunk():
 
 
 # tracemalloc peak of one 2,000-trial run_chunk at 10 dB, in MiB. Measured
-# 8.0, 26.1 and 26.4 on the default link; 8.0, 54.3 and 46.4 while the
-# digital stages built (trials x wire bits) float64 and complex temporaries.
-CHUNK_PEAK_MIB = {"analog": 11, "digital": 34, "da": 34}
+# 6.7, 15.0 and 16.1 on the default link; 8.0, 26.1 and 26.4 while a chunk
+# drew its noise and ran its stages up to Viterbi over all its trials at
+# once, and 8.0, 54.3 and 46.4 while the digital stages built (trials x
+# wire bits) float64 and complex temporaries.
+CHUNK_PEAK_MIB = {"analog": 9, "digital": 20, "da": 20}
 
 
 @pytest.mark.parametrize("scheme", H.SCHEMES)
@@ -759,14 +761,36 @@ def test_a_chunk_working_set_stays_bounded(scheme):
     assert peak < CHUNK_PEAK_MIB[scheme] * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_a_chunk_draws_its_channel_in_blocks(monkeypatch):
+    """run_chunk draws gains and noise for at most dig.ROW_BLOCK trials at a
+    time, the draws tiling its trials in ascending order: no draw spans the
+    chunk."""
+    calls = []
+    real = H.draw_blocks
+
+    def counting(snr_db, fading, seed, t0, t1, uses):
+        calls.append((t0, t1))
+        return real(snr_db, fading, seed, t0, t1, uses)
+
+    monkeypatch.setattr(H, "draw_blocks", counting)
+    for scheme in H.SCHEMES:
+        cfg = ExperimentConfig(scheme=scheme, seed=9)
+        setup = H.build_link(cfg)
+        calls.clear()
+        H.run_chunk(cfg, setup, 10.0, 0, 100, 2100)
+        assert all(0 < b - a <= dig.ROW_BLOCK for a, b in calls), (scheme, calls)
+        assert [a for a, _ in calls] == [100] + [b for _, b in calls[:-1]], scheme
+        assert calls[-1][1] == 2100, scheme
+
+
 def _snapshot(arrays) -> list[bytes]:
     return [np.asarray(a).tobytes() for a in arrays]
 
 
 def test_stages_leave_their_inputs_unchanged():
     """The stages work in place only on buffers they allocate: each input
-    array, and every array of the chunk's TrialDraws, keeps its bytes. The
-    chunk spans more than one block of dig.ROW_BLOCK rows, and the decoders
+    array, and every array of the chunk's TrialDraws, keeps its bytes;
+    receive writes only into the time-major arrays it is given. The decoders
     also get transposes of time-major arrays, which they read in place."""
     for scheme, pattern in (("digital", "R12"), ("da", "R12"), ("da", "R34")):
         cfg = ExperimentConfig(scheme=scheme, pattern=pattern, seed=3)
@@ -791,6 +815,7 @@ def test_stages_leave_their_inputs_unchanged():
         spread = np.zeros(sys_llrs.shape)
         spread[:, dig.puncture_keep_indices(bits.shape[1], pattern)] = llrs
         sys_tm, llrs_tm, spread_tm = (np.ascontiguousarray(a.T).T for a in (sys_llrs, llrs, spread))
+        steps = H._steps(cfg, len(full))  # receive's outputs
         calls += [
             (lambda: dig.modulate(parity, "qpsk", 2.0), [parity]),
             (lambda: dig.modulate(bits.astype(bool), "bpsk"), [bits]),
@@ -800,7 +825,7 @@ def test_stages_leave_their_inputs_unchanged():
             (lambda: dig.dsc_decode(sys_tm, llrs_tm, pattern), [sys_tm, llrs_tm]),
             (lambda: dig.viterbi_decode(sys_llrs, spread), [sys_llrs, spread]),
             (lambda: dig.viterbi_decode(sys_tm, spread_tm), [sys_tm, spread_tm]),
-            (lambda: H.digital_stage(cfg, setup, full, draws, side), [full, side]),
+            (lambda: H.receive(cfg, setup, full, draws, side, *steps), [full, side]),
         ]
         drawn = [getattr(draws, f.name) for f in fields(draws)][:-1]  # the arrays
         for call, inputs in calls:
@@ -810,17 +835,28 @@ def test_stages_leave_their_inputs_unchanged():
             assert _snapshot(inputs) == before, (scheme, pattern, call)
 
 
-def test_the_row_block_size_changes_no_value(monkeypatch):
-    """The blocked stages (the digital link of digital_stage, and
-    side_info_llrs) give every trial the same bits whatever the block."""
-    for scheme in ("digital", "da"):
-        cfg = ExperimentConfig(scheme=scheme, seed=5)
-        setup = H.build_link(cfg)
-        whole = H.run_chunk(cfg, setup, 8.0, 1, 0, 300)
-        monkeypatch.setattr(dig, "ROW_BLOCK", 7)
-        blocked = H.run_chunk(cfg, setup, 8.0, 1, 0, 300)
-        monkeypatch.undo()
-        assert _snapshot(blocked) == _snapshot(whole), scheme
+def test_the_row_block_size_changes_no_value(monkeypatch, tmp_path):
+    """run_chunk's blocked stages (draws, analysis, the analog stage, side
+    information and the digital modem) give every trial the same bits with
+    blocks of 7 rows as with the whole chunk in one block. The chunk starts
+    past trial 0 and is no multiple of 7 long, and an image source's 6 tiles
+    wrap around many times inside it."""
+    image = tmp_path / "tiles.pgm"
+    rng = np.random.default_rng(0x7113)
+    image.write_bytes(b"P5\n24 16\n255\n" + rng.integers(0, 256, 24 * 16, dtype=np.uint8).tobytes())
+    for scheme in H.SCHEMES:
+        for channel in H.CHANNELS:
+            for source, path in (("class_mixture", None), ("image_blocks", str(image))):
+                cfg = ExperimentConfig(
+                    scheme=scheme, channel=channel, source_kind=source, image=path, seed=5
+                )
+                setup = H.build_link(cfg)
+                runs = []
+                for rows in (10**6, 7):
+                    monkeypatch.setattr(dig, "ROW_BLOCK", rows)
+                    runs.append(_snapshot(H.run_chunk(cfg, setup, 8.0, 1, 13, 312)))
+                monkeypatch.undo()
+                assert runs[0] == runs[1], (scheme, channel, source)
 
 
 def test_chunked_serial_point_writes_the_same_bytes(tmp_path, monkeypatch):
