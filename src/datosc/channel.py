@@ -6,7 +6,8 @@ under unit average transmit power and E[|h|^2] = 1, so noise_var =
 receiver knows h exactly. Each block consumes its own RNG stream,
 default_rng(seed XOR block_index), h first, then noise, so parallel trial
 execution reproduces serial results bit for bit. draw_blocks draws a range
-of blocks' gains and noise, their streams seeded together (streams.py).
+of blocks' gains and noise, their streams seeded together from one hash
+(channel_states, streams.py).
 ChannelState.for_block is one block's gain and stream, from which each
 transmit call draws noise; its first transmit call draws the noise that
 draw_blocks gives the block.
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AllocationError, ParameterError
-from .streams import default_rngs
+from .streams import default_rngs, stream_states
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -51,7 +52,13 @@ class ChannelState:
 
 
 def draw_blocks(
-    snr_db: float, fading: str, seed: int, t0: int, t1: int, uses: int
+    snr_db: float,
+    fading: str,
+    seed: int,
+    t0: int,
+    t1: int,
+    uses: int,
+    states: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gains h (T,) and noise (T, uses) of blocks t0..t1-1: the values that
     for_block and then one transmit call of `uses` symbols per block give.
@@ -59,11 +66,15 @@ def draw_blocks(
     Each block's stream yields h's two normals (Rayleigh only) and its noise
     normals in one standard_normal call, which draws them in that order. The
     noise is scaled in place and returned as a view of that draw buffer.
+    states are channel_states(seed, t0, t1), passed by a caller that hashed
+    a longer range once and draws it in parts (harness.run_chunk).
     """
     _check_fading(fading)
+    if states is None:
+        states = channel_states(seed, t0, t1)
     lead = 2 if fading == "rayleigh" else 0
     raw = np.empty((t1 - t0, lead + 2 * uses))
-    for row, rng in zip(raw, _block_rngs(seed, t0, t1)):
+    for row, rng in zip(raw, default_rngs(states)):
         rng.standard_normal(out=row)
     h = _rayleigh(raw[:, :2]) if lead else np.ones(len(raw), dtype=np.complex128)
     return h, _complex_noise(raw[:, lead:], noise_variance(snr_db))
@@ -89,9 +100,12 @@ def _check_fading(fading: str) -> None:
         raise ParameterError(f"unknown channel {fading!r}")
 
 
-def _block_rngs(seed: int, t0: int, t1: int):
-    """Block t's stream, default_rng(seed ^ t), for t in t0..t1-1."""
-    return default_rngs((seed ^ t) & _SEED_MASK for t in range(t0, t1))
+def channel_states(seed: int, t0: int, t1: int) -> np.ndarray:
+    """(T, 4) uint64: the PCG64 state words of blocks t0..t1-1's streams,
+    default_rng((seed ^ t) mod 2^64), from one hash (streams.stream_states).
+    A negative t enters as its two's complement, as in (seed ^ t) & mask."""
+    blocks = np.arange(t0, t1).astype(np.uint64)
+    return stream_states(None, np.uint64(seed & _SEED_MASK) ^ blocks)
 
 
 def _rayleigh(pairs: np.ndarray) -> np.ndarray:

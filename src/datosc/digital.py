@@ -16,7 +16,7 @@ until the CRC verifies (see turbo_encode / turbo_decode).
 The coding and decoding functions take a (T, L) batch of frames and
 return batched results; a single (L,) frame is a batch of one and comes
 back as (1, ...). turbo_decode also takes a sequence of frames of unequal
-length.
+length. No function writes into its arguments.
 """
 
 from __future__ import annotations
@@ -126,7 +126,17 @@ def bits_to_cells(bitstream: np.ndarray, bits: int) -> np.ndarray:
 
 
 def dequantize_cells(cells: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
-    return -spec.clips + (np.asarray(cells) + 0.5) * spec.deltas
+    return _cell_points(cells, spec, 0.5)
+
+
+def _cell_points(cells: np.ndarray, spec: QuantizerSpec, offset: float) -> np.ndarray:
+    """-clips + (cells + offset) * deltas, in one float buffer: the point
+    `offset` cells above each cell's lower edge (0 the lower edge, 0.5 the
+    midpoint, 1 the upper edge)."""
+    points = np.add(cells, offset, dtype=np.float64)
+    points *= spec.deltas
+    points += -spec.clips
+    return points
 
 
 def quantize(coeffs: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
@@ -135,16 +145,6 @@ def quantize(coeffs: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
 
 def dequantize(bitstream: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
     return dequantize_cells(bits_to_cells(bitstream, spec.bits), spec)
-
-
-def cell_bounds(cells: np.ndarray, spec: QuantizerSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Value range a cell decision pins down; end cells absorb the tails."""
-    c = np.asarray(cells)
-    lo = -spec.clips + c * spec.deltas
-    hi = -spec.clips + (c + 1) * spec.deltas
-    lo = np.where(c == 0, -np.inf, lo)
-    hi = np.where(c == spec.levels - 1, np.inf, hi)
-    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -156,31 +156,51 @@ def crc16(bits: np.ndarray) -> np.ndarray:
 
     Maps (T, L) bits to (T, 16); an (L,) input is a batch of one. The register
     update is affine over GF(2), so the CRC is the XOR of a fixed 16-bit term
-    per set bit with the CRC of the all-zero message (see _crc_terms).
+    per set bit with the CRC of the all-zero message. The terms of the 8 bits
+    of a byte combine into one 256-entry table per byte position (Sarwate's
+    table look-up, 1988, with a table per position instead of a register
+    loop), so the CRC is one look-up per byte of np.packbits' output and one
+    XOR-reduce over the bytes (see _crc_tables). XOR is exact, so every bit
+    equals that of the bit-serial register.
     """
-    b = np.atleast_2d(np.asarray(bits)).astype(bool)
-    terms, zero_crc = _crc_terms(b.shape[1])
-    reg = np.bitwise_xor.reduce(np.where(b, terms, np.uint16(0)), axis=1) ^ zero_crc
+    b = np.atleast_2d(np.asarray(bits))
+    tables, zero_crc = _crc_tables(b.shape[1])
+    # left-padded to whole bytes: leading zeros add no term
+    pad = -b.shape[1] % 8
+    if pad:
+        b = np.concatenate([np.zeros((len(b), pad), dtype=np.uint8), b != 0], axis=1)
+    packed = np.packbits(b, axis=1)
+    terms = tables[np.arange(packed.shape[1]), packed]
+    reg = np.bitwise_xor.reduce(terms, axis=1) ^ zero_crc
     return cells_to_bits(reg[:, None], CRC_BITS)
 
 
-@functools.lru_cache(maxsize=64)
-def _crc_terms(length: int) -> tuple[np.ndarray, np.uint16]:
-    """Per position, the register contribution of a lone 1 there (a 1 fed
-    into an empty register, then shifted through the rest of the message
-    with zero input), and the CRC of `length` zero bits from CRC_INIT."""
+@functools.lru_cache(maxsize=16)
+def _crc_tables(length: int) -> tuple[np.ndarray, np.uint16]:
+    """(ceil(length / 8), 256) uint16: per byte of a `length`-bit message,
+    left-padded with zeros to whole bytes, the register contribution of each
+    byte value there; and the CRC of `length` zero bits from CRC_INIT.
+
+    The contribution of a lone 1 at a bit position is that 1 fed into an
+    empty register, then shifted through the rest of the message with zero
+    input; a byte value's is the XOR of its set bits' contributions."""
 
     def shift(reg: int) -> int:
         return ((reg << 1) ^ (CRC_POLY if reg & 0x8000 else 0)) & 0xFFFF
 
-    terms = np.empty(length, dtype=np.uint16)
+    nbytes = -(-length // 8)
+    terms = np.zeros(8 * nbytes, dtype=np.uint16)
     reg, zero_crc = CRC_POLY, CRC_INIT
     for k in range(length):
-        terms[length - 1 - k] = reg
+        terms[-1 - k] = reg
         reg = shift(reg)
         zero_crc = shift(zero_crc)
-    terms.setflags(write=False)
-    return terms, np.uint16(zero_crc)
+    value_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(bool)
+    tables = np.bitwise_xor.reduce(
+        np.where(value_bits, terms.reshape(nbytes, 1, 8), np.uint16(0)), axis=2
+    )
+    tables.setflags(write=False)
+    return tables, np.uint16(zero_crc)
 
 
 def rsc_encode(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -426,37 +446,56 @@ def side_info_llrs(est: np.ndarray, err_var: np.ndarray, spec: QuantizerSpec) ->
     n = mu.shape[-1]
     mu_rows, var_rows = mu.reshape(-1, n), var.reshape(-1, n)
     const = np.all(mu_rows == mu_rows[:1], axis=0) & np.all(var_rows == var_rows[:1], axis=0)
-    edges = -spec.clips[..., None] + np.arange(1, spec.levels) * spec.deltas[..., None]
-    edges = np.broadcast_to(edges, (n, spec.levels - 1))
+    # (levels - 1, n): the inner cell edges, one row per edge
+    edges = -spec.clips + np.arange(1, spec.levels)[:, None] * spec.deltas
+    edges = np.broadcast_to(edges, (spec.levels - 1, n))
     out = np.empty((len(mu_rows), n, spec.bits))
     shared, own = np.flatnonzero(const), np.flatnonzero(~const)
-    out[:, shared] = _bit_llrs(mu_rows[:1, shared], var_rows[:1, shared], edges[shared], spec.bits)
-    out[:, own] = _bit_llrs(mu_rows[:, own], var_rows[:, own], edges[own], spec.bits)
+    out[:, shared] = _bit_llrs(mu_rows[:1, shared], var_rows[:1, shared], edges[:, shared], spec.bits)
+    out[:, own] = _bit_llrs(mu_rows[:, own], var_rows[:, own], edges[:, own], spec.bits)
     return out.reshape(*mu.shape[:-1], n * spec.bits)
 
 
 def _bit_llrs(mu: np.ndarray, var: np.ndarray, edges: np.ndarray, bits: int) -> np.ndarray:
     """(R, m, bits) LLRs of the beliefs (R, m) on quantizers with inner cell
-    edges (m, levels - 1)."""
-    sigma = np.sqrt(np.maximum(var, 1e-300))
-    levels = edges.shape[-1] + 1
-    # the CDF at every cell edge, with 0 and 1 as the open ends' edges; a
-    # cell's probability is the difference of its two edges' CDFs
-    cdf = np.empty(mu.shape + (levels + 1,))
-    cdf[..., 0], cdf[..., -1] = 0.0, 1.0
-    inner = cdf[..., 1:-1]
-    np.subtract(edges, mu[..., None], out=inner)
-    inner /= sigma[..., None]
-    ndtr(inner, out=inner)
-    probs = np.diff(cdf, axis=-1)
+    edges (levels - 1, m).
 
-    cell_bits = cells_to_bits(np.arange(levels)[:, None], bits).astype(bool)  # (levels, B)
+    The CDF at every cell edge is edge-major, one contiguous (R, m) slab per
+    edge, with 0 and 1 as the open ends' edges; a cell's probability is the
+    difference of its two edges' CDFs. Each bit's probability of 1 and of 0
+    sums the cells where it is 1 and 0 (one matrix product each, against
+    float tables built once per depth); the LLR is the log of their ratio,
+    clipped to +/-LLR_CLIP, and 0 where it is NaN.
+    """
+    sigma = np.sqrt(np.maximum(var, 1e-300))
+    levels = len(edges) + 1
+    cdf = np.empty((levels + 1,) + mu.shape)
+    cdf[0], cdf[-1] = 0.0, 1.0
+    inner = cdf[1:-1]
+    np.subtract(edges[:, None], mu, out=inner)
+    inner /= sigma
+    ndtr(inner, out=inner)
+    probs = np.empty(mu.shape + (levels,))
+    np.subtract(cdf[1:].transpose(1, 2, 0), cdf[:-1].transpose(1, 2, 0), out=probs)
+
+    ones, zeros = _cell_bit_tables(bits)
     with np.errstate(divide="ignore"):
-        p1 = probs @ cell_bits            # (..., B)
-        p0 = probs @ (~cell_bits)
-        llrs = np.log(p0) - np.log(p1)
-    llrs = np.nan_to_num(llrs, nan=0.0, posinf=LLR_CLIP, neginf=-LLR_CLIP)
-    return llr_clip(llrs)
+        llrs = np.log(probs @ zeros)
+        llrs -= np.log(probs @ ones)
+    np.clip(llrs, -LLR_CLIP, LLR_CLIP, out=llrs)
+    llrs[np.isnan(llrs)] = 0.0
+    return llrs
+
+
+@functools.lru_cache(maxsize=8)
+def _cell_bit_tables(bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(levels, bits) float tables of the cells' bits, MSB first: 1.0 where a
+    cell's bit is 1, and 1.0 where it is 0."""
+    ones = cells_to_bits(np.arange(1 << bits)[:, None], bits).astype(np.float64)
+    zeros = 1.0 - ones
+    for table in (ones, zeros):
+        table.setflags(write=False)
+    return ones, zeros
 
 
 # ---------------------------------------------------------------------------
@@ -479,17 +518,7 @@ def viterbi_decode(sys_llrs: np.ndarray, parity_llrs: np.ndarray) -> np.ndarray:
     batch, length = sys_l.shape
     if length < TAIL_BITS:
         raise ParameterError("trellis shorter than its tail")
-    branch_u = _branches(UPLINK)[0]
-    half = branch_u.shape[1]
-    states = 2 * half
-    # A candidate is (pm + s) + p with a sign on s and on p. A +-1 product is
-    # an exact negation, so each step adds or subtracts, in that order; the
-    # order fixes how each candidate rounds, and so which of two near-equal
-    # ones wins. Row u*states + state of ext holds pm[state] + s for input
-    # bit u = 0 and pm[state] - s for u = 1; candidates (b, a, r) gather
-    # their rows from it, and those whose parity bit a ^ b is 0 add p.
-    b, r, _ = np.indices(branch_u.shape)
-    gather = (branch_u * states + half * b + r).transpose(0, 2, 1).ravel()
+    states, s_runs, p_runs, barred, bit_of, prev_of = _viterbi_layout()
     # time-major with the batch axis last, so that each step reads contiguous
     # LLR rows (an input that is the transpose of a time-major array is read
     # without a copy); every buffer is allocated once
@@ -497,39 +526,95 @@ def viterbi_decode(sys_llrs: np.ndarray, parity_llrs: np.ndarray) -> np.ndarray:
     pm = np.full((states, batch), _NEG_METRIC)
     pm[0] = 0.0
     ext = np.empty((2 * states, batch))
-    cand = np.empty((2, 2, half, batch))
-    groups = cand.reshape(4, half, batch)
-    plus, minus = groups[::3], groups[1:3]  # (b, a) with a ^ b = 0, and = 1
-    pm_by_ar = pm.reshape(half, 2, batch).transpose(1, 0, 2)  # next state 2r + a
+    plus_s, minus_s = ([(ext[e], pm[m]) for e, m in runs] for runs in s_runs)
+    plus_p, minus_p = ([ext[e] for (e,) in runs] for runs in p_runs)
+    cand_0, cand_1 = ext[:states], ext[states:]
     decisions = np.empty((length, states, batch), dtype=np.uint8)
-    decisions_by_ar = decisions.reshape(length, half, 2, batch).transpose(0, 2, 1, 3)
     for t, (s_llr, p_llr) in enumerate(steps):
-        np.add(pm, s_llr, out=ext[:states])
-        np.subtract(pm, s_llr, out=ext[states:])
-        np.take(ext, gather, axis=0, out=cand.reshape(-1, batch))
-        np.add(plus, p_llr, out=plus)
-        np.subtract(minus, p_llr, out=minus)
-        np.greater(cand[1], cand[0], out=decisions_by_ar[t])
-        np.maximum(cand[0], cand[1], out=pm_by_ar)
+        for rows, metrics in plus_s:
+            np.add(metrics, s_llr, out=rows)
+        for rows, metrics in minus_s:
+            np.subtract(metrics, s_llr, out=rows)
+        for rows in plus_p:
+            np.add(rows, p_llr, out=rows)
+        for rows in minus_p:
+            np.subtract(rows, p_llr, out=rows)
+        np.greater(cand_1, cand_0, out=decisions[t])
+        np.maximum(cand_0, cand_1, out=pm)
         if t >= length - TAIL_BITS:
-            pm[1::2] = _NEG_METRIC  # termination admits register input a = 0 only
+            pm[barred] = _NEG_METRIC  # termination admits register input a = 0 only
 
-    # decision b at state s: decided bit bit_of[b, s], predecessor prev_of[b, s]
-    b, s = np.indices((2, states))
-    bit_of = branch_u[b, s >> 1, s & 1].ravel().astype(np.uint8)
-    prev_of = (half * b + (s >> 1)).ravel()
     flat = decisions.reshape(length, states * batch)
     cols = np.arange(batch)
     bits = np.empty((length, batch), dtype=np.uint8)
-    state = np.zeros(batch, dtype=np.intp)
+    row = np.zeros(batch, dtype=np.intp)  # state 0 is in row 0
     pos = np.empty(batch, dtype=np.intp)
     for t in range(length - 1, -1, -1):
-        np.multiply(state, batch, out=pos)
+        np.multiply(row, batch, out=pos)
         pos += cols
-        code = flat[t].take(pos) * states + state
+        code = flat[t].take(pos) * states + row
         np.take(bit_of, code, out=bits[t])
-        np.take(prev_of, code, out=state)
+        np.take(prev_of, code, out=row)
     return np.ascontiguousarray(bits.T)
+
+
+# Row j of Viterbi's path metrics holds state GRAY_ORDER[j]: the uplink's
+# states 2r + a (a = a_{t-1}, r = a_{t-2}) in the Gray-code order of (a, r).
+# Of the 24 row orders, this one needs the fewest contiguous runs per step.
+_GRAY_ORDER = (0, 2, 3, 1)
+
+
+@functools.lru_cache(maxsize=1)
+def _viterbi_layout():
+    """Row layout of viterbi_decode's trellis step.
+
+    A candidate is (pm + s) + p with a sign on s and on p. A +-1 product is
+    an exact negation, so each step adds or subtracts, in that order; the
+    order fixes how each candidate rounds, and so which of two near-equal
+    ones wins. The candidate of the branch (b, r, a), from state half*b + r
+    to state 2r + a in row j, is row b * states + j of ext: the b = 0
+    candidates are ext's first half and the b = 1 ones its second, row for
+    row with the metrics, so that the compare and the max each run over
+    whole contiguous arrays. It takes + s or - s from its start state's row
+    by its input bit, then + p or - p by its parity bit. Each of those four
+    sign groups is a few runs of consecutive rows (_runs), so each step is
+    12 operations on contiguous rows and no gather; in numpy 2, one
+    operation on a strided 2-D view measured about twice as slow per element
+    as on contiguous rows.
+
+    Returns the state count; the (ext rows, metric rows) runs of + s and of
+    - s; the ext-row runs of + p and of - p; the rows of the states that
+    termination bars (register input a = 1); and, for the traceback, per
+    decision b and row j flattened as b * states + j, the decided input bit
+    and the row of the predecessor state.
+    """
+    branch_u, branch_p = _branches(UPLINK)
+    half = branch_u.shape[1]
+    states = 2 * half
+    order = np.array(_GRAY_ORDER)
+    row_of = np.argsort(order)
+    b, j = np.indices((2, states))
+    r, a = order[j] >> 1, order[j] & 1
+    u, k = branch_u[b, r, a], branch_p[b, r, a]
+    ext_row, start_row = b * states + j, row_of[half * b + r]
+    s_runs = tuple(_runs(zip(ext_row[u == v], start_row[u == v])) for v in (0, 1))
+    p_runs = tuple(_runs(zip(ext_row[k == v])) for v in (0, 1))
+    tables = (row_of[1::2], u.ravel().astype(np.uint8), start_row.ravel())
+    for table in tables:
+        table.setflags(write=False)
+    return (states, s_runs, p_runs) + tables
+
+
+def _runs(rows) -> list[tuple[slice, ...]]:
+    """Tuples of row indices, sorted and cut into maximal runs in which
+    each index rises by 1 from one tuple to the next: a slice per column."""
+    runs = []
+    for tup in sorted(tuple(map(int, t)) for t in rows):
+        if runs and all(s.stop == x for s, x in zip(runs[-1], tup)):
+            runs[-1] = tuple(slice(s.start, x + 1) for s, x in zip(runs[-1], tup))
+        else:
+            runs.append(tuple(slice(x, x + 1) for x in tup))
+    return runs
 
 
 def dsc_decode(
@@ -668,9 +753,13 @@ def _max_log_map(input_llrs, parity_llrs, counts, work: _Workspace) -> np.ndarra
     metric[0] = _NEG_METRIC  # the loop fills every later row
     metric[0, 0] = 0.0
     sums_0, sums_1 = sums  # b = 0 and b = 1 for alpha, a for beta
+    # the loop is most of a turbo decode: local names, and add's output
+    # passed by position, shave its per-call overhead (maximum keeps out=,
+    # as numpy 2.4 deprecates a positional output there)
+    add, maximum = np.add, np.maximum
     for m_t, g_t, m_next in steps:
-        np.add(m_t, g_t, out=sums)
-        np.maximum(sums_0, sums_1, out=m_next)
+        add(m_t, g_t, sums)
+        maximum(sums_0, sums_1, out=m_next)
 
     # per branch (u, b, r) of step t: g[t] + alpha[t][half*b + r] + beta[t + 1]
     # of its end state. values' buffer now holds the alpha rows, and gg's the
@@ -959,9 +1048,14 @@ def refine(
     branch.
     """
     e = np.asarray(est, dtype=np.float64)
-    lo, hi = cell_bounds(decoded_cells, spec)
-    fused = np.clip(e, lo, hi)
+    cells = np.asarray(decoded_cells)
+    # clip(e, lower edge, upper edge) is min(max(e, lower), upper) for floats,
+    # computed in the result's buffer; the end cells are open-ended
+    fused = _cell_points(cells, spec, 0.0)
+    np.maximum(e, fused, out=fused)
+    np.copyto(fused, e, where=cells == 0)
+    np.minimum(fused, _cell_points(cells, spec, 1.0), out=fused, where=cells != spec.levels - 1)
     if observed is not None:
-        mids = dequantize_cells(decoded_cells, spec)
-        fused = np.where(observed, fused, mids)
-    return np.where(np.asarray(crc_ok)[:, None], fused, e)
+        np.copyto(fused, dequantize_cells(cells, spec), where=~np.asarray(observed))
+    np.copyto(fused, e, where=~np.asarray(crc_ok)[:, None])
+    return fused

@@ -20,9 +20,9 @@ from . import analog as ana
 from . import codec
 from . import digital as dig
 from .allocator import PATTERNS, QUANT_BITS_GRID, FerTable, digital_uses
-from .channel import ChannelBudget, draw_blocks, noise_variance
+from .channel import ChannelBudget, channel_states, draw_blocks, noise_variance
 from .errors import AllocationError, ConfigError, ParameterError
-from .sources import SourceSpec, gen_blocks, load_pgm
+from .sources import SourceSpec, gen_blocks, load_pgm, source_states
 
 SCHEMES = ("analog", "digital", "da")
 CHANNELS = ("awgn", "rayleigh")
@@ -258,6 +258,17 @@ class TrialDraws:
     noise_var: float      # per complex use
 
 
+def trial_states(
+    config: ExperimentConfig, setup: LinkSetup, point_index: int, t0: int, t1: int
+) -> tuple[Optional[np.ndarray], np.ndarray]:
+    """The stream states of trials [t0, t1) of one sweep point, from one
+    hash each: the source's (None for an image source) and the channel's."""
+    ch = channel_states(derive_seed(config.seed, point_index, 1), t0, t1)
+    if setup.image_blocks is not None:
+        return None, ch
+    return source_states(derive_seed(config.seed, point_index, 0), t0, t1), ch
+
+
 def draw_trials(
     config: ExperimentConfig,
     setup: LinkSetup,
@@ -265,21 +276,26 @@ def draw_trials(
     point_index: int,
     t0: int,
     t1: int,
+    states: Optional[tuple] = None,
 ) -> TrialDraws:
     """Draws for trials [t0, t1) of one sweep point, in the same order a
-    sequential run would use."""
+    sequential run would use. states are trial_states of these trials,
+    passed by a caller that hashed a longer range once (run_chunk)."""
     count = t1 - t0
+    src_states, ch_states = states or trial_states(config, setup, point_index, t0, t1)
     if setup.image_blocks is not None:
         samples = setup.image_blocks[np.arange(t0, t1) % len(setup.image_blocks)]
         labels = np.full(count, -1, dtype=np.int64)
     else:
         src_seed = derive_seed(config.seed, point_index, 0)
-        samples, labels = gen_blocks(replace(config.source_spec(), seed=src_seed), t0, t1)
+        spec = replace(config.source_spec(), seed=src_seed)
+        samples, labels = gen_blocks(spec, t0, t1, src_states)
 
     # Each trial draws h, then the analog noise, then the digital noise.
     n_a = setup.n_analog
     ch_seed = derive_seed(config.seed, point_index, 1)
-    h, noise = draw_blocks(snr_db, config.channel, ch_seed, t0, t1, n_a + setup.n_digital)
+    uses = n_a + setup.n_digital
+    h, noise = draw_blocks(snr_db, config.channel, ch_seed, t0, t1, uses, ch_states)
     return TrialDraws(
         samples, labels, h, noise[:, :n_a], noise[:, n_a:], noise_variance(snr_db)
     )
@@ -358,11 +374,16 @@ def digital_stage(config, setup, full, draws, side=None) -> tuple[np.ndarray, np
 
 
 def _metrics(setup, full, samples, labels, coeff_hat, crc_fail):
-    x_hat = codec.synthesize_full(coeff_hat)
-    diff_f = coeff_hat[:, setup.kept] - full[:, setup.kept]
-    feature_mse = np.mean(diff_f * diff_f, axis=1)
-    diff_d = x_hat - samples
-    data_mse = np.mean(diff_d * diff_d, axis=1)
+    """Per-trial feature and data MSE, task hits and CRC failures; each
+    squared error is formed in place in one buffer."""
+    sq_f = coeff_hat[:, setup.kept]
+    sq_f -= full[:, setup.kept]
+    feature_mse = np.mean(np.multiply(sq_f, sq_f, out=sq_f), axis=1)
+    del sq_f
+    sq_d = codec.synthesize_full(coeff_hat)
+    sq_d -= samples
+    data_mse = np.mean(np.multiply(sq_d, sq_d, out=sq_d), axis=1)
+    del sq_d
     if setup.task is not None and np.all(labels >= 0):
         task_ok = (codec.classify(coeff_hat, setup.task) == labels).astype(np.float64)
     else:
@@ -383,15 +404,21 @@ def run_chunk(
 
     Trials are drawn and run up to Viterbi in blocks of dig.ROW_BLOCK rows,
     each block's LLRs written into Viterbi's inputs and its draws dropped.
+    The chunk's stream states are hashed once, and each block's generators
+    are built from its rows of them.
     """
     count, n = t1 - t0, config.n
     samples, full = np.empty((count, n)), np.empty((count, n))
     labels = np.empty(count, dtype=np.int64)
     est_full = np.empty((count, n)) if config.scheme != "digital" else None
     steps = _steps(config, count) if config.scheme != "analog" else None
+    states = trial_states(config, setup, point_index, t0, t1)
     for a in range(0, count, dig.ROW_BLOCK):
         rows = slice(a, min(a + dig.ROW_BLOCK, count))
-        draws = draw_trials(config, setup, snr_db, point_index, t0 + rows.start, t0 + rows.stop)
+        block_states = tuple(s if s is None else s[rows] for s in states)
+        draws = draw_trials(
+            config, setup, snr_db, point_index, t0 + rows.start, t0 + rows.stop, block_states
+        )
         samples[rows], labels[rows] = draws.samples, draws.labels
         full[rows] = codec.analyze(draws.samples)
         side = None
@@ -401,6 +428,8 @@ def run_chunk(
             side = dig.side_info_llrs(est_full[rows], err_full, setup.quant)
         if config.scheme != "analog":
             receive(config, setup, full[rows], draws, side, *(s[:, rows] for s in steps))
+    # the last block's draws and the chunk's stream states go before Viterbi
+    states = block_states = draws = side = err_full = None
     if config.scheme == "analog":
         return _metrics(setup, full, samples, labels, est_full, np.zeros(count, dtype=bool))
     cells, crc_ok = _decode(config, setup, *steps)

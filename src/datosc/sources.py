@@ -3,7 +3,8 @@
 gen_blocks returns a batch of blocks, but block t of a stream draws from its
 own generator, default_rng((spec.seed, t)), so any range of blocks equals the
 same rows of a longer range: trials can run on any number of workers without
-changing results. A batch's generators are seeded together (streams.py).
+changing results. A range's generators are seeded together from one hash
+(source_states, streams.py).
 load_pgm returns an image's 8x8 tiles as one (B, 64) array.
 """
 
@@ -15,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import FormatError, ParameterError
-from .streams import default_rngs
+from .streams import default_rngs, stream_states
 
 # Class-mean constants are shared by every experiment (they play the role of
 # pre-trained task weights), so they hang off a fixed seed instead of the
@@ -65,21 +66,33 @@ def class_means(n: int, class_count: int) -> np.ndarray:
     return means
 
 
-def gen_blocks(spec: SourceSpec, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
+def source_states(seed: int, t0: int, t1: int) -> np.ndarray:
+    """(T, 4) uint64: the PCG64 state words of blocks t0..t1-1's generators,
+    default_rng((seed, t)), from one hash (streams.stream_states)."""
+    return stream_states(seed, np.arange(t0, t1))
+
+
+def gen_blocks(
+    spec: SourceSpec, t0: int, t1: int, states: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Blocks t0..t1-1 of a synthetic stream: samples (T, n) and class
     labels (T,), -1 for the label-free AR(1) source.
 
     Block t draws from its own generator, default_rng((spec.seed, t)): first
     the label (class mixture only), then n unit normals. A mixture block is its
     class mean plus those normals. Image streams are built via load_pgm instead.
+    states are source_states(spec.seed, t0, t1), passed by a caller that
+    hashed a longer range once and draws it in parts (harness.run_chunk).
     """
     if spec.kind not in ("gauss_markov", "class_mixture"):
         raise ParameterError(f"cannot generate blocks for source kind {spec.kind!r}")
     spec.validate()
+    if states is None:
+        states = source_states(spec.seed, t0, t1)
     mixture = spec.kind == "class_mixture"
     w = np.empty((t1 - t0, spec.n))
     labels = np.full(t1 - t0, -1, dtype=np.int64)
-    for i, rng in enumerate(default_rngs((spec.seed, t) for t in range(t0, t1))):
+    for i, rng in enumerate(default_rngs(states)):
         if mixture:
             labels[i] = rng.integers(spec.class_count)
         rng.standard_normal(out=w[i])

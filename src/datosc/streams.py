@@ -1,19 +1,21 @@
 """Many np.random.default_rng generators for the price of one hash.
 
-default_rngs(entropies) yields, for each entropy, a Generator equal to
-np.random.default_rng(entropy) bit for bit, bit_generator.state included.
-default_rng spends most of its time in SeedSequence: the pool hash of NumPy
-NEP 19 (pool size 4) and the four uint64 words it hands to PCG64. Here that
-hash runs once over the whole batch in uint32 array arithmetic, and each
-PCG64 is built from its precomputed words, so a batch of per-block streams
-costs PCG64 set-up per block and one vectorised hash.
+stream_states(head, values) gives, for each value v, the four uint64 words
+that SeedSequence((head, v)), or SeedSequence(v) without a head, hands to
+PCG64; default_rngs(states) yields one Generator per row, equal to
+np.random.default_rng of that entropy bit for bit, bit_generator.state
+included. default_rng spends most of its time in SeedSequence: the pool hash
+of NumPy NEP 19 (pool size 4). Here the entropies' 32-bit words form one
+zero-padded uint32 table, built from the values with numpy, and the hash runs
+once over the whole table in uint32 array arithmetic. A caller that draws a
+range of streams in parts hashes the range once and builds each part's
+generators from its rows.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -24,29 +26,34 @@ _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_INTS = (int, np.integer)
 
 
-def _words(entropy) -> list[int]:
-    """An entropy as SeedSequence reads it: the little-endian 32-bit words of
-    a non-negative int, or the words of each item of a sequence in turn."""
-    if isinstance(entropy, _INTS):
-        return _int_words(int(entropy))
-    words = []
-    for item in entropy:
-        words += _int_words(int(item)) if isinstance(item, _INTS) else _words(item)
-    return words
+def stream_states(head: int | None, values) -> np.ndarray:
+    """(N, 4) uint64: SeedSequence(e).generate_state(4, np.uint64) for e =
+    (head, v), or e = v when head is None, per v of `values`, an integer
+    array of values below 2^64. ValueError, as from default_rng, if head or a
+    value is negative."""
+    values = np.asarray(values)
+    if values.dtype.kind == "i" and values.size and values.min() < 0:
+        raise ValueError("expected non-negative integer")
+    values = values.astype(np.uint64)
+    head_words = [] if head is None else _int_words(int(head))
+    # SeedSequence reads a sequence item by item, an int as its little-endian
+    # 32-bit words, at least one: a value takes 1 word below 2^32, else 2
+    col = len(head_words)
+    entropy = np.zeros((len(values), max(_POOL, col + 2)), np.uint32)
+    entropy[:, :col] = head_words
+    entropy[:, col] = values & np.uint64(_MASK32)
+    entropy[:, col + 1] = values >> np.uint64(32)
+    lengths = col + 1 + (entropy[:, col + 1] != 0)
+    return _pcg64_words(entropy, lengths)
 
 
 def _int_words(n: int) -> list[int]:
     """The words of a non-negative int; at least one, so 0 is [0]."""
     if n < 0:
         raise ValueError("expected non-negative integer")
-    if n >> 32 == 0:
-        return [n]
-    if n >> 64 == 0:
-        return [n & _MASK32, n >> 32]
-    return [(n >> shift) & _MASK32 for shift in range(0, n.bit_length(), 32)]
+    return [(n >> shift) & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
 
 
 @lru_cache(maxsize=None)
@@ -73,15 +80,11 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> np.uint32(16))
 
 
-def _pcg64_words(words: list[list[int]]) -> np.ndarray:
-    """(N, 4) uint64: SeedSequence(e).generate_state(4, np.uint64) for the
-    word lists of N entropies, in the reference's order of hashmix calls."""
-    lengths = np.fromiter(map(len, words), np.intp, len(words))
-    width = max(_POOL, int(lengths.max()))
-    entropy = np.zeros((len(words), width), np.uint32)
-    entropy[np.arange(width) < lengths[:, None]] = np.fromiter(
-        chain.from_iterable(words), np.uint32
-    )
+def _pcg64_words(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """(N, 4) uint64: SeedSequence(e).generate_state(4, np.uint64) for N
+    entropies whose words are the rows of the (N, W) uint32 table, zero past
+    each row's length, W >= 4; in the reference's order of hashmix calls."""
+    width = entropy.shape[1]
     # 4 calls fill the pool, 12 mix it, and 4 more per entropy word past it.
     hash_a = _consts(_INIT_A, _MULT_A, 4 * width + 1)
     # A word past an entropy's end enters the pool as 0, as in the reference.
@@ -110,11 +113,6 @@ class _Words(ISeedSequence):
         return self.words
 
 
-def default_rngs(entropies: Iterable) -> Iterator[Generator]:
-    """np.random.default_rng(e) for each entropy e (a non-negative int or a
-    sequence of them), yielded one at a time. Every entropy is read and
-    hashed up front, so a negative one raises ValueError here."""
-    words = [_words(e) for e in entropies]
-    if not words:
-        return iter(())
-    return (Generator(PCG64(_Words(row))) for row in _pcg64_words(words))
+def default_rngs(states: np.ndarray) -> Iterator[Generator]:
+    """A Generator(PCG64) per row of stream_states, yielded one at a time."""
+    return (Generator(PCG64(_Words(row))) for row in states)

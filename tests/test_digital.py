@@ -16,7 +16,6 @@ from datosc.digital import (
     TURBO,
     UPLINK,
     QuantizerSpec,
-    cell_bounds,
     cells_to_bits,
     crc16,
     demodulate,
@@ -105,11 +104,15 @@ def test_cells_bits_round_trip(rng):
 
 
 def test_cell_bounds_open_ends():
+    """The end cells' bounds are open: a verified frame clamps an estimate
+    into its cell's closed edges only."""
     spec = _qspec(2, 1.0)
-    lo, hi = cell_bounds(np.array([0, 1, 2, 3]), spec)
-    assert lo[0] == -np.inf and hi[3] == np.inf
-    assert hi[0] == pytest.approx(-0.5)
-    assert lo[3] == pytest.approx(0.5)
+    cells = np.array([[0, 0, 3, 3]])
+    est = np.array([[-1e300, 9.0, 1e300, -9.0]])
+    (out,) = refine(est, cells, spec, np.array([True]))
+    assert out[0] == -1e300 and out[2] == 1e300
+    assert out[1] == pytest.approx(-0.5)
+    assert out[3] == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -130,20 +133,25 @@ def test_crc_batch_matches_single(rng):
         assert crc16(frames[i]).shape == (1, CRC_BITS)  # a frame is a batch of one
 
 
-def _crc16_oracle(bits):
-    """Bit-serial CCITT register: shift in one message bit per step."""
-    reg = 0xFFFF
-    for b in map(int, bits):
+def _crc16_oracle(frames):
+    """Bit-serial CCITT register over (T, L) frames: shift in one message
+    bit per step, every frame's register at once."""
+    reg = np.full(len(frames), 0xFFFF, dtype=np.int64)
+    for b in frames.T.astype(np.int64):
         fb = ((reg >> 15) & 1) ^ b
-        reg = ((reg << 1) & 0xFFFF) ^ (0x1021 if fb else 0)
-    return np.array([(reg >> k) & 1 for k in range(15, -1, -1)], dtype=np.uint8)
+        reg = ((reg << 1) & 0xFFFF) ^ np.where(fb == 1, 0x1021, 0)
+    return ((reg[:, None] >> np.arange(15, -1, -1)) & 1).astype(np.uint8)
 
 
 def test_crc_matches_bit_serial_register(rng):
-    for length in (0, 1, 15, 16, 17, 77, 1166):
-        frames = rng.integers(0, 2, (3, length)).astype(np.uint8)
-        for row, got in zip(frames, crc16(frames)):
-            assert np.array_equal(got, _crc16_oracle(row))
+    """Lengths off and on byte boundaries (the byte tables see a left-padded
+    message), the uplink's 272 bits and the SEU frames' 1,166 and 1,182, at
+    batches of 1 to 2,000 frames."""
+    for batch in (1, 3, 256, 2000):
+        for length in (0, 1, 7, 8, 9, 15, 16, 17, 77, 272, 1166, 1182):
+            frames = rng.integers(0, 2, (batch, length)).astype(np.uint8)
+            frames[:1] = 1  # every byte value 0xFF
+            assert np.array_equal(crc16(frames), _crc16_oracle(frames)), (batch, length)
 
 
 @given(st.integers(1, 200), st.data())
@@ -515,7 +523,7 @@ def _viterbi_per_step(sys_llrs, par_llrs):
     return bits.T
 
 
-_LLR_KINDS = ("gaussian", "integer", "clipped")
+_LLR_KINDS = ("gaussian", "integer", "clipped", "halves")
 
 
 @pytest.mark.parametrize("llrs", _LLR_KINDS)
@@ -528,20 +536,22 @@ def test_viterbi_equals_per_step_oracle(llrs, shape):
         sys_l, par_l = rng.normal(0.0, 4.0, (2,) + shape)
     elif llrs == "integer":
         sys_l, par_l = rng.integers(-3, 4, (2,) + shape).astype(np.float64)
-    else:
+    elif llrs == "clipped":
         sys_l, par_l = llr_clip(rng.normal(0.0, 25.0, (2,) + shape))
+    else:  # rounded to 0.5, so that many candidates tie
+        sys_l, par_l = np.round(rng.normal(0.0, 2.0, (2,) + shape) * 2.0) / 2.0
     par_l[:, rng.random(shape[1]) < 0.5] = 0.0
     assert np.array_equal(viterbi_decode(sys_l, par_l), _viterbi_per_step(sys_l, par_l))
 
 
 def test_viterbi_ties_match_reference():
-    """Integer-valued LLRs make many candidates exactly equal; the decoder
-    breaks every tie as the reference does."""
+    """Integer-valued LLRs, and LLRs rounded to 0.5, make many candidates
+    exactly equal; the decoder breaks every tie as the reference does."""
     rng = np.random.default_rng(41)
-    for _ in range(40):
+    for step in [1.0] * 40 + [0.5] * 40:
         shape = (6, int(rng.integers(TAIL_BITS, 30)))
-        sys_llrs = rng.integers(-3, 4, shape).astype(np.float64)
-        par_llrs = rng.integers(-3, 4, shape).astype(np.float64)
+        sys_llrs = rng.integers(-3, 4, shape) * step
+        par_llrs = rng.integers(-3, 4, shape) * step
         clipped = rng.random(shape) < 0.1
         sys_llrs[clipped] = LLR_CLIP * np.sign(rng.standard_normal(clipped.sum()))
         par_llrs[rng.random(shape) < 0.1] = -LLR_CLIP
@@ -1023,6 +1033,40 @@ def test_turbo_interleaver_identical_across_calls_and_processes():
 # ---------------------------------------------------------------------------
 # refine
 # ---------------------------------------------------------------------------
+
+def _refine_oracle(est, cells, spec, crc_ok, observed=None):
+    """refine as it was: both cell bounds, np.clip and two np.where, each a
+    new array."""
+    lo = -spec.clips + cells * spec.deltas
+    hi = -spec.clips + (cells + 1) * spec.deltas
+    lo = np.where(cells == 0, -np.inf, lo)
+    hi = np.where(cells == spec.levels - 1, np.inf, hi)
+    fused = np.clip(est, lo, hi)
+    if observed is not None:
+        fused = np.where(observed, fused, -spec.clips + (cells + 0.5) * spec.deltas)
+    return np.where(crc_ok[:, None], fused, est)
+
+
+@pytest.mark.parametrize("bits", [1, 4, 8])
+def test_refine_equals_clip_oracle(bits, rng):
+    """In-place fusion gives the oracle's bits: end cells, estimates on cell
+    edges, exact zeros of both signs, failed frames and unobserved indices."""
+    spec = QuantizerSpec(bits=bits, clips=rng.uniform(0.5, 3.0, 24))
+    est = rng.normal(0.0, 2.0, (300, 24))
+    cells = rng.integers(0, spec.levels, (300, 24))
+    edges = -spec.clips + cells * spec.deltas
+    on_edge = rng.random(est.shape) < 0.1
+    est[on_edge] = edges[on_edge]
+    est[:5] = 0.0
+    est[5:10] = -0.0
+    cells[:10] = spec.levels // 2  # lower edge at 0
+    crc_ok = rng.random(300) < 0.7
+    observed = rng.random(24) < 0.6
+    for obs in (None, observed):
+        got = refine(est, cells, spec, crc_ok, obs)
+        want = _refine_oracle(est, cells, spec, crc_ok, obs)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), obs
+
 
 def test_refine_fallback_is_identity(rng):
     spec = _qspec(4, 1.0, n=6)

@@ -740,11 +740,13 @@ def test_chunk_bounds_cap_trials_per_chunk():
 
 
 # tracemalloc peak of one 2,000-trial run_chunk at 10 dB, in MiB. Measured
-# 6.7, 15.0 and 16.1 on the default link; 8.0, 26.1 and 26.4 while a chunk
-# drew its noise and ran its stages up to Viterbi over all its trials at
-# once, and 8.0, 54.3 and 46.4 while the digital stages built (trials x
-# wire bits) float64 and complex temporaries.
-CHUNK_PEAK_MIB = {"analog": 9, "digital": 20, "da": 20}
+# 4.0, 15.1 and 15.8 on the default link; 6.7, 15.0 and 16.1 while refine and
+# the metrics built whole-chunk temporaries and the last block's draws lived
+# through Viterbi; 8.0, 26.1 and 26.4 while a chunk drew its noise and ran
+# its stages up to Viterbi over all its trials at once, and 8.0, 54.3 and
+# 46.4 while the digital stages built (trials x wire bits) float64 and
+# complex temporaries.
+CHUNK_PEAK_MIB = {"analog": 6, "digital": 20, "da": 19}
 
 
 @pytest.mark.parametrize("scheme", H.SCHEMES)
@@ -764,23 +766,36 @@ def test_a_chunk_working_set_stays_bounded(scheme):
 def test_a_chunk_draws_its_channel_in_blocks(monkeypatch):
     """run_chunk draws gains and noise for at most dig.ROW_BLOCK trials at a
     time, the draws tiling its trials in ascending order: no draw spans the
-    chunk."""
-    calls = []
-    real = H.draw_blocks
+    chunk. It hashes the chunk's source and channel stream states once, and
+    each draw gets its block's rows of them."""
+    calls, hashed = [], []
+    real, real_states = H.draw_blocks, H.channel_states
 
-    def counting(snr_db, fading, seed, t0, t1, uses):
+    def counting(snr_db, fading, seed, t0, t1, uses, states=None):
         calls.append((t0, t1))
-        return real(snr_db, fading, seed, t0, t1, uses)
+        assert np.array_equal(states, real_states(seed, t0, t1))
+        return real(snr_db, fading, seed, t0, t1, uses, states)
+
+    def hashing(real_states):
+        def wrapper(seed, t0, t1):
+            hashed.append((real_states.__name__, t0, t1))
+            return real_states(seed, t0, t1)
+
+        return wrapper
 
     monkeypatch.setattr(H, "draw_blocks", counting)
+    for name in ("channel_states", "source_states"):
+        monkeypatch.setattr(H, name, hashing(getattr(H, name)))
     for scheme in H.SCHEMES:
         cfg = ExperimentConfig(scheme=scheme, seed=9)
         setup = H.build_link(cfg)
         calls.clear()
+        hashed.clear()
         H.run_chunk(cfg, setup, 10.0, 0, 100, 2100)
         assert all(0 < b - a <= dig.ROW_BLOCK for a, b in calls), (scheme, calls)
         assert [a for a, _ in calls] == [100] + [b for _, b in calls[:-1]], scheme
         assert calls[-1][1] == 2100, scheme
+        assert sorted(hashed) == [("channel_states", 100, 2100), ("source_states", 100, 2100)]
 
 
 def _snapshot(arrays) -> list[bytes]:

@@ -1,31 +1,29 @@
 """Batched stream seeding against np.random.default_rng.
 
-default_rngs must equal default_rng entropy by entropy, and gen_blocks must
-equal the per-block loop it replaced, which built one default_rng((seed, t))
-per block. ChannelState.for_block must hold block t's default_rng(seed ^ t)
-stream after its gain draw, and draw_trials must equal a loop over
-for_block states that takes each block's h and then one noise draw from its
-rng. Those loops live on here only, as oracles.
+stream_states and default_rngs must equal default_rng entropy by entropy,
+and gen_blocks must equal the per-block loop it replaced, which built one
+default_rng((seed, t)) per block. ChannelState.for_block must hold block t's
+default_rng(seed ^ t) stream after its gain draw, and draw_trials must equal
+a loop over for_block states that takes each block's h and then one noise
+draw from its rng. Those loops live on here only, as oracles.
 """
 
 import numpy as np
 import pytest
 
 import datosc.harness as H
-from datosc.channel import ChannelState, draw_blocks, transmit
-from datosc.sources import SourceSpec, class_means, gen_blocks
-from datosc.streams import default_rngs
+from datosc.channel import ChannelState, channel_states, draw_blocks, transmit
+from datosc.sources import SourceSpec, class_means, gen_blocks, source_states
+from datosc.streams import default_rngs, stream_states
 
 _MASK64 = (1 << 64) - 1
 
 RANDOM_INTS = [
     int(v) for v in np.random.default_rng(0x57EA).integers(0, 2**64 - 1, 12, dtype=np.uint64)
 ]
-ENTROPIES = [
-    0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**130 + 0x1234_5678_9ABC,  # the last: 5 words
-    *RANDOM_INTS,
-    *[(seed, t) for seed in (0, 7, 2**63 + 5, 2**130) for t in (0, 1, 2**32 - 1, 2**32, 2**33)],
-]
+VALUES = [0, 1, 2**32 - 1, 2**32, 2**33, 2**64 - 1, *RANDOM_INTS]
+# heads of 0 to 5 words: None, 1 word, 2 words and the 5-word 2**130 + ...
+HEADS = [None, 0, 7, 2**32 - 1, 2**32, 2**63 + 5, 2**130 + 0x1234_5678_9ABC]
 
 
 def _assert_equal_streams(gen, ref, entropy):
@@ -35,29 +33,75 @@ def _assert_equal_streams(gen, ref, entropy):
     assert np.array_equal(gen.random(3), ref.random(3)), entropy
 
 
+def _entropy(head, value):
+    return int(value) if head is None else (head, int(value))
+
+
 def test_default_rngs_equal_default_rng():
-    """One mixed batch (1 to 7 entropy words), and each entropy alone."""
-    gens = list(default_rngs(ENTROPIES))
-    assert len(gens) == len(ENTROPIES)
-    for entropy, gen in zip(ENTROPIES, gens):
-        _assert_equal_streams(gen, np.random.default_rng(entropy), entropy)
-    for entropy in ENTROPIES:
-        (gen,) = default_rngs([entropy])
-        _assert_equal_streams(gen, np.random.default_rng(entropy), entropy)
+    """Per head, one batch of values of 1 and 2 words (1 to 7 entropy words
+    in all), and each value alone."""
+    values = np.array(VALUES, dtype=np.uint64)
+    for head in HEADS:
+        gens = list(default_rngs(stream_states(head, values)))
+        assert len(gens) == len(values)
+        for value, gen in zip(values, gens):
+            entropy = _entropy(head, value)
+            _assert_equal_streams(gen, np.random.default_rng(entropy), entropy)
+        for i, value in enumerate(values):
+            (gen,) = default_rngs(stream_states(head, values[i : i + 1]))
+            entropy = _entropy(head, value)
+            _assert_equal_streams(gen, np.random.default_rng(entropy), entropy)
 
 
-@pytest.mark.parametrize("entropy", [-1, (3, -1)])
+@pytest.mark.parametrize("seed", [5, 2**32 - 1, 2**32 + 3, 2**64 - 0x1F3, 2**70 + 9])
+def test_channel_states_cross_the_word_boundary(seed):
+    """seed ^ t over ranges whose values cross 2^32 (1- and 2-word entropies
+    in one table), near 2^64 and from negative t, against
+    default_rng((seed ^ t) & mask); a chunk's rows equal each block's own
+    states, for blocks of 256 rows."""
+    for t0, t1 in [(2**32 - 300, 2**32 + 300), (0, 40), (2**63 - 20, 2**63 - 1), (-5, 5)]:
+        states = channel_states(seed, t0, t1)
+        for t, gen in zip(range(t0, t1), default_rngs(states)):
+            ref = np.random.default_rng((seed ^ t) & _MASK64)
+            assert gen.bit_generator.state == ref.bit_generator.state, (seed, t)
+        for a in range(0, t1 - t0, 256):
+            b = min(a + 256, t1 - t0)
+            assert np.array_equal(states[a:b], channel_states(seed, t0 + a, t0 + b))
+
+
+@pytest.mark.parametrize("seed", [0, 12345, 2**32 - 1, 2**32, 2**63 + 11])
+def test_source_states_span_blocks_of_a_chunk(seed):
+    """(seed, t) for seeds of 1 and 2 words and t crossing 2^32, against
+    default_rng((seed, t)); a chunk of 600 trials hashed once gives each of
+    its 256-row blocks the states of that block alone."""
+    for t0, t1 in [(100, 700), (2**32 - 300, 2**32 + 300)]:
+        states = source_states(seed, t0, t1)
+        for t, gen in zip(range(t0, t1), default_rngs(states)):
+            ref = np.random.default_rng((seed, t))
+            assert gen.bit_generator.state == ref.bit_generator.state, (seed, t)
+        for a in range(0, t1 - t0, 256):
+            b = min(a + 256, t1 - t0)
+            assert np.array_equal(states[a:b], source_states(seed, t0 + a, t0 + b))
+
+
+@pytest.mark.parametrize("entropy", [-1, (3, -1), (-3, 1)])
 def test_negative_entropy_raises_like_default_rng(entropy):
     with pytest.raises(ValueError) as ref:
         np.random.default_rng(entropy)
+    head, value = (None, entropy) if isinstance(entropy, int) else entropy
     with pytest.raises(ValueError) as got:
-        default_rngs([5, entropy])
+        stream_states(head, np.array([5, value]))
     assert str(got.value) == str(ref.value)
+    if head is not None:
+        with pytest.raises(ValueError) as got:
+            gen_blocks(SourceSpec(seed=head), value, 2)
+        assert str(got.value) == str(ref.value)
 
 
 def test_empty_batch_yields_nothing_and_batches_are_lazy():
-    assert list(default_rngs([])) == []
-    rngs = default_rngs(range(3))
+    assert list(default_rngs(stream_states(None, np.zeros(0, dtype=np.int64)))) == []
+    assert stream_states(3, np.zeros(0, dtype=np.int64)).shape == (0, 4)
+    rngs = default_rngs(stream_states(None, np.arange(3)))
     assert iter(rngs) is rngs
 
 
