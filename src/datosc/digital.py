@@ -526,21 +526,23 @@ def viterbi_decode(sys_llrs: np.ndarray, parity_llrs: np.ndarray) -> np.ndarray:
     pm = np.full((states, batch), _NEG_METRIC)
     pm[0] = 0.0
     ext = np.empty((2 * states, batch))
-    plus_s, minus_s = ([(ext[e], pm[m]) for e, m in runs] for runs in s_runs)
-    plus_p, minus_p = ([ext[e] for (e,) in runs] for runs in p_runs)
+    # the step's operations, each on contiguous rows: + s and - s from the
+    # metrics, then + p and - p in place. Ufuncs bound to local names and
+    # outputs passed by position (maximum keeps out=, as numpy 2.4
+    # deprecates a positional output there) shave their call overhead.
+    add, subtract, greater, maximum = np.add, np.subtract, np.greater, np.maximum
+    signs = (add, subtract)
+    s_ops = [(op, pm[m], ext[e]) for op, runs in zip(signs, s_runs) for e, m in runs]
+    p_ops = [(op, ext[e]) for op, runs in zip(signs, p_runs) for (e,) in runs]
     cand_0, cand_1 = ext[:states], ext[states:]
     decisions = np.empty((length, states, batch), dtype=np.uint8)
     for t, (s_llr, p_llr) in enumerate(steps):
-        for rows, metrics in plus_s:
-            np.add(metrics, s_llr, out=rows)
-        for rows, metrics in minus_s:
-            np.subtract(metrics, s_llr, out=rows)
-        for rows in plus_p:
-            np.add(rows, p_llr, out=rows)
-        for rows in minus_p:
-            np.subtract(rows, p_llr, out=rows)
-        np.greater(cand_1, cand_0, out=decisions[t])
-        np.maximum(cand_0, cand_1, out=pm)
+        for op, metrics, rows in s_ops:
+            op(metrics, s_llr, rows)
+        for op, rows in p_ops:
+            op(rows, p_llr, rows)
+        greater(cand_1, cand_0, decisions[t])
+        maximum(cand_0, cand_1, out=pm)
         if t >= length - TAIL_BITS:
             pm[barred] = _NEG_METRIC  # termination admits register input a = 0 only
 
