@@ -168,7 +168,7 @@ def crc16(bits: np.ndarray) -> np.ndarray:
     # left-padded to whole bytes: leading zeros add no term
     pad = -b.shape[1] % 8
     if pad:
-        b = np.concatenate([np.zeros((len(b), pad), dtype=np.uint8), b != 0], axis=1)
+        b = np.concatenate([np.zeros((len(b), pad), dtype=b.dtype), b], axis=1)
     packed = np.packbits(b, axis=1)
     terms = tables[np.arange(packed.shape[1]), packed]
     reg = np.bitwise_xor.reduce(terms, axis=1) ^ zero_crc
