@@ -560,7 +560,7 @@ def viterbi_decode(sys_llrs: np.ndarray, parity_llrs: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(bits.T)
 
 
-# Row j of Viterbi's path metrics holds state GRAY_ORDER[j]: the uplink's
+# Row j of Viterbi's path metrics holds state _GRAY_ORDER[j]: the uplink's
 # states 2r + a (a = a_{t-1}, r = a_{t-2}) in the Gray-code order of (a, r).
 # Of the 24 row orders, this one needs the fewest contiguous runs per step.
 _GRAY_ORDER = (0, 2, 3, 1)
