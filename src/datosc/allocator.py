@@ -105,9 +105,6 @@ class AllocatorContext:
             self._cell_mse_cache[bits] = cell_mse
         return self._cell_mse_cache[bits]
 
-    def kept_priors(self, k: int) -> np.ndarray:
-        return self.prior_vars[self.kept_indices(k)]
-
 
 class _FerCell(NamedTuple):
     grid: np.ndarray      # calibrated SNRs in dB, ascending

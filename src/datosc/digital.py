@@ -143,10 +143,6 @@ def quantize(coeffs: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
     return cells_to_bits(quantize_cells(coeffs, spec), spec.bits)
 
 
-def dequantize(bitstream: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
-    return dequantize_cells(bits_to_cells(bitstream, spec.bits), spec)
-
-
 # ---------------------------------------------------------------------------
 # CRC-16 and the convolutional code
 # ---------------------------------------------------------------------------
@@ -672,7 +668,11 @@ TURBO_MAX_ITERATIONS = 8
 
 
 def max_log_map(
-    input_llrs: np.ndarray, parity_llrs: np.ndarray, input_counts: np.ndarray | None = None
+    input_llrs: np.ndarray,
+    parity_llrs: np.ndarray,
+    input_counts: np.ndarray | None = None,
+    *,
+    work: _Workspace | None = None,
 ) -> np.ndarray:
     """A-posteriori LLRs of the input bits of the terminated 16-state RSC.
 
@@ -708,22 +708,17 @@ def max_log_map(
     (g + alpha) + beta as in two separate recursions, and max is exact, so
     the LLRs are too.
 
-    The float32 work arrays are carved from one flat buffer, a _Workspace.
-    turbo_decode allocates it once for its widest call and passes it to
-    every call, since its batch and width only shrink; a call here allocates
-    its own.
+    The float32 work arrays are carved from one flat buffer, `work`, a
+    _Workspace for at least (T, N). turbo_decode allocates it once for its
+    widest call and passes it to every call, since its batch and width only
+    shrink; a call without one allocates its own.
     """
     batch, n = input_llrs.shape
     if not batch:
         return np.zeros((0, n))
     counts = np.full(batch, n) if input_counts is None else np.asarray(input_counts)
-    return _max_log_map(input_llrs, parity_llrs, counts, _Workspace(batch, n))
-
-
-def _max_log_map(input_llrs, parity_llrs, counts, work: _Workspace) -> np.ndarray:
-    """max_log_map on the work arrays of `work`, a _Workspace for at least
-    (T, N)."""
-    batch, n = input_llrs.shape
+    if work is None:
+        work = _Workspace(batch, n)
     length = n + TURBO_TAIL_BITS
     codes, branch_terms, branch_ends = _stacked_trellis()
     half = codes.shape[1]
@@ -787,7 +782,7 @@ def _items(a: np.ndarray) -> np.ndarray:
 
 
 def _work_shapes(batch: int, n: int) -> list[tuple]:
-    """Shapes of _max_log_map's float32 work arrays for `batch` frames of `n`
+    """Shapes of max_log_map's float32 work arrays for `batch` frames of `n`
     inputs: terms, values, branch table, metric and beta rows."""
     length = n + TURBO_TAIL_BITS
     states = 1 << TURBO[0]
@@ -801,7 +796,7 @@ def _work_shapes(batch: int, n: int) -> list[tuple]:
 
 
 class _Workspace:
-    """A flat float32 buffer that holds the work arrays of any _max_log_map
+    """A flat float32 buffer that holds the work arrays of any max_log_map
     call on at most `batch` frames of at most `n` inputs, and the views of
     each call shape, built on its first call.
 
@@ -997,10 +992,10 @@ def turbo_decode(side_llrs, parity_llrs, pattern: str) -> tuple[np.ndarray, np.n
         trellis = width + TURBO_TAIL_BITS
         s = systematic[active, :width]
         prior1 = s + extrinsic2[active, :width]
-        extrinsic1 = _max_log_map(prior1, par1[active, :trellis], active_counts, work) - prior1
+        extrinsic1 = max_log_map(prior1, par1[active, :trellis], active_counts, work=work) - prior1
         perm = order[active, :width]
         prior2 = np.take_along_axis(s + extrinsic1, perm, axis=1)
-        posterior2 = _max_log_map(prior2, par2[active, :trellis], active_counts, work)
+        posterior2 = max_log_map(prior2, par2[active, :trellis], active_counts, work=work)
         posterior = np.empty_like(prior2)
         np.put_along_axis(posterior, perm, posterior2, axis=1)
         extrinsic2[active, :width] = posterior - s - extrinsic1

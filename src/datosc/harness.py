@@ -366,13 +366,6 @@ def _decode(config, setup, sys_steps, parity_steps) -> tuple[np.ndarray, np.ndar
     return dig.bits_to_cells(decoded, setup.quant.bits), crc_ok
 
 
-def digital_stage(config, setup, full, draws, side=None) -> tuple[np.ndarray, np.ndarray]:
-    """receive and decode (T, n) blocks at once: decoded cells, CRC flags."""
-    steps = _steps(config, len(full))
-    receive(config, setup, full, draws, side, *steps)
-    return _decode(config, setup, *steps)
-
-
 def _metrics(setup, full, samples, labels, coeff_hat, crc_fail):
     """Per-trial feature and data MSE, task hits and CRC failures; each
     squared error is formed in place in one buffer."""

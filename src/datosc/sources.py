@@ -111,10 +111,6 @@ def pixel_to_sample(p: np.ndarray) -> np.ndarray:
     return 2.0 * p / 255.0 - 1.0
 
 
-def sample_to_pixel(s: np.ndarray) -> np.ndarray:
-    return np.rint((np.asarray(s) + 1.0) * 127.5).astype(np.int64)
-
-
 def _parse_pgm_header(data: bytes) -> tuple[int, int, int, int]:
     """Return (width, height, maxval, data_offset) for a binary 'P5' file."""
     pos = 0

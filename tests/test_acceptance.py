@@ -24,11 +24,11 @@ from datosc.digital import (
     QuantizerSpec,
     crc16,
     demodulate,
-    dequantize,
+    dequantize_cells,
     llr_clip,
     modulate,
     parity_length,
-    quantize,
+    quantize_cells,
     rsc_encode,
     side_info_llrs,
     viterbi_decode,
@@ -284,7 +284,7 @@ def test_criterion_10_formula_coverage():
     # quantizer MSE vs delta^2/12 at 5%
     spec = QuantizerSpec(bits=4, clips=np.ones(1))
     u = rng.uniform(-1, 1, 100_000).reshape(-1, 1)
-    qmse = float(np.mean((dequantize(quantize(u, spec), spec) - u) ** 2))
+    qmse = float(np.mean((dequantize_cells(quantize_cells(u, spec), spec) - u) ** 2))
     qrel = abs(qmse / (spec.deltas[0] ** 2 / 12) - 1.0)
     # BPSK BER vs Q(sqrt(2 SNR)) at 0 dB over 1e6 bits
     bits = rng.integers(0, 2, 10**6).astype(np.uint8)

@@ -96,7 +96,7 @@ def test_model_analog_awgn_matches_closed_form(ctx):
         n=64, prior_vars=ctx.prior_vars, task=ctx.task, channel="awgn"
     )
     got = model_analog_distortion(plan, 10.0, awgn_ctx)
-    priors = awgn_ctx.kept_priors(32)
+    priors = awgn_ctx.prior_vars[awgn_ctx.kept_indices(32)]
     gains = analog_gains(priors, plan.power_analog / plan.n_analog / 2.0)
     nv_dim = 10 ** (-1.0) / 2.0
     want = float(np.mean(mmse_error_vars(gains, priors, 1.0, nv_dim)))
@@ -111,7 +111,7 @@ def test_model_analog_vanishes_at_high_snr(ctx):
 def test_rayleigh_model_matches_monte_carlo(ctx, snr_db):
     """Full encode/fade/decode simulation vs the quadrature model, 1e5 draws."""
     plan = _plan(ctx)
-    priors = ctx.kept_priors(32)
+    priors = ctx.prior_vars[ctx.kept_indices(32)]
     gains = analog_gains(priors, plan.power_analog / plan.n_analog / 2.0)
     nv_dim = 10 ** (-snr_db / 10) / 2.0
     rng = np.random.default_rng(int(snr_db) + 400)
@@ -154,7 +154,7 @@ def test_pf_zero_is_refined_floor_and_b8_approaches_it(ctx):
     plan = _plan(ctx)
     got = model_digital_distortion(plan, 12.0, ctx, _stub_table(0.0))
     # analog error per fade node and coefficient, from the closed form
-    priors = ctx.kept_priors(plan.k)
+    priors = ctx.prior_vars[ctx.kept_indices(plan.k)]
     gains = analog_gains(priors, plan.power_analog / plan.n_analog / 2.0)
     fade_err = np.tile(ctx.prior_vars, (len(FADE_NODES), 1))
     fade_err[:, ctx.kept_indices(plan.k)] = mmse_error_vars(

@@ -73,7 +73,9 @@ def test_trial_draws_share_h_across_partitions():
     est, err = H.analog_stage(setup, full, draws)
     assert np.max(np.abs(est[:, setup.kept] - full[:, setup.kept])) < 1e-9
     side = side_info_llrs(est, err, setup.quant)
-    cells, crc_ok = H.digital_stage(cfg, setup, full, draws, side)
+    steps = H._steps(cfg, len(full))
+    H.receive(cfg, setup, full, draws, side, *steps)
+    cells, crc_ok = H._decode(cfg, setup, *steps)
     assert np.all(crc_ok)
     assert np.array_equal(cells, quantize_cells(full, setup.quant))
 

@@ -16,10 +16,11 @@ from datosc.digital import (
     TURBO,
     UPLINK,
     QuantizerSpec,
+    bits_to_cells,
     cells_to_bits,
     crc16,
     demodulate,
-    dequantize,
+    dequantize_cells,
     dsc_decode,
     dsc_encode,
     llr_clip,
@@ -42,7 +43,6 @@ from datosc.digital import (
     _NEG_METRIC,
     TURBO_TAIL_BITS,
     _branches,
-    _max_log_map,
     _rsc_encode,
     _Workspace,
 )
@@ -63,16 +63,16 @@ def test_one_bit_midrise_sign():
     spec = _qspec(1, 1.0)
     bits = quantize(np.array([0.3]), spec)
     assert np.array_equal(bits, [1])
-    assert dequantize(bits, spec)[0] == pytest.approx(0.5)
-    assert dequantize(quantize(np.array([-0.3]), spec), spec)[0] == pytest.approx(-0.5)
+    assert dequantize_cells(bits_to_cells(bits, 1), spec)[0] == pytest.approx(0.5)
+    assert dequantize_cells(quantize_cells(np.array([-0.3]), spec), spec)[0] == pytest.approx(-0.5)
 
 
 def test_clipping_to_end_cells():
     spec = _qspec(3, 2.0)
     delta = spec.deltas[0]
-    top = dequantize(quantize(np.array([20.0]), spec), spec)[0]
+    top = dequantize_cells(quantize_cells(np.array([20.0]), spec), spec)[0]
     assert top == pytest.approx(2.0 - delta / 2)
-    bot = dequantize(quantize(np.array([-20.0]), spec), spec)[0]
+    bot = dequantize_cells(quantize_cells(np.array([-20.0]), spec), spec)[0]
     assert bot == pytest.approx(-2.0 + delta / 2)
 
 
@@ -80,7 +80,7 @@ def test_uniform_input_mse_near_delta_squared_over_12():
     rng = np.random.default_rng(3)
     spec = _qspec(4, 1.0)
     x = rng.uniform(-1.0, 1.0, 100_000).reshape(-1, 1)
-    err = dequantize(quantize(x, spec), spec) - x
+    err = dequantize_cells(quantize_cells(x, spec), spec) - x
     mse = np.mean(err**2)
     expected = spec.deltas[0] ** 2 / 12
     assert abs(mse / expected - 1.0) < 0.05
@@ -90,7 +90,7 @@ def test_uniform_input_mse_near_delta_squared_over_12():
 @settings(max_examples=200, deadline=None)
 def test_in_range_error_bounded_by_half_cell(x, bits):
     spec = _qspec(bits, 1.0)
-    err = abs(dequantize(quantize(np.array([x]), spec), spec)[0] - x)
+    err = abs(dequantize_cells(quantize_cells(np.array([x]), spec), spec)[0] - x)
     assert err <= spec.deltas[0] / 2 + 1e-12
 
 
@@ -98,8 +98,6 @@ def test_cells_bits_round_trip(rng):
     spec = _qspec(5, 3.0, n=20)
     x = rng.standard_normal(20)
     cells = quantize_cells(x, spec)
-    from datosc.digital import bits_to_cells
-
     assert np.array_equal(bits_to_cells(cells_to_bits(cells, 5), 5), cells)
 
 
@@ -310,7 +308,7 @@ def test_llrs_scale_with_channel_gain():
 def test_side_llrs_sharp_estimate_pins_cell_pattern():
     spec = _qspec(3, 1.0)
     cell = 5
-    mid = dequantize(cells_to_bits(np.array([cell]), 3), spec)[0]
+    mid = dequantize_cells(np.array([cell]), spec)[0]
     llrs = side_info_llrs(np.array([mid]), np.array([1e-18]), spec)
     pattern = cells_to_bits(np.array([cell]), 3).astype(float)
     assert np.array_equal(np.abs(llrs), np.full(3, LLR_CLIP))
@@ -954,7 +952,7 @@ def test_workspace_reuse_leaves_no_trace():
     work = _Workspace(5, 900)
     for inputs, fresh in ((a, fresh_a), (b, fresh_b), (a, fresh_a)):
         counts = np.full(len(inputs[0]), inputs[0].shape[1])
-        assert np.array_equal(_max_log_map(*inputs, counts, work), fresh)
+        assert np.array_equal(max_log_map(*inputs, counts, work=work), fresh)
         assert np.array_equal(max_log_map(*inputs), fresh)
 
     frames_a = _noisy_turbo_frames(rng, (1166, 1166, 598), (0.03, 0.05, 0.02))
@@ -971,13 +969,13 @@ def test_turbo_frames_stopping_at_different_iterations_decode_as_alone(monkeypat
     a smaller prefix of the call's workspace. Each frame still gets the bits
     and flag of its lone decode."""
     shapes = []
-    kernel = digital._max_log_map
+    kernel = digital.max_log_map
 
-    def recorded(input_llrs, parity_llrs, counts, work):
+    def recorded(input_llrs, parity_llrs, counts, *, work):
         shapes.append(input_llrs.shape)
-        return kernel(input_llrs, parity_llrs, counts, work)
+        return kernel(input_llrs, parity_llrs, counts, work=work)
 
-    monkeypatch.setattr(digital, "_max_log_map", recorded)
+    monkeypatch.setattr(digital, "max_log_map", recorded)
     lengths = (1166, 598, 1166, 300, 1166)
     sides, pars = _noisy_turbo_frames(
         np.random.default_rng(0x21), lengths, (0.0, 0.06, 0.03, 0.3, 0.02)
@@ -1116,7 +1114,9 @@ def test_refine_dominance_monte_carlo(mixture_priors):
     full = codec.analyze(draws.samples)
     est_full, err_full = H.analog_stage(setup, full, draws)
     side = dig.side_info_llrs(est_full, err_full, setup.quant)
-    dec_cells, crc_ok = H.digital_stage(cfg, setup, full, draws, side)
+    steps = H._steps(cfg, len(full))
+    H.receive(cfg, setup, full, draws, side, *steps)
+    dec_cells, crc_ok = H._decode(cfg, setup, *steps)
 
     observed = np.zeros(64, dtype=bool)
     observed[setup.kept] = True

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import multiprocessing
@@ -894,6 +895,23 @@ def test_csv_bytes_identical_across_worker_counts(tmp_path):
     assert open(c1.out, "rb").read() == open(c3.out, "rb").read()
 
 
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+def test_csv_bytes_identical_under_each_start_method(tmp_path, monkeypatch, method):
+    """Workers that start without a copy of the parent's memory (forkserver
+    is Python 3.14's default on Linux) write the serial bytes too."""
+    context = multiprocessing.get_context(method)
+    monkeypatch.setattr(
+        H, "ProcessPoolExecutor", functools.partial(H.ProcessPoolExecutor, mp_context=context)
+    )
+    base = ExperimentConfig(trials=120, snr_grid=(4.0, 12.0), scheme="da")
+    serial = replace(base, workers=1, out=str(tmp_path / "serial.csv"))
+    pooled = replace(base, workers=2, out=str(tmp_path / f"{method}.csv"))
+    run_sweep(serial)
+    run_sweep(pooled)
+    assert open(serial.out, "rb").read() == open(pooled.out, "rb").read()
+    assert multiprocessing.active_children() == []
+
+
 def test_sweep_runs_every_point_through_one_pool(tmp_path, monkeypatch):
     pools = []
 
@@ -1032,19 +1050,53 @@ def test_graceful_flag_compares_top_point():
     assert detect_effects(rows)["graceful"] is False
 
 
-def test_detector_golden_report(tmp_path):
-    """Pinned small sweep reproduces the recorded golden report exactly."""
+@pytest.fixture(scope="module")
+def detector_rows(tmp_path_factory):
+    """The pinned small sweep of the golden report: three schemes, 200
+    trials, 0-20 dB in 4 dB steps."""
+    scratch = tmp_path_factory.mktemp("detector")
     rows = []
     for scheme in ("analog", "digital", "da"):
         cfg = ExperimentConfig(
             trials=200, scheme=scheme, snr_grid=tuple(float(s) for s in range(0, 21, 4)),
-            out=str(tmp_path / f"{scheme}.csv"),
+            out=str(scratch / f"{scheme}.csv"),
         )
         rows.extend(run_sweep(cfg))
-    report = detect_effects(rows)
+    return rows
+
+
+def _golden_report() -> dict:
     with open(GOLDEN) as fh:
-        golden = json.load(fh)
-    assert report == golden
+        return json.load(fh)
+
+
+def test_detector_golden_report(detector_rows):
+    """Pinned small sweep reproduces the recorded golden report exactly."""
+    assert detect_effects(detector_rows) == _golden_report()
+
+
+def test_cli_detect_prints_or_writes_the_report(detector_rows, tmp_path, capsys):
+    """`datosc detect` reports on a sweep CSV. The CSV keeps 9 significant
+    digits, so its saturation floor matches the golden one only closely."""
+    sweep = str(tmp_path / "sweep.csv")
+    rows_to_csv(detector_rows, sweep)
+    text = json.dumps(detect_effects(read_sweep_csv(sweep)), indent=2, sort_keys=True)
+    assert cli.main(["detect", sweep]) == 0
+    assert capsys.readouterr().out == text + "\n"
+    out = tmp_path / "report.json"
+    assert cli.main(["detect", sweep, "--out", str(out)]) == 0
+    assert out.read_text() == text + "\n"
+
+    report, golden = json.loads(text), _golden_report()
+    assert report["graceful"] == golden["graceful"]
+    assert report["schemes"].keys() == golden["schemes"].keys()
+    for scheme, want in golden["schemes"].items():
+        got = report["schemes"][scheme]
+        assert got["cliff_snr"] == want["cliff_snr"]
+        if want["saturation_floor"] is None:
+            assert got["saturation_floor"] is None
+        else:
+            assert got["saturation_floor"] == pytest.approx(want["saturation_floor"], rel=1e-8)
 
 
 # ---------------------------------------------------------------------------

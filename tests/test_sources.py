@@ -9,7 +9,7 @@ from datosc.sources import (
     class_means,
     gen_blocks,
     load_pgm,
-    sample_to_pixel,
+    pixel_to_sample,
 )
 
 
@@ -198,6 +198,7 @@ def test_pixel_map_round_trips_exactly(tmp_path):
     for i, b in enumerate(blocks):
         r, c = divmod(i, 4)
         grid[r * 8 : r * 8 + 8, c * 8 : c * 8 + 8] = b.reshape(8, 8)
-    assert np.array_equal(
-        sample_to_pixel(grid).reshape(-1), np.array(pixels, dtype=np.int64)
-    )
+    want = pixel_to_sample(np.array(pixels, dtype=np.float64)).reshape(32, 32)
+    assert np.array_equal(grid, want)
+    assert (grid.min(), grid.max()) == (-1.0, 1.0)
+    assert np.unique(grid).size == 256  # no two pixel values share a sample
