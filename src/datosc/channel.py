@@ -5,9 +5,11 @@ under unit average transmit power and E[|h|^2] = 1, so noise_var =
 10^(-snr_db/10) per complex use (noise_var/2 per real dimension). The
 receiver knows h exactly. Each block consumes its own RNG stream,
 default_rng(seed XOR block_index), h first, then noise, so parallel trial
-execution reproduces serial results bit for bit. draw_blocks draws a range
-of blocks' gains and noise, their streams seeded together from one hash
-(channel_states, streams.py).
+execution reproduces serial results bit for bit.
+Block t's stream state is row t - t0 of channel_states(seed, t0, t1).
+Draw contract: draw_blocks(snr_db, fading, states, uses) gives one block per
+row of states, as complex128 gains h (T,) and noise (T, uses), the noise a
+view of its own draw buffer, and reads the states without writing them.
 ChannelState.for_block is one block's gain and stream, from which each
 transmit call draws noise; its first transmit call draws the noise that
 draw_blocks gives the block.
@@ -52,28 +54,19 @@ class ChannelState:
 
 
 def draw_blocks(
-    snr_db: float,
-    fading: str,
-    seed: int,
-    t0: int,
-    t1: int,
-    uses: int,
-    states: np.ndarray | None = None,
+    snr_db: float, fading: str, states: np.ndarray, uses: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gains h (T,) and noise (T, uses) of blocks t0..t1-1: the values that
-    for_block and then one transmit call of `uses` symbols per block give.
+    """Gains h (T,) and noise (T, uses) of one block per row of states
+    (channel_states): the values that for_block and then one transmit call
+    of `uses` symbols per block give.
 
     Each block's stream yields h's two normals (Rayleigh only) and its noise
     normals in one standard_normal call, which draws them in that order. The
     noise is scaled in place and returned as a view of that draw buffer.
-    states are channel_states(seed, t0, t1), passed by a caller that hashed
-    a longer range once and draws it in parts (harness.run_chunk).
     """
     _check_fading(fading)
-    if states is None:
-        states = channel_states(seed, t0, t1)
     lead = 2 if fading == "rayleigh" else 0
-    raw = np.empty((t1 - t0, lead + 2 * uses))
+    raw = np.empty((len(states), lead + 2 * uses))
     for row, rng in zip(raw, default_rngs(states)):
         rng.standard_normal(out=row)
     h = _rayleigh(raw[:, :2]) if lead else np.ones(len(raw), dtype=np.complex128)

@@ -118,9 +118,15 @@ _SWEEP_KEY = {
 }
 # the keys a sweep reads, each mapped to its ExperimentConfig field
 _SWEEP_FIELDS = {_SWEEP_KEY.get(f.name, f.name): f.name for f in fields(ExperimentConfig)}
-# sweep keys that only one source kind, or one scheme, reads
+# sweep keys that only one source kind reads, and those that only some
+# schemes read: the analog scheme quantizes, codes and modulates nothing
 _SOURCE_ONLY = {"rho": "gauss_markov", "classes": "class_mixture"}
-_SCHEME_ONLY = {"p_a_fraction": "da"}
+_SCHEMES_READING = {
+    "p_a_fraction": ("da",),
+    "pattern": ("digital", "da"),
+    "bits": ("digital", "da"),
+    "modulation": ("digital", "da"),
+}
 _SEU_KEYS = tuple(f.name for f in fields(SeuSettings))
 _CALIBRATE_KEYS = ("channel", "trials", "seed", "out")
 
@@ -192,7 +198,8 @@ def _experiment_config(args) -> ExperimentConfig:
     source = values.get("source", ExperimentConfig.source_kind)
     scheme = args.scheme or values.get("scheme", ExperimentConfig.scheme)
     reads = [key for key in _SWEEP_FIELDS
-             if _SOURCE_ONLY.get(key, source) == source and _SCHEME_ONLY.get(key, scheme) == scheme]
+             if _SOURCE_ONLY.get(key, source) == source
+             and scheme in _SCHEMES_READING.get(key, (scheme,))]
     values = _config_values(args, values, reads)
     values.update(_flags(args, ("seed", "out", "trials", "scheme")))
     if args.lam is not None:

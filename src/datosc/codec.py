@@ -17,7 +17,7 @@ import numpy as np
 from scipy.fft import dctn, idctn, dct, idct
 
 from .errors import ParameterError
-from .sources import SourceSpec, class_means, gen_blocks
+from .sources import SourceSpec, class_means, gen_blocks, source_states
 
 # Offline calibration passes use their own fixed seed so coefficient
 # statistics (and therefore index selection) are stable across runs.
@@ -119,10 +119,11 @@ def _prior_vars(chunks) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _calibrate_prior_vars_cached(cal_spec: SourceSpec) -> np.ndarray:
-    out = _prior_vars(
-        gen_blocks(cal_spec, t, min(t + _CALIBRATION_CHUNK, CALIBRATION_BLOCKS))[0]
+    chunks = (
+        source_states(cal_spec.seed, t, min(t + _CALIBRATION_CHUNK, CALIBRATION_BLOCKS))
         for t in range(0, CALIBRATION_BLOCKS, _CALIBRATION_CHUNK)
     )
+    out = _prior_vars(gen_blocks(cal_spec, states)[0] for states in chunks)
     out.setflags(write=False)
     return out
 

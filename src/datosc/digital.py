@@ -409,14 +409,6 @@ def demodulate(
     return np.clip(llrs, -LLR_CLIP, LLR_CLIP, out=llrs)
 
 
-# Trials per block of harness.run_chunk: it draws, analyzes, sends over the
-# analog partition, forms side information for (side_info_llrs), and
-# modulates, sends and demodulates this many trials at a time. At most about
-# 4 MiB of temporaries per block at the default link (tracemalloc). No value
-# depends on it.
-ROW_BLOCK = 256
-
-
 # ---------------------------------------------------------------------------
 # side-information LLRs
 # ---------------------------------------------------------------------------
@@ -434,7 +426,7 @@ def side_info_llrs(est: np.ndarray, err_var: np.ndarray, spec: QuantizerSpec) ->
     A coefficient whose (est, err_var) is the same in every row, such as one
     the analog branch does not carry, is computed once and broadcast; its
     LLRs equal those of a row-by-row call. Its temporaries grow with the
-    rows: harness.run_chunk calls it on blocks of ROW_BLOCK rows.
+    rows: harness.run_chunk calls it on blocks of harness.ROW_BLOCK rows.
     """
     mu, var = np.broadcast_arrays(
         np.asarray(est, dtype=np.float64), np.asarray(err_var, dtype=np.float64)

@@ -119,7 +119,6 @@ class ExperimentConfig:
             n=self.n,
             rho=self.rho,
             class_count=self.class_count,
-            seed=self.seed,
         )
 
 
@@ -260,42 +259,32 @@ class TrialDraws:
 
 def trial_states(
     config: ExperimentConfig, setup: LinkSetup, point_index: int, t0: int, t1: int
-) -> tuple[Optional[np.ndarray], np.ndarray]:
-    """The stream states of trials [t0, t1) of one sweep point, from one
-    hash each: the source's (None for an image source) and the channel's."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows draw_trials reads for trials [t0, t1) of one sweep point,
+    each stream's states from one hash: the source's (for an image source,
+    each trial's tile index) and the channel's. This is where a point's
+    stream seeds are derived."""
     ch = channel_states(derive_seed(config.seed, point_index, 1), t0, t1)
     if setup.image_blocks is not None:
-        return None, ch
+        return np.arange(t0, t1) % len(setup.image_blocks), ch
     return source_states(derive_seed(config.seed, point_index, 0), t0, t1), ch
 
 
 def draw_trials(
-    config: ExperimentConfig,
-    setup: LinkSetup,
-    snr_db: float,
-    point_index: int,
-    t0: int,
-    t1: int,
-    states: Optional[tuple] = None,
+    config: ExperimentConfig, setup: LinkSetup, snr_db: float, states: tuple[np.ndarray, np.ndarray]
 ) -> TrialDraws:
-    """Draws for trials [t0, t1) of one sweep point, in the same order a
-    sequential run would use. states are trial_states of these trials,
-    passed by a caller that hashed a longer range once (run_chunk)."""
-    count = t1 - t0
-    src_states, ch_states = states or trial_states(config, setup, point_index, t0, t1)
+    """Draws of one trial per row of states, rows of trial_states, in the
+    order a sequential run would use."""
+    src, ch = states
     if setup.image_blocks is not None:
-        samples = setup.image_blocks[np.arange(t0, t1) % len(setup.image_blocks)]
-        labels = np.full(count, -1, dtype=np.int64)
+        samples = setup.image_blocks[src]
+        labels = np.full(len(src), -1, dtype=np.int64)
     else:
-        src_seed = derive_seed(config.seed, point_index, 0)
-        spec = replace(config.source_spec(), seed=src_seed)
-        samples, labels = gen_blocks(spec, t0, t1, src_states)
+        samples, labels = gen_blocks(config.source_spec(), src)
 
     # Each trial draws h, then the analog noise, then the digital noise.
     n_a = setup.n_analog
-    ch_seed = derive_seed(config.seed, point_index, 1)
-    uses = n_a + setup.n_digital
-    h, noise = draw_blocks(snr_db, config.channel, ch_seed, t0, t1, uses, ch_states)
+    h, noise = draw_blocks(snr_db, config.channel, ch, n_a + setup.n_digital)
     return TrialDraws(
         samples, labels, h, noise[:, :n_a], noise[:, n_a:], noise_variance(snr_db)
     )
@@ -395,7 +384,7 @@ def run_chunk(
     """Per-trial (feature_mse, data_mse, task_ok, crc_fail) arrays for
     trials [t0, t1) of one sweep point.
 
-    Trials are drawn and run up to Viterbi in blocks of dig.ROW_BLOCK rows,
+    Trials are drawn and run up to Viterbi in blocks of ROW_BLOCK rows,
     each block's LLRs written into Viterbi's inputs and its draws dropped.
     The chunk's stream states are hashed once, and each block's generators
     are built from its rows of them.
@@ -406,12 +395,9 @@ def run_chunk(
     est_full = np.empty((count, n)) if config.scheme != "digital" else None
     steps = _steps(config, count) if config.scheme != "analog" else None
     states = trial_states(config, setup, point_index, t0, t1)
-    for a in range(0, count, dig.ROW_BLOCK):
-        rows = slice(a, min(a + dig.ROW_BLOCK, count))
-        block_states = tuple(s if s is None else s[rows] for s in states)
-        draws = draw_trials(
-            config, setup, snr_db, point_index, t0 + rows.start, t0 + rows.stop, block_states
-        )
+    for a in range(0, count, ROW_BLOCK):
+        rows = slice(a, min(a + ROW_BLOCK, count))
+        draws = draw_trials(config, setup, snr_db, tuple(s[rows] for s in states))
         samples[rows], labels[rows] = draws.samples, draws.labels
         full[rows] = codec.analyze(draws.samples)
         side = None
@@ -422,7 +408,7 @@ def run_chunk(
         if config.scheme != "analog":
             receive(config, setup, full[rows], draws, side, *(s[:, rows] for s in steps))
     # the last block's draws and the chunk's stream states go before Viterbi
-    states = block_states = draws = side = err_full = None
+    states = draws = side = err_full = None
     if config.scheme == "analog":
         return _metrics(setup, full, samples, labels, est_full, np.zeros(count, dtype=bool))
     cells, crc_ok = _decode(config, setup, *steps)
@@ -442,11 +428,18 @@ def run_chunk(
 # for the digital and hybrid schemes and 14 MiB for analog (tracemalloc
 # peaks). Viterbi's inputs take 2.1 KiB each of it and its decisions 1.1 KiB
 # (1 byte per trellis state and step); the draws and every stage before
-# Viterbi hold one block of dig.ROW_BLOCK trials. The chunk size changes no
+# Viterbi hold one block of ROW_BLOCK trials. The chunk size changes no
 # value: each trial draws from its own streams, and every stage gives a
 # trial the bits it would give it alone (side_info_llrs computes a
 # coefficient shared by all rows once, with the bits of a per-row call).
 MAX_CHUNK_TRIALS = 4096
+
+# Trials per block of run_chunk: it draws, analyzes, sends over the analog
+# partition, forms side information for (digital.side_info_llrs), and
+# modulates, sends and demodulates this many trials at a time. At most about
+# 4 MiB of temporaries per block at the default link (tracemalloc). No value
+# depends on it.
+ROW_BLOCK = 256
 
 
 def chunk_bounds(trials: int, workers: int) -> list[tuple[int, int]]:

@@ -1,10 +1,12 @@
 """Synthetic source generators and PGM ingestion.
 
-gen_blocks returns a batch of blocks, but block t of a stream draws from its
-own generator, default_rng((spec.seed, t)), so any range of blocks equals the
-same rows of a longer range: trials can run on any number of workers without
-changing results. A range's generators are seeded together from one hash
-(source_states, streams.py).
+Block t of a stream seeded s draws from its own generator,
+default_rng((s, t)), whose state is row t - t0 of source_states(s, t0, t1).
+Draw contract: gen_blocks(spec, states) gives one block per row of states,
+as float64 samples (T, n) and int64 labels (T,), and reads the states
+without writing them. So any range of blocks equals the same rows of a
+longer range, and trials can run on any number of workers without changing
+results.
 load_pgm returns an image's 8x8 tiles as one (B, 64) array.
 """
 
@@ -72,26 +74,21 @@ def source_states(seed: int, t0: int, t1: int) -> np.ndarray:
     return stream_states(seed, np.arange(t0, t1))
 
 
-def gen_blocks(
-    spec: SourceSpec, t0: int, t1: int, states: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Blocks t0..t1-1 of a synthetic stream: samples (T, n) and class
-    labels (T,), -1 for the label-free AR(1) source.
+def gen_blocks(spec: SourceSpec, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One block of a synthetic stream per row of states (source_states):
+    samples (T, n) and class labels (T,), -1 for the label-free AR(1) source.
 
-    Block t draws from its own generator, default_rng((spec.seed, t)): first
-    the label (class mixture only), then n unit normals. A mixture block is its
-    class mean plus those normals. Image streams are built via load_pgm instead.
-    states are source_states(spec.seed, t0, t1), passed by a caller that
-    hashed a longer range once and draws it in parts (harness.run_chunk).
+    Each block draws from its row's generator: first the label (class
+    mixture only), then n unit normals. A mixture block is its class mean
+    plus those normals. spec.seed is not read: the states carry the seed.
+    Image streams are built via load_pgm instead.
     """
     if spec.kind not in ("gauss_markov", "class_mixture"):
         raise ParameterError(f"cannot generate blocks for source kind {spec.kind!r}")
     spec.validate()
-    if states is None:
-        states = source_states(spec.seed, t0, t1)
     mixture = spec.kind == "class_mixture"
-    w = np.empty((t1 - t0, spec.n))
-    labels = np.full(t1 - t0, -1, dtype=np.int64)
+    w = np.empty((len(states), spec.n))
+    labels = np.full(len(states), -1, dtype=np.int64)
     for i, rng in enumerate(default_rngs(states)):
         if mixture:
             labels[i] = rng.integers(spec.class_count)

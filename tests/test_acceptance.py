@@ -106,7 +106,8 @@ def test_criterion_2_saturation_effect(default_sweep):
     cfg = ExperimentConfig(scheme="analog", trials=500, snr_grid=(60.0,))
     row60 = run_point(cfg, 60.0)
     setup = H.build_link(cfg)
-    samples = H.draw_trials(cfg, setup, 60.0, 0, 0, 500).samples
+    states = H.trial_states(cfg, setup, 0, 0, 500)
+    samples = H.draw_trials(cfg, setup, 60.0, states).samples
     prior = calibrate_prior_vars(cfg.source_spec())
     kept = selection_indices(64, cfg.k, prior, setup.task)
     mask = np.ones(64, dtype=bool)

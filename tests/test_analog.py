@@ -12,7 +12,7 @@ from datosc.analog import (
 )
 from datosc.channel import ChannelState, transmit
 from datosc.codec import analyze, selection_indices, synthesize_full
-from datosc.sources import SourceSpec, gen_blocks
+from datosc.sources import SourceSpec, gen_blocks, source_states
 
 
 def _send(coeffs, prior, per_use, state):
@@ -136,7 +136,7 @@ def test_saturation_floor_at_high_snr(mixture_priors):
     state_seed = 91
     kept = selection_indices(64, 32, mixture_priors)
     mses, floors = [], []
-    for t, samples in enumerate(gen_blocks(spec, 0, 300)[0]):
+    for t, samples in enumerate(gen_blocks(spec, source_states(spec.seed, 0, 300))[0]):
         full = analyze(samples)
         state = ChannelState.awgn(60.0, seed=state_seed, block_index=t)
         _, _, est, _ = _send(full[kept], mixture_priors[kept], 2.0, state)
@@ -155,7 +155,7 @@ def test_analog_stage_uses_prior_for_discarded():
     variance."""
     cfg = H.ExperimentConfig(scheme="analog", trials=100, k=12, snr_grid=(10.0,))
     setup = H.build_link(cfg)
-    draws = H.draw_trials(cfg, setup, 10.0, 0, 0, 5)
+    draws = H.draw_trials(cfg, setup, 10.0, H.trial_states(cfg, setup, 0, 0, 5))
     full = analyze(draws.samples)
     est_full, err_full = H.analog_stage(setup, full, draws)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import datosc.harness as H
-from datosc.channel import ChannelBudget, ChannelState, draw_blocks, transmit
+from datosc.channel import ChannelBudget, ChannelState, channel_states, draw_blocks, transmit
 from datosc.codec import analyze
 from datosc.digital import quantize_cells, side_info_llrs
 from datosc.errors import AllocationError, ParameterError
@@ -27,7 +27,7 @@ def test_awgn_noise_variance_at_0db():
 
 
 def test_rayleigh_unit_mean_square_gain():
-    h, _ = draw_blocks(10.0, "rayleigh", 3, 0, 100_000, 0)
+    h, _ = draw_blocks(10.0, "rayleigh", channel_states(3, 0, 100_000), 0)
     assert 0.98 <= np.mean(np.abs(h) ** 2) <= 1.02
 
 
@@ -50,7 +50,8 @@ def test_block_streams_are_deterministic():
 def _draws(scheme, channel, snr_db, trials):
     cfg = H.ExperimentConfig(scheme=scheme, channel=channel, snr_grid=(snr_db,))
     setup = H.build_link(cfg)
-    return cfg, setup, H.draw_trials(cfg, setup, snr_db, 0, 0, trials)
+    states = H.trial_states(cfg, setup, 0, 0, trials)
+    return cfg, setup, H.draw_trials(cfg, setup, snr_db, states)
 
 
 def test_partition_noise_independent():

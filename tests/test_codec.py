@@ -15,7 +15,7 @@ from datosc.codec import (
 )
 from datosc.errors import ParameterError
 from datosc.harness import _metrics
-from datosc.sources import SourceSpec, gen_blocks
+from datosc.sources import SourceSpec, gen_blocks, source_states
 
 
 @pytest.mark.parametrize("n", [64, 32])
@@ -35,7 +35,7 @@ def test_parseval_and_round_trip(rng):
 
 
 def test_parseval_on_generated_blocks(mixture_spec):
-    for x in gen_blocks(mixture_spec, 0, 200)[0]:
+    for x in gen_blocks(mixture_spec, source_states(mixture_spec.seed, 0, 200))[0]:
         c = analyze(x)
         assert abs(np.sum(c * c) - np.sum(x * x)) < 1e-9
 
@@ -186,7 +186,7 @@ def _task_accuracy(labels, estimates, task):
 
 
 def test_task_metric_perfect_and_oracle(mixture_spec, task4):
-    samples, labels = gen_blocks(mixture_spec, 0, 200)
+    samples, labels = gen_blocks(mixture_spec, source_states(mixture_spec.seed, 0, 200))
     acc = _task_accuracy(labels, list(samples), task4)
     # brute-force per-block argmin in coefficient space
     hits = 0
@@ -200,7 +200,7 @@ def test_task_metric_perfect_and_oracle(mixture_spec, task4):
 def test_task_metric_symmetric_tie_breaks_low(mixture_spec):
     task2 = build_task_model(64, 2)
     spec = SourceSpec(kind="class_mixture", n=64, class_count=2, seed=5)
-    labels = gen_blocks(spec, 0, 400)[1]
+    labels = gen_blocks(spec, source_states(spec.seed, 0, 400))[1]
     zeros = [np.zeros(64) for _ in labels]
     acc = _task_accuracy(labels, zeros, task2)
     label0 = np.mean(labels == 0)

@@ -1012,6 +1012,7 @@ def test_turbo_interleaver_is_a_spread_permutation():
 
 
 def test_turbo_interleaver_identical_across_calls_and_processes():
+    import os
     import subprocess
     import sys
 
@@ -1022,8 +1023,12 @@ def test_turbo_interleaver_identical_across_calls_and_processes():
         "from datosc.digital import turbo_interleaver; "
         "print(','.join(map(str, turbo_interleaver(1182))))"
     )
+    # the child imports the datosc this process imported
+    src = os.path.dirname(os.path.dirname(digital.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
     out = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env
     ).stdout
     assert np.array_equal(np.array(out.strip().split(","), dtype=np.int64), first)
 
@@ -1110,7 +1115,7 @@ def test_refine_dominance_monte_carlo(mixture_priors):
 
     cfg = H.ExperimentConfig(trials=10_000, scheme="da", snr_grid=(16.0,))
     setup = H.build_link(cfg)
-    draws = H.draw_trials(cfg, setup, 16.0, 0, 0, cfg.trials)
+    draws = H.draw_trials(cfg, setup, 16.0, H.trial_states(cfg, setup, 0, 0, cfg.trials))
     full = codec.analyze(draws.samples)
     est_full, err_full = H.analog_stage(setup, full, draws)
     side = dig.side_info_llrs(est_full, err_full, setup.quant)

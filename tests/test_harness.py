@@ -568,6 +568,26 @@ def test_sweep_names_p_a_fraction_unless_the_scheme_is_da(tmp_path, monkeypatch,
         assert seen.pop().p_a_fraction == (0.25 if read else ExperimentConfig.p_a_fraction)
 
 
+def test_sweep_names_digital_keys_under_the_analog_scheme(tmp_path, capsys):
+    """The analog scheme quantizes, codes and modulates nothing, so an analog
+    sweep config that sets pattern, bits and modulation writes the same CSV
+    and stdout as one without them, plus one stderr line naming them."""
+    runs = {}
+    for name, extra in (("base", ""), ("extra", "pattern=R34\nbits=6\nmodulation=bpsk\n")):
+        cfg = tmp_path / f"{name}.cfg"
+        csv_path = tmp_path / f"{name}.csv"
+        cfg.write_text(f"scheme=analog\nsnr=10\ntrials=100\n{extra}out={csv_path}\n")
+        cli.main(["sweep", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        runs[name] = (out.replace(str(csv_path), "CSV"), err, csv_path.read_bytes())
+    assert runs["base"][1] == ""
+    assert runs["extra"][1] == (
+        "datosc sweep: ignoring config keys it does not read: pattern, bits, modulation\n"
+    )
+    assert runs["extra"][0] == runs["base"][0]
+    assert runs["extra"][2] == runs["base"][2]
+
+
 def test_p_a_fraction_is_checked_where_it_is_read(tmp_path, capsys):
     """Under da a power share outside (0, 1) is an input error naming
     p_a_fraction, and no CSV is written. Under digital the key is ignored:
@@ -670,7 +690,8 @@ def test_analog_saturates_at_discarded_energy():
     from datosc.codec import calibrate_prior_vars
 
     setup = H.build_link(cfg)
-    samples = H.draw_trials(cfg, setup, 60.0, 0, 0, cfg.trials).samples
+    states = H.trial_states(cfg, setup, 0, 0, cfg.trials)
+    samples = H.draw_trials(cfg, setup, 60.0, states).samples
     prior = calibrate_prior_vars(cfg.source_spec())
     kept = selection_indices(64, cfg.k, prior, setup.task)
     mask = np.ones(64, dtype=bool)
@@ -765,17 +786,16 @@ def test_a_chunk_working_set_stays_bounded(scheme):
 
 
 def test_a_chunk_draws_its_channel_in_blocks(monkeypatch):
-    """run_chunk draws gains and noise for at most dig.ROW_BLOCK trials at a
+    """run_chunk draws gains and noise for at most ROW_BLOCK trials at a
     time, the draws tiling its trials in ascending order: no draw spans the
     chunk. It hashes the chunk's source and channel stream states once, and
     each draw gets its block's rows of them."""
-    calls, hashed = [], []
+    drawn, hashed = [], []
     real, real_states = H.draw_blocks, H.channel_states
 
-    def counting(snr_db, fading, seed, t0, t1, uses, states=None):
-        calls.append((t0, t1))
-        assert np.array_equal(states, real_states(seed, t0, t1))
-        return real(snr_db, fading, seed, t0, t1, uses, states)
+    def counting(snr_db, fading, states, uses):
+        drawn.append(states)
+        return real(snr_db, fading, states, uses)
 
     def hashing(real_states):
         def wrapper(seed, t0, t1):
@@ -790,12 +810,16 @@ def test_a_chunk_draws_its_channel_in_blocks(monkeypatch):
     for scheme in H.SCHEMES:
         cfg = ExperimentConfig(scheme=scheme, seed=9)
         setup = H.build_link(cfg)
-        calls.clear()
+        drawn.clear()
         hashed.clear()
         H.run_chunk(cfg, setup, 10.0, 0, 100, 2100)
-        assert all(0 < b - a <= dig.ROW_BLOCK for a, b in calls), (scheme, calls)
-        assert [a for a, _ in calls] == [100] + [b for _, b in calls[:-1]], scheme
+        ends = [100 + int(e) for e in np.cumsum([len(s) for s in drawn])]
+        calls = list(zip([100] + ends[:-1], ends))
+        assert all(0 < b - a <= H.ROW_BLOCK for a, b in calls), (scheme, calls)
         assert calls[-1][1] == 2100, scheme
+        seed = H.derive_seed(cfg.seed, 0, 1)
+        for (a, b), states in zip(calls, drawn):
+            assert np.array_equal(states, real_states(seed, a, b)), (scheme, a, b)
         assert sorted(hashed) == [("channel_states", 100, 2100), ("source_states", 100, 2100)]
 
 
@@ -811,7 +835,8 @@ def test_stages_leave_their_inputs_unchanged():
     for scheme, pattern in (("digital", "R12"), ("da", "R12"), ("da", "R34")):
         cfg = ExperimentConfig(scheme=scheme, pattern=pattern, seed=3)
         setup = H.build_link(cfg)
-        draws = H.draw_trials(cfg, setup, 6.0, 2, 0, dig.ROW_BLOCK + 45)
+        states = H.trial_states(cfg, setup, 2, 0, H.ROW_BLOCK + 45)
+        draws = H.draw_trials(cfg, setup, 6.0, states)
         full = analyze(draws.samples)
         calls = []
         side = None
@@ -869,7 +894,7 @@ def test_the_row_block_size_changes_no_value(monkeypatch, tmp_path):
                 setup = H.build_link(cfg)
                 runs = []
                 for rows in (10**6, 7):
-                    monkeypatch.setattr(dig, "ROW_BLOCK", rows)
+                    monkeypatch.setattr(H, "ROW_BLOCK", rows)
                     runs.append(_snapshot(H.run_chunk(cfg, setup, 8.0, 1, 13, 312)))
                 monkeypatch.undo()
                 assert runs[0] == runs[1], (scheme, channel, source)

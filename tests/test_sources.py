@@ -10,12 +10,13 @@ from datosc.sources import (
     gen_blocks,
     load_pgm,
     pixel_to_sample,
+    source_states,
 )
 
 
 def test_iid_case_unit_variance():
     spec = SourceSpec(kind="gauss_markov", n=4096, rho=0.0, seed=1)
-    samples, labels = gen_blocks(spec, 0, 1)
+    samples, labels = gen_blocks(spec, source_states(spec.seed, 0, 1))
     assert samples.shape == (1, 4096)
     assert 0.95 <= np.var(samples) <= 1.05
     assert labels.tolist() == [-1]
@@ -24,7 +25,7 @@ def test_iid_case_unit_variance():
 def test_lag1_autocorrelation_matches_rho():
     spec = SourceSpec(kind="gauss_markov", n=8192, rho=0.9, seed=7)
     acc = []
-    for x in gen_blocks(spec, 0, 100)[0]:
+    for x in gen_blocks(spec, source_states(spec.seed, 0, 100))[0]:
         x = x - x.mean()
         acc.append(np.dot(x[:-1], x[1:]) / np.dot(x, x))
     assert 0.88 <= np.mean(acc) <= 0.92
@@ -32,10 +33,10 @@ def test_lag1_autocorrelation_matches_rho():
 
 def test_same_seed_bit_identical():
     spec = SourceSpec(kind="gauss_markov", n=256, rho=0.5, seed=99)
-    a = gen_blocks(spec, 3, 4)[0][0]
-    b = gen_blocks(spec, 3, 4)[0][0]
+    a = gen_blocks(spec, source_states(spec.seed, 3, 4))[0][0]
+    b = gen_blocks(spec, source_states(spec.seed, 3, 4))[0][0]
     assert np.array_equal(a, b)
-    c = gen_blocks(spec, 4, 5)[0][0]
+    c = gen_blocks(spec, source_states(spec.seed, 4, 5))[0][0]
     assert not np.array_equal(a, c)
 
 
@@ -51,9 +52,9 @@ def test_same_seed_bit_identical():
 def test_any_range_equals_rows_of_a_longer_one(spec):
     """Workers draw disjoint trial ranges; each must see the rows a single
     serial draw would."""
-    samples, labels = gen_blocks(spec, 0, 40)
+    samples, labels = gen_blocks(spec, source_states(spec.seed, 0, 40))
     for a, b in ((0, 1), (7, 8), (5, 23), (23, 40), (0, 40)):
-        part, part_labels = gen_blocks(spec, a, b)
+        part, part_labels = gen_blocks(spec, source_states(spec.seed, a, b))
         assert np.array_equal(part, samples[a:b])
         assert np.array_equal(part_labels, labels[a:b])
 
@@ -61,7 +62,7 @@ def test_any_range_equals_rows_of_a_longer_one(spec):
 def test_mixture_block_is_its_class_mean_plus_unit_noise():
     spec = SourceSpec(kind="class_mixture", n=64, class_count=4, seed=11)
     means = class_means(64, 4)
-    samples, labels = gen_blocks(spec, 10, 60)
+    samples, labels = gen_blocks(spec, source_states(spec.seed, 10, 60))
     for i, t in enumerate(range(10, 60)):
         rng = np.random.default_rng((11, t))
         label = int(rng.integers(4))
@@ -71,21 +72,21 @@ def test_mixture_block_is_its_class_mean_plus_unit_noise():
 
 def test_marginal_mean_near_zero():
     spec = SourceSpec(kind="gauss_markov", n=1000, rho=0.8, seed=5)
-    total = gen_blocks(spec, 0, 120)[0]
+    total = gen_blocks(spec, source_states(spec.seed, 0, 120))[0]
     assert abs(total.mean()) <= 0.02
     assert total.size >= 10**5
 
 
 def test_rho_out_of_range_rejected():
     with pytest.raises(ParameterError):
-        gen_blocks(SourceSpec(kind="gauss_markov", n=8, rho=1.0, seed=0), 0, 1)
+        gen_blocks(SourceSpec(kind="gauss_markov", n=8, rho=1.0), source_states(0, 0, 1))
     with pytest.raises(ParameterError):
-        gen_blocks(SourceSpec(kind="gauss_markov", n=8, rho=-0.1, seed=0), 0, 1)
+        gen_blocks(SourceSpec(kind="gauss_markov", n=8, rho=-0.1), source_states(0, 0, 1))
 
 
 def test_image_kind_is_not_generated():
     with pytest.raises(ParameterError, match="image_blocks"):
-        gen_blocks(SourceSpec(kind="image_blocks", n=64), 0, 1)
+        gen_blocks(SourceSpec(kind="image_blocks", n=64), source_states(0, 0, 1))
 
 
 def test_class_means_are_orthogonal_with_fixed_norm():
@@ -100,12 +101,12 @@ def test_class_means_are_orthogonal_with_fixed_norm():
 
 def test_single_class_always_label_zero():
     spec = SourceSpec(kind="class_mixture", n=16, class_count=1, seed=3)
-    assert np.all(gen_blocks(spec, 0, 20)[1] == 0)
+    assert np.all(gen_blocks(spec, source_states(spec.seed, 0, 20))[1] == 0)
 
 
 def test_too_many_classes_rejected():
     with pytest.raises(ParameterError):
-        gen_blocks(SourceSpec(kind="class_mixture", n=4, class_count=5, seed=0), 0, 1)
+        gen_blocks(SourceSpec(kind="class_mixture", n=4, class_count=5), source_states(0, 0, 1))
 
 
 def _mixture_accuracy_oracle(n: int, k_classes: int) -> float:
@@ -122,7 +123,7 @@ def test_mixture_accuracy_matches_integral_oracle():
     spec = SourceSpec(kind="class_mixture", n=64, class_count=4, seed=21)
     means = class_means(64, 4)
     trials = 10_000
-    samples, labels = gen_blocks(spec, 0, trials)
+    samples, labels = gen_blocks(spec, source_states(spec.seed, 0, trials))
     d2 = np.sum((samples[:, None, :] - means[None, :, :]) ** 2, axis=2)
     hits = int(np.sum(np.argmin(d2, axis=1) == labels))
     expected = _mixture_accuracy_oracle(64, 4)

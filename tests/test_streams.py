@@ -94,7 +94,7 @@ def test_negative_entropy_raises_like_default_rng(entropy):
     assert str(got.value) == str(ref.value)
     if head is not None:
         with pytest.raises(ValueError) as got:
-            gen_blocks(SourceSpec(seed=head), value, 2)
+            gen_blocks(SourceSpec(seed=head), source_states(head, value, 2))
         assert str(got.value) == str(ref.value)
 
 
@@ -132,7 +132,7 @@ def _reference_blocks(spec, t0, t1):
     ids=["ar1", "mixture"],
 )
 def test_gen_blocks_match_one_default_rng_per_block(spec):
-    samples, labels = gen_blocks(spec, 9, 45)
+    samples, labels = gen_blocks(spec, source_states(spec.seed, 9, 45))
     ref_samples, ref_labels = _reference_blocks(spec, 9, 45)
     assert np.array_equal(samples, ref_samples)
     assert np.array_equal(labels, ref_labels)
@@ -167,7 +167,7 @@ def _bits(values):
 def test_gain_equals_the_chunk_formula_and_the_complex_quotient():
     """h = (re, im) / sqrt(2) part by part, as for_block and draw_blocks form
     it, has the bits of complex(re, im) / sqrt(2) on 3,000 blocks."""
-    h, _ = draw_blocks(0.0, "rayleigh", SEED, 0, 3000, 0)
+    h, _ = draw_blocks(0.0, "rayleigh", channel_states(SEED, 0, 3000), 0)
     gains = [ChannelState.for_block(0.0, "rayleigh", SEED, t).h for t in range(3000)]
     quotients = []
     for t in range(3000):
@@ -208,9 +208,26 @@ def test_draw_trials_equal_one_state_per_trial(channel, source, scheme, tile_ima
         scheme=scheme, channel=channel, source_kind=source, image=image, seed=0xD7A5
     )
     setup = H.build_link(cfg)
-    draws = H.draw_trials(cfg, setup, 5.0, 2, 13, 77)
+    draws = H.draw_trials(cfg, setup, 5.0, H.trial_states(cfg, setup, 2, 13, 77))
     h, noise = _reference_draws(cfg, setup, 5.0, 2, 13, 77)
     assert np.array_equal(_bits(draws.h), _bits(h))
     assert np.array_equal(_bits(draws.w_a), _bits(noise[:, : setup.n_analog]))
     assert np.array_equal(_bits(draws.w_d), _bits(noise[:, setup.n_analog :]))
     assert draws.noise_var == 10.0 ** (-0.5)
+
+
+@pytest.mark.parametrize("fading", ["awgn", "rayleigh"])
+def test_draws_keep_the_module_draw_contract(fading):
+    """gen_blocks and draw_blocks give one row per state row, in the dtypes
+    their module docstrings state; the noise is a view of the float64 draw
+    buffer, and the states keep their bytes."""
+    src, ch = source_states(7, 0, 3), channel_states(7, 0, 3)
+    before = src.tobytes(), ch.tobytes()
+    samples, labels = gen_blocks(SourceSpec(kind="class_mixture", n=8, class_count=3), src)
+    h, noise = draw_blocks(10.0, fading, ch, 5)
+    assert (samples.shape, samples.dtype) == ((3, 8), np.float64)
+    assert (labels.shape, labels.dtype) == ((3,), np.int64)
+    assert (h.shape, h.dtype) == ((3,), np.complex128)
+    assert (noise.shape, noise.dtype) == ((3, 5), np.complex128)
+    assert noise.base is not None and noise.base.dtype == np.float64
+    assert (src.tobytes(), ch.tobytes()) == before

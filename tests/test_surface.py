@@ -1,5 +1,6 @@
-"""The library's public surface: every public name has a caller or a README
-entry, and each input check raises its own error."""
+"""The library's public surface: every public name, the public methods of
+public classes included, has a caller or a README entry, and each input
+check raises its own error."""
 
 import ast
 import re
@@ -52,19 +53,28 @@ def _readme_table_names() -> set[str]:
     return names
 
 
+def _public_defs(path):
+    """(qualified name, name) of each public function and class of a module,
+    and of each public method of its public classes."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield f"{path.stem}.{node.name}", node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{path.stem}.{node.name}.{item.name}", item.name
+
+
 def test_every_public_name_has_a_caller_or_a_readme_entry():
     modules = sorted(SRC.glob("*.py"))
     referenced = _references(modules + sorted((ROOT / "perfbench").glob("*.py")))
     documented = _readme_table_names()
-    orphans = []
-    for path in modules:
-        for node in ast.parse(path.read_text()).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if node.name.startswith("_"):
-                continue
-            if node.name not in referenced and node.name not in documented:
-                orphans.append(f"{path.stem}.{node.name}")
+    orphans = [
+        qualified
+        for path in modules
+        for qualified, name in _public_defs(path)
+        if name not in referenced and name not in documented
+    ]
     assert not orphans, f"public names with no caller and no README entry: {orphans}"
 
 
