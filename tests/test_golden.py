@@ -2,8 +2,10 @@
 
 The files under tests/data are rebuilt from their seeds and compared byte
 for byte, so any change to a draw order, a decoder decision, an allocator
-plan or the CSV format shows up here. Regenerate them (only for an intended
-output change) with `PYTHONPATH=src python tests/test_golden.py --write`.
+plan or the CSV format shows up here. Regenerate one (only for an intended
+output change) by its file name, e.g.
+`PYTHONPATH=src python tests/test_golden.py --write golden_links.csv`; every
+other file is left as it is.
 """
 
 import dataclasses
@@ -29,6 +31,7 @@ GOLDEN_SEU_RAGGED = os.path.join(DATA, "golden_seu_ragged.json")
 GOLDEN_ALLOC = os.path.join(DATA, "golden_alloc.json")
 GOLDEN_SOURCES = os.path.join(DATA, "golden_sources.csv")
 GOLDEN_PRIORS = os.path.join(DATA, "golden_priors.json")
+GOLDEN_LINKS = os.path.join(DATA, "golden_links.csv")
 
 
 def build_sweep_csv(path, scratch_dir) -> None:
@@ -80,6 +83,39 @@ def build_sources_csv(path, scratch_dir) -> None:
                     seed=4321,
                     out=os.path.join(scratch_dir, f"{channel}_{scheme}.csv"),
                     **source,
+                )
+                rows += run_sweep(cfg)
+    rows_to_csv(rows, path)
+
+
+# Every link option off the default path. A budget the default 320 uses
+# cannot hold (BPSK's plain digital frame, 6-bit cells) grows with its power,
+# so the power per use stays the default's.
+LINK_CONFIGS = {
+    "bpsk_R12": dict(modulation="bpsk", total_uses=640, total_power=640.0),
+    "bpsk_R34": dict(modulation="bpsk", pattern="R34", total_uses=640, total_power=640.0),
+    "qpsk_R23": dict(pattern="R23"),
+    "qpsk_R34": dict(pattern="R34"),
+    "bits2": dict(quant_bits=2),
+    "bits6": dict(quant_bits=6, total_uses=480, total_power=480.0),
+}
+
+
+def build_links_csv(path, scratch_dir) -> None:
+    """Each link of LINK_CONFIGS in order, each as build_sweep_csv's six
+    sweeps (seed 2468)."""
+    rows = []
+    for link in LINK_CONFIGS.values():
+        for channel in ("awgn", "rayleigh"):
+            for scheme in ("analog", "digital", "da"):
+                cfg = ExperimentConfig(
+                    scheme=scheme,
+                    channel=channel,
+                    snr_grid=(0.0, 10.0, 20.0),
+                    trials=200,
+                    seed=2468,
+                    out=os.path.join(scratch_dir, f"{channel}_{scheme}.csv"),
+                    **link,
                 )
                 rows += run_sweep(cfg)
     rows_to_csv(rows, path)
@@ -220,6 +256,13 @@ def test_sources_csv_matches_golden_bytes(tmp_path):
         assert path.read_bytes() == fh.read()
 
 
+def test_links_csv_matches_golden_bytes(tmp_path):
+    path = tmp_path / "links.csv"
+    build_links_csv(path, tmp_path)
+    with open(GOLDEN_LINKS, "rb") as fh:
+        assert path.read_bytes() == fh.read()
+
+
 def test_priors_match_golden_bytes(tmp_path):
     with open(GOLDEN_PRIORS, "rb") as fh:
         assert priors_json(tmp_path).encode() == fh.read()
@@ -240,19 +283,35 @@ def test_alloc_plans_match_golden_bytes():
         assert alloc_json().encode() == fh.read()
 
 
+def _write(path, text: str) -> None:
+    with open(path, "w", newline="\n") as fh:
+        fh.write(text)
+
+
+# each golden's builder, by its file name under tests/data: (path, scratch_dir)
+WRITERS = {
+    "golden_sweep.csv": build_sweep_csv,
+    "golden_sources.csv": build_sources_csv,
+    "golden_links.csv": build_links_csv,
+    "golden_priors.json": lambda path, scratch_dir: _write(path, priors_json(scratch_dir)),
+    "golden_seu.json": lambda path, scratch_dir: _write(path, seu_json()),
+    "golden_seu_ragged.json": lambda path, scratch_dir: _write(path, seu_ragged_json()),
+    "golden_alloc.json": lambda path, scratch_dir: _write(path, alloc_json()),
+}
+
+
 if __name__ == "__main__":
     import tempfile
 
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_golden.py --write")
+    names = sys.argv[2:]
+    if sys.argv[1:2] != ["--write"] or not names:
+        sys.exit(
+            "usage: python tests/test_golden.py --write NAME...\n"
+            f"rewrites each named golden; NAME is one of {', '.join(WRITERS)}"
+        )
+    unknown = [name for name in names if name not in WRITERS]
+    if unknown:
+        sys.exit(f"unknown golden {', '.join(unknown)}; known: {', '.join(WRITERS)}")
     with tempfile.TemporaryDirectory() as tmp:
-        build_sweep_csv(GOLDEN_SWEEP, tmp)
-        build_sources_csv(GOLDEN_SOURCES, tmp)
-        with open(GOLDEN_PRIORS, "w", newline="\n") as fh:
-            fh.write(priors_json(tmp))
-    with open(GOLDEN_SEU, "w", newline="\n") as fh:
-        fh.write(seu_json())
-    with open(GOLDEN_SEU_RAGGED, "w", newline="\n") as fh:
-        fh.write(seu_ragged_json())
-    with open(GOLDEN_ALLOC, "w", newline="\n") as fh:
-        fh.write(alloc_json())
+        for name in names:
+            WRITERS[name](os.path.join(DATA, name), tmp)
